@@ -1,7 +1,7 @@
 """Exact arithmetic for joint descent/excedance polynomials.
 
-The package enumerates symmetric groups to build joint and refined
-Eulerian-type distribution polynomials, splits them into palindromic
+The package builds joint and refined Eulerian-type distribution
+polynomials over the symmetric groups, splits them into palindromic
 parts, expands those parts in the gamma basis, verifies the series and
 determinant identities they satisfy, and scans rational specializations
 for gamma-nonnegativity.  Everything is exact; no floats, ever.

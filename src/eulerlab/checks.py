@@ -15,7 +15,6 @@ from . import detformula, gfengine
 from .distributions import (classic_eulerian, derangement_lhs, eulerian_st,
                             exc_slice, xi, xi_transposed)
 from .mpoly import MPoly
-from .parallel import pmap
 from .qanalog import fubini_number, subfactorial
 from .symmetry import a_part, verify_thm20
 
@@ -40,12 +39,9 @@ def _result(name: str, lines: list[str], failures: list[str]) -> CheckResult:
 def check_macmahon(max_n: int = 9) -> CheckResult:
     """Descent and excedance counts are equidistributed over S_n."""
     lines, failures = [], []
-    top = min(max_n, 10)
-    for n, (des, exc) in zip(
-            range(1, top + 1),
-            pmap(lambda n: (classic_eulerian(n, "des"),
-                            classic_eulerian(n, "exc")),
-                 range(1, top + 1))):
+    for n in range(1, min(max_n, _TOP_N["macmahon"]) + 1):
+        des = classic_eulerian(n, "des")
+        exc = classic_eulerian(n, "exc")
         ok = des == exc
         lines.append(f"macmahon n={n}: {'PASS' if ok else 'FAIL'}")
         if not ok:
@@ -57,7 +53,7 @@ def check_macmahon(max_n: int = 9) -> CheckResult:
 def check_thm20(max_n: int = 9) -> CheckResult:
     """Two-term recursion of the palindromic decomposition parts."""
     lines, failures = [], []
-    for n in range(2, min(max_n, 9) + 1):
+    for n in range(2, min(max_n, _TOP_N["thm20"]) + 1):
         report = verify_thm20(n)
         lines.append(f"thm20 n={n}: {'PASS' if report.passed else 'FAIL'}")
         if not report.passed:
@@ -77,7 +73,7 @@ def check_thm01(max_n: int = 7) -> CheckResult:
     lines, failures = [], []
     vars3 = ("t", "p", "q")
     t = MPoly.variable("t", vars3)
-    for n in range(2, min(max_n, 8) + 1):
+    for n in range(2, min(max_n, _TOP_N["thm01"]) + 1):
         lhs = derangement_lhs(n)
         rhs = MPoly.zero(vars3)
         transposed_agree = True
@@ -110,8 +106,7 @@ def check_eq1(max_n: int = 6, max_r: int = 6) -> CheckResult:
     notes in its docstring.
     """
     lines, failures = [], []
-    top = min(max_n, 9)
-    for n in range(1, top + 1):
+    for n in range(1, min(max_n, _TOP_N["eq1"]) + 1):
         bad = []
         for k in range(0, n):
             for r in range(0, max_r + 1):
@@ -145,16 +140,19 @@ def check_gf(max_order: int = 7, max_r: int = 7) -> CheckResult:
 
 def check_thT1(max_n: int = 7) -> CheckResult:
     """Determinant formula: Cramer determinant vs recurrence, then
-    reconstruction of the palindromic parts from the determinant alone."""
+    reconstruction of the palindromic parts from the determinant alone.
+
+    The determinant half stops one below the reconstruction half.
+    """
     lines, failures = [], []
-    for n in range(0, min(max_n, 6) + 1):
+    for n in range(0, min(max_n, _TOP_N["thT1"] - 1) + 1):
         det = detformula.det_Mnr(n)
         rec = detformula.recurrence_f(n)
         ok = det == rec
         lines.append(f"thT1 det=recurrence n={n}: {'PASS' if ok else 'FAIL'}")
         if not ok:
             failures.append(f"n={n}: det={det.dumps()} rec={rec.dumps()}")
-    for n in range(1, min(max_n, 7) + 1):
+    for n in range(1, min(max_n, _TOP_N["thT1"]) + 1):
         got = detformula.reconstruct_a(n)
         want = a_part(n)
         ok = got == want
@@ -171,7 +169,7 @@ _FUBINI_FIRST = (1, 3, 13, 75, 541)
 def check_fubini(max_n: int = 7) -> CheckResult:
     """Joint polynomial at (2, 1) counts ordered set partitions."""
     lines, failures = [], []
-    for n in range(1, min(max_n, 9) + 1):
+    for n in range(1, min(max_n, _TOP_N["fubini"]) + 1):
         got = eulerian_st(n).evaluate({"s": 2, "t": 1})
         want = fubini_number(n)
         ok = got == want
@@ -186,7 +184,7 @@ def check_fubini(max_n: int = 7) -> CheckResult:
 def check_li_binomial(max_n: int = 9) -> CheckResult:
     """Linear descent coefficient of each excedance slice is binomial."""
     lines, failures = [], []
-    for n in range(2, min(max_n, 10) + 1):
+    for n in range(2, min(max_n, _TOP_N["li-binomial"]) + 1):
         bad = []
         for k in range(1, n):
             got = exc_slice(n, k).coeff_of("s", 1).constant()
@@ -201,7 +199,7 @@ def check_li_binomial(max_n: int = 9) -> CheckResult:
 def check_counts(max_n: int = 7) -> CheckResult:
     """Total masses: n! for the joint polynomial, derangement counts."""
     lines, failures = [], []
-    for n in range(1, min(max_n, 9) + 1):
+    for n in range(1, min(max_n, _TOP_N["counts"]) + 1):
         total = eulerian_st(n).evaluate({"s": 1, "t": 1})
         ok = total == factorial(n)
         if n >= 2:
@@ -231,13 +229,22 @@ _DEFAULT_MAX_N = {
     "thT1": 7, "fubini": 7, "li-binomial": 9, "counts": 7,
 }
 
+#: Largest max_n each suite checks in full; for gf it caps both the
+#: series order and r.
+_TOP_N = {
+    "macmahon": 10, "thm01": 8, "thm20": 9, "eq1": 9, "gf": 8,
+    "thT1": 7, "fubini": 9, "li-binomial": 10, "counts": 9,
+}
+
 
 def run_checks(names, max_n: int | None = None) -> list[CheckResult]:
     """Run the named suites; ``all`` expands to every registered suite.
 
-    With ``max_n`` given, the same cap applies to each suite (suites
-    clamp it to their own safe ranges); otherwise per-suite defaults
-    chosen to finish in well under a minute are used.
+    With ``max_n`` given, the same cap applies to each suite; a
+    ``max_n`` above the top of a requested suite's range raises
+    ``ValueError``, so no report claims a range it did not check.
+    Otherwise per-suite defaults chosen to finish in well under a minute
+    are used.
     """
     if isinstance(names, str):
         names = [names]
@@ -251,11 +258,17 @@ def run_checks(names, max_n: int | None = None) -> list[CheckResult]:
             raise ValueError(
                 f"unknown check {name!r}; expected one of "
                 f"{', '.join(list(CHECKS) + ['all'])}")
+    if max_n is not None:
+        for name in resolved:
+            if max_n > _TOP_N[name]:
+                raise ValueError(
+                    f"max_n={max_n} is out of range for check {name!r}, "
+                    f"which supports max_n up to {_TOP_N[name]}")
     out = []
     for name in resolved:
         fn, _ = CHECKS[name]
         if name == "gf":
-            cap = min(max_n, 8) if max_n is not None else 7
+            cap = max_n if max_n is not None else _DEFAULT_MAX_N["gf"]
             out.append(fn(cap, cap))
         else:
             out.append(fn(max_n if max_n is not None else _DEFAULT_MAX_N[name]))

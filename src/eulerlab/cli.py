@@ -21,7 +21,6 @@ from .detformula import det_Mnr, reconstruct_a
 from .distributions import (FAMILIES, DistributionSpec, build_distribution,
                             classic_eulerian)
 from .mpoly import MPoly
-from .parallel import pmap
 from .qanalog import fubini_number, subfactorial
 from .symmetry import a_part, conjecture_scan, gamma_expand, sym_decompose
 
@@ -178,10 +177,8 @@ def _cmd_verify(args) -> int:
 # scan
 
 def _scan_rows(args):
-    reports = pmap(
-        lambda n: conjecture_scan(n, args.p, args.q, force=args.force),
-        range(1, args.max_n + 1))
-    for rep in reports:
+    for n in range(1, args.max_n + 1):
+        rep = conjecture_scan(n, args.p, args.q, force=args.force)
         yield {
             "n": rep.n,
             "p": str(rep.p),

@@ -1,9 +1,17 @@
-"""Distribution polynomials built by enumerating the symmetric group.
+"""Distribution polynomials over the symmetric group.
 
-Every builder folds one statistic vector over S_n and returns a sparse
-polynomial with integer coefficients.  Builders are cached: the joint
-descent/excedance polynomial for n = 9 takes a few seconds to enumerate
-and several verification suites want it.
+Every builder runs one left-to-right transfer over S_n (:func:`_transfer`)
+and returns a sparse polynomial with integer coefficients.  The transfer
+is an exact reorganisation of enumerating S_n: it merges the prefixes
+that share their set of used values and their last value, so n = 13 takes
+seconds where listing 13! permutations would take hours.  Each family
+only supplies the step that reads its statistics off one placed value.
+Builders are cached, since several verification suites want the same
+polynomials.
+
+Enumeration (:func:`perms.enumerate_perms` with :func:`perms.stats`) stays
+as the independent route: :func:`xi_transposed` uses it, and the tests
+compare every family against it byte for byte.
 
 Variable conventions (fixed package-wide):
 
@@ -14,115 +22,112 @@ Variable conventions (fixed package-wide):
 
 The three-variable builders assert that the major index of every
 permutation is at least its excedance count.  A violation would falsify
-the identities this package verifies, so it stops the build immediately
-with the offending permutation in the message.
+the identities this package verifies, so it stops the build with the
+offending statistics in the message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from math import factorial
 
 from .mpoly import MPoly
-from .parallel import pmap, thread_count
 from .perms import MAX_ENUM_N, enumerate_perms, inverse, stable_subsets, stats
 
 
-def _merge(parts):
-    total: dict = {}
-    for part in parts:
-        for key, count in part.items():
-            total[key] = total.get(key, 0) + count
-    return total
+def _transfer(n: int, step) -> dict[tuple[int, int], int]:
+    """Fold a statistic over S_n, placing one value per position.
 
+    A prefix (pi(1), ..., pi(pos - 1)) is summarised by its state: the bit
+    set ``used`` of its values (bit v for value v) and its last value
+    (0 before the first).  Prefixes with the same state have the same
+    continuations, so each state keeps only ``{key: packed}``.  ``key`` is
+    a small int encoding the statistics a family tracks; ``packed`` holds
+    the distribution of one more statistic, the q-statistic, with the
+    number of prefixes having q = j in digit j.  A state stands for at
+    most (n-1)! prefixes, the orderings of its values that end in its last
+    value, so digits of ``(n-1)!.bit_length()`` bits never carry and
+    raising q by d is a left shift by d digits.
 
-def _fold(n: int, counter) -> dict:
-    """Run ``counter(n, first)`` over the first-value partition of S_n.
-
-    Single pass when one thread is configured; otherwise one task per
-    first value, merged in increasing order.
+    ``step(key, pos, last, v, used)`` places v at position ``pos`` and
+    returns the new key and the rise of q, or None to drop the prefix.
+    Returns ``{(key, q): count}`` over S_n.
     """
-    if thread_count() <= 1 or n < 4:
-        return counter(n, None)
-    return _merge(pmap(partial(counter, n), range(1, n + 1)))
-
-
-def _count_des_exc(n: int, first: int | None) -> dict:
+    width = factorial(n - 1).bit_length()
+    layer = {(0, 0): {0: 1}}
+    for pos in range(1, n + 1):
+        nxt: dict = {}
+        while layer:
+            (used, last), src = layer.popitem()
+            for v in range(1, n + 1):
+                if used >> v & 1:
+                    continue
+                state = (used | 1 << v, v)
+                tgt = nxt.get(state)
+                for key, packed in src.items():
+                    moved = step(key, pos, last, v, used)
+                    if moved is None:
+                        continue
+                    new_key, rise = moved
+                    if tgt is None:
+                        tgt = nxt[state] = {}
+                    tgt[new_key] = (tgt.get(new_key, 0)
+                                    + (packed << rise * width))
+        layer = nxt
+    mask = (1 << width) - 1
     counts: dict[tuple[int, int], int] = {}
-    for perm in enumerate_perms(n, first):
-        des = 0
-        exc = 0
-        prev = perm[0]
-        if prev > 1:
-            exc = 1
-        for i in range(1, n):
-            v = perm[i]
-            if prev > v:
-                des += 1
-            if v > i + 1:
-                exc += 1
-            prev = v
-        key = (des, exc)
-        counts[key] = counts.get(key, 0) + 1
+    for src in layer.values():
+        for key, packed in src.items():
+            q = 0
+            while packed:
+                if packed & mask:
+                    counts[key, q] = counts.get((key, q), 0) + (packed & mask)
+                packed >>= width
+                q += 1
     return counts
 
 
-def _count_single(n: int, first: int | None, stat: str) -> dict:
-    use_des = stat == "des"
-    counts: dict[int, int] = {}
-    for perm in enumerate_perms(n, first):
-        k = 0
-        if use_des:
-            for i in range(1, n):
-                if perm[i - 1] > perm[i]:
-                    k += 1
-        else:
-            for i in range(n):
-                if perm[i] > i + 1:
-                    k += 1
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+# Steps.  A descent sits at position pos - 1 when last > v (last is 0 at
+# pos 1); v is an excedance when v > pos and a fixed point when v == pos.
+
+def _des_step(key, pos, last, v, used):
+    return key, last > v
 
 
-def _count_trivariate(n: int, first: int | None, derangements_only: bool) -> dict:
-    counts: dict[tuple[int, int, int], int] = {}
-    for perm in enumerate_perms(n, first):
-        des = 0
-        maj = 0
-        exc = 0
-        fixed = False
-        prev = perm[0]
-        if prev > 1:
-            exc = 1
-        elif prev == 1:
-            fixed = True
-        for i in range(1, n):
-            v = perm[i]
-            if prev > v:
-                des += 1
-                maj += i
-            if v > i + 1:
-                exc += 1
-            elif v == i + 1:
-                fixed = True
-            prev = v
-        if derangements_only and fixed:
-            continue
-        if maj < exc:
-            raise AssertionError(
-                f"major index below excedance count for {perm}")
-        key = (exc, des, maj - exc)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _exc_step(key, pos, last, v, used):
+    return key, v > pos
+
+
+def _des_exc_step(key, pos, last, v, used):
+    # key = des, q = exc
+    return key + (last > v), v > pos
+
+
+def _trivariate_step(key, pos, last, v, used):
+    # key = 16 * exc + des, q = maj; keys stay below 256 while n <= 11,
+    # so CPython shares the key ints across states
+    if last > v:
+        return key + 16 * (v > pos) + 1, pos - 1
+    return key + 16 * (v > pos), 0
+
+
+def _derangements(step):
+    def no_fixed_point(key, pos, last, v, used):
+        return None if v == pos else step(key, pos, last, v, used)
+    return no_fixed_point
+
+
+def _check_n(n: int, lo: int, hi: int) -> None:
+    if not lo <= n <= hi:
+        raise ValueError(f"n must be between {lo} and {hi}, got {n}")
 
 
 @lru_cache(maxsize=None)
 def eulerian_st(n: int) -> MPoly:
     """Joint distribution of (des, exc) over S_n, as a polynomial in s, t."""
-    if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"n must be between 1 and {MAX_ENUM_N}, got {n}")
-    counts = _fold(n, _count_des_exc)
-    return MPoly(("s", "t"), {(d, e): c for (d, e), c in counts.items()})
+    _check_n(n, 1, MAX_ENUM_N)
+    return MPoly(("s", "t"), _transfer(n, _des_exc_step))
 
 
 @lru_cache(maxsize=None)
@@ -130,34 +135,32 @@ def classic_eulerian(n: int, stat: str = "des") -> MPoly:
     """Single-statistic distribution over S_n in the variable x."""
     if stat not in ("des", "exc"):
         raise ValueError(f"stat must be 'des' or 'exc', got {stat!r}")
-    if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"n must be between 1 and {MAX_ENUM_N}, got {n}")
-    counts = _fold(n, partial(_count_single, stat=stat))
-    return MPoly(("x",), {(k,): c for k, c in counts.items()})
+    _check_n(n, 1, MAX_ENUM_N)
+    counts = _transfer(n, _des_step if stat == "des" else _exc_step)
+    return MPoly(("x",), (((k,), c) for (_, k), c in counts.items()))
 
 
 @lru_cache(maxsize=None)
 def derangement_poly(n: int) -> MPoly:
     """Excedance distribution over the derangements of S_n, in x."""
-    if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"n must be between 1 and {MAX_ENUM_N}, got {n}")
-    counts: dict[int, int] = {}
-    for perm in enumerate_perms(n):
-        exc = 0
-        fixed = False
-        for i, v in enumerate(perm, start=1):
-            if v > i:
-                exc += 1
-            elif v == i:
-                fixed = True
-                break
-        if fixed:
-            continue
-        counts[exc] = counts.get(exc, 0) + 1
-    return MPoly(("x",), {(k,): c for k, c in counts.items()})
+    _check_n(n, 1, MAX_ENUM_N)
+    counts = _transfer(n, _derangements(_exc_step))
+    return MPoly(("x",), (((k,), c) for (_, k), c in counts.items()))
 
 
 _TRIVAR_MAX_N = 11
+
+
+def _trivariate_poly(n: int, step) -> MPoly:
+    terms = []
+    for (key, maj), count in _transfer(n, step).items():
+        exc, des = divmod(key, 16)
+        if maj < exc:
+            raise AssertionError(
+                f"major index {maj} below excedance count {exc} "
+                f"for {count} permutations of {n} with {des} descents")
+        terms.append(((exc, des, maj - exc), count))
+    return MPoly(("t", "p", "q"), terms)
 
 
 @lru_cache(maxsize=None)
@@ -167,21 +170,21 @@ def trivariate(n: int) -> MPoly:
     The exponent of t is the excedance count, p marks descents and q
     carries the gap between major index and excedance count.
     """
-    if not 1 <= n <= _TRIVAR_MAX_N:
-        raise ValueError(f"n must be between 1 and {_TRIVAR_MAX_N}, got {n}")
-    counts = _fold(n, partial(_count_trivariate, derangements_only=False))
-    return MPoly(("t", "p", "q"),
-                 {(e, d, g): c for (e, d, g), c in counts.items()})
+    _check_n(n, 1, _TRIVAR_MAX_N)
+    return _trivariate_poly(n, _trivariate_step)
 
 
 @lru_cache(maxsize=None)
 def derangement_lhs(n: int) -> MPoly:
     """Same refinement as :func:`trivariate`, restricted to derangements."""
-    if not 2 <= n <= _TRIVAR_MAX_N:
-        raise ValueError(f"n must be between 2 and {_TRIVAR_MAX_N}, got {n}")
-    counts = _fold(n, partial(_count_trivariate, derangements_only=True))
-    return MPoly(("t", "p", "q"),
-                 {(e, d, g): c for (e, d, g), c in counts.items()})
+    _check_n(n, 2, _TRIVAR_MAX_N)
+    return _trivariate_poly(n, _derangements(_trivariate_step))
+
+
+def _check_slice(n: int, i: int) -> None:
+    _check_n(n, 2, MAX_ENUM_N)
+    if not 1 <= i <= n // 2:
+        raise ValueError(f"i must lie in 1..{n // 2} for n={n}, got {i}")
 
 
 @lru_cache(maxsize=None)
@@ -192,20 +195,24 @@ def xi(n: int, i: int) -> MPoly:
     permutations whose descent set lies inside [2, n-2], contains no two
     consecutive positions, and has exactly i - 1 members.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if not 1 <= i <= n // 2:
-        raise ValueError(f"i must lie in 1..{n // 2} for n={n}, got {i}")
-    allowed = _slice_filter(n)
-    counts: dict[tuple[int, int], int] = {}
-    for perm in enumerate_perms(n):
-        st = stats(perm)
-        if len(st.des_set) != i - 1 or st.des_set not in allowed:
-            continue
-        w = stats(inverse(perm))
-        key = (1 + w.des, w.maj)
-        counts[key] = counts.get(key, 0) + 1
-    return MPoly(("p", "q"), {(a, b): c for (a, b), c in counts.items()})
+    _check_slice(n, i)
+
+    def step(key, pos, last, v, used):
+        # key = 16 * des(w) + 2 * descents so far + (previous position
+        # was a descent); q = maj(w).  w = pi^-1 descends at v when
+        # v + 1 is placed before v.
+        w_des = (used >> (v + 1)) & 1
+        if last > v:
+            if key & 1 or not 2 <= pos - 1 <= n - 2 or (key >> 1) & 7 == i - 1:
+                return None
+            key = (key | 1) + 2
+        else:
+            key &= ~1
+        return key + 16 * w_des, v * w_des
+
+    return MPoly(("p", "q"), (((1 + (key >> 4), maj), c)
+                              for (key, maj), c in _transfer(n, step).items()
+                              if (key >> 1) & 7 == i - 1))
 
 
 def _slice_filter(n: int) -> set[tuple[int, ...]]:
@@ -222,10 +229,7 @@ def xi_transposed(n: int, i: int) -> MPoly:
     an independently computed route so the equality can be checked rather
     than assumed.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if not 1 <= i <= n // 2:
-        raise ValueError(f"i must lie in 1..{n // 2} for n={n}, got {i}")
+    _check_slice(n, i)
     allowed = _slice_filter(n)
     counts: dict[tuple[int, int], int] = {}
     for perm in enumerate_perms(n):

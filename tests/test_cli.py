@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -142,6 +139,23 @@ def test_verify_single_suite(capsys):
     assert out.rstrip().endswith("result: PASS")
 
 
+def test_verify_refuses_range_it_does_not_check(capsys):
+    code, out, err = run_cli(capsys, "verify", "--check", "thm20",
+                             "--max-n", "20")
+    assert code == 2
+    assert out == ""
+    assert "'thm20'" in err and "up to 9" in err
+    code, _, err = run_cli(capsys, "verify", "--check", "macmahon",
+                           "--max-n", "12")
+    assert code == 2
+    assert "'macmahon'" in err and "up to 10" in err
+    code, out, _ = run_cli(capsys, "verify", "--check", "thm20",
+                           "--max-n", "9")
+    assert code == 0
+    assert "thm20 n=9: PASS" in out
+    assert out.rstrip().endswith("result: PASS")
+
+
 def test_verify_reports_reading(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "thm01",
                            "--max-n", "4")
@@ -240,27 +254,3 @@ def test_export_bad_path(tmp_path, capsys):
                            str(tmp_path / "missing_dir" / "f.json"))
     assert code == 2
     assert "error:" in err
-
-
-def test_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("EULERLAB_THREADS", "many")
-    code, _, err = run_cli(capsys, "scan", "--max-n", "3")
-    assert code == 2
-    assert "EULERLAB_THREADS" in err
-
-
-def _run_subprocess(args, threads):
-    env = dict(os.environ, EULERLAB_THREADS=str(threads))
-    return subprocess.run(
-        [sys.executable, "-m", "eulerlab.cli", *args],
-        capture_output=True, env=env, check=True).stdout
-
-
-def test_thread_count_does_not_change_output():
-    args = ["scan", "--max-n", "6", "--p", "3/2", "--q", "2"]
-    assert _run_subprocess(args, 1) == _run_subprocess(args, 4)
-
-
-def test_threaded_poly_build_is_identical():
-    args = ["poly", "--family", "des_exc", "--n", "6", "--format", "json"]
-    assert _run_subprocess(args, 1) == _run_subprocess(args, 3)

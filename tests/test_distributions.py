@@ -8,6 +8,8 @@ from eulerlab.distributions import (DistributionSpec, build_distribution,
                                     derangement_poly, eulerian_st, exc_slice,
                                     trivariate, xi, xi_transposed)
 from eulerlab.mpoly import MPoly, variables
+from eulerlab.perms import (MAX_ENUM_N, enumerate_perms, inverse,
+                            stable_subsets, stats)
 from eulerlab.qanalog import fubini_number, subfactorial
 
 S, T = variables(("s", "t"))
@@ -110,6 +112,8 @@ def test_xi_guards():
         xi(4, 3)
     with pytest.raises(ValueError):
         xi(5, 0)
+    with pytest.raises(ValueError):
+        xi(MAX_ENUM_N + 1, 1)
 
 
 def test_xi_transposed_agrees():
@@ -162,3 +166,43 @@ def test_derangement_poly_values():
     assert derangement_poly(2) == MPoly(("x",), {(1,): 1})
     assert derangement_poly(3) == MPoly(("x",), {(1,): 1, (2,): 1})
     assert derangement_poly(4) == MPoly(("x",), {(1,): 1, (2,): 7, (3,): 1})
+
+
+def _tally(counts, family, exps):
+    table = counts.setdefault(family, {})
+    table[exps] = table.get(exps, 0) + 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_builders_match_enumeration(n):
+    # one pass over S_n by enumeration, reading every family's statistics
+    # off perms.stats, against the transfer-built polynomials
+    allowed = set(stable_subsets(2, n - 2)) if n >= 3 else {()}
+    counts: dict = {}
+    for perm in enumerate_perms(n):
+        st = stats(perm)
+        w = stats(inverse(perm))
+        _tally(counts, "des_exc", (st.des, st.exc))
+        _tally(counts, "des", (st.des,))
+        _tally(counts, "exc", (st.exc,))
+        _tally(counts, "trivariate", (st.exc, st.des, st.maj - st.exc))
+        if st.fix == 0:
+            _tally(counts, "derangement", (st.exc,))
+            _tally(counts, "derangement_lhs",
+                   (st.exc, st.des, st.maj - st.exc))
+        if st.des_set in allowed:
+            _tally(counts, ("xi", st.des + 1), (1 + w.des, w.maj))
+
+    def want(family, vars):
+        return MPoly(vars, counts.get(family, {})).dumps()
+
+    assert eulerian_st(n).dumps() == want("des_exc", ("s", "t"))
+    assert classic_eulerian(n, "des").dumps() == want("des", ("x",))
+    assert classic_eulerian(n, "exc").dumps() == want("exc", ("x",))
+    assert derangement_poly(n).dumps() == want("derangement", ("x",))
+    assert trivariate(n).dumps() == want("trivariate", ("t", "p", "q"))
+    if n >= 2:
+        assert derangement_lhs(n).dumps() == want("derangement_lhs",
+                                                  ("t", "p", "q"))
+    for i in range(1, n // 2 + 1):
+        assert xi(n, i).dumps() == want(("xi", i), ("p", "q"))

@@ -23,22 +23,11 @@ def test_enumeration_order_and_count():
         assert sum(1 for _ in enumerate_perms(n)) == factorial(n)
 
 
-def test_enumeration_partition():
-    for n in (1, 4, 5):
-        whole = list(enumerate_perms(n))
-        glued = []
-        for first in range(1, n + 1):
-            glued.extend(enumerate_perms(n, first=first))
-        assert glued == whole
-
-
 def test_enumeration_guards():
     with pytest.raises(ValueError):
         list(enumerate_perms(0))
     with pytest.raises(ValueError):
         list(enumerate_perms(MAX_ENUM_N + 1))
-    with pytest.raises(ValueError):
-        list(enumerate_perms(3, first=4))
 
 
 def test_stats_examples():
