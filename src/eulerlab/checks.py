@@ -236,13 +236,21 @@ _TOP_N = {
     "thT1": 7, "fubini": 9, "li-binomial": 10, "counts": 9,
 }
 
+#: Smallest max_n at which each suite checks a case; for thT1 it is the
+#: first n at which both halves (determinant and reconstruction) do.
+_FIRST_N = {
+    "macmahon": 1, "thm01": 2, "thm20": 2, "eq1": 1, "gf": 0,
+    "thT1": 1, "fubini": 1, "li-binomial": 2, "counts": 1,
+}
+
 
 def run_checks(names, max_n: int | None = None) -> list[CheckResult]:
     """Run the named suites; ``all`` expands to every registered suite.
 
     With ``max_n`` given, the same cap applies to each suite; a
-    ``max_n`` above the top of a requested suite's range raises
-    ``ValueError``, so no report claims a range it did not check.
+    ``max_n`` outside a requested suite's range (below its first n or
+    above its top) raises ``ValueError``, so no report claims a range it
+    did not check.
     Otherwise per-suite defaults chosen to finish in well under a minute
     are used.
     """
@@ -260,10 +268,11 @@ def run_checks(names, max_n: int | None = None) -> list[CheckResult]:
                 f"{', '.join(list(CHECKS) + ['all'])}")
     if max_n is not None:
         for name in resolved:
-            if max_n > _TOP_N[name]:
+            if not _FIRST_N[name] <= max_n <= _TOP_N[name]:
                 raise ValueError(
                     f"max_n={max_n} is out of range for check {name!r}, "
-                    f"which supports max_n up to {_TOP_N[name]}")
+                    f"which supports max_n from {_FIRST_N[name]} "
+                    f"up to {_TOP_N[name]}")
     out = []
     for name in resolved:
         fn, _ = CHECKS[name]

@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, lcm
 from typing import Sequence
 
-from .distributions import eulerian_st, trivariate
-from .mpoly import MPoly, exact_divide, reciprocal_in
+from .distributions import _TRIVAR_MAX_N, eulerian_st, trivariate
+from .mpoly import DivisibilityError, MPoly, exact_divide, reciprocal_in
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,70 @@ def gamma_expand_coeffs(coeffs: Sequence[Fraction | int]) -> tuple[Fraction, ...
 
     The list fixes the ambient degree: its length is d + 1, trailing
     zeros included.  An empty or all-zero list has an empty gamma vector.
+    The list is scaled by the lcm of its denominators and expanded by
+    :func:`_gamma_ints`.
     """
+    ints, scale = _scaled_ints(coeffs)
+    return tuple(Fraction(g, scale) for g in _gamma_ints(ints))
+
+
+# ----------------------------------------------------------------------
+# integer coefficient-list kernel
+#
+# The dense analogues of sym_decompose and gamma_expand for a polynomial
+# in one variable with int coefficients, ambient degree len(list) - 1.
+# Callers with rational coefficients scale by a positive common
+# denominator first; splitting and gamma expansion are linear, and every
+# sign, order and mode test is unchanged by a positive scale.
+
+def _scaled_ints(coeffs: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The list times the lcm of its denominators, and that lcm."""
     cs = [Fraction(c) for c in coeffs]
-    if not cs or all(c == 0 for c in cs):
-        return ()
-    f = MPoly(("t",), {(i,): c for i, c in enumerate(cs) if c})
-    expansion = gamma_expand(f, "t", len(cs) - 1)
-    return tuple(g.constant() for g in expansion.gammas)
+    scale = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (scale // c.denominator) for c in cs], scale
+
+
+def _split_ints(f: list[int]) -> tuple[list[int], list[int]]:
+    """The palindromic parts (a, b) of f = a + x*b at degree len(f) - 1.
+
+    a has len(f) entries and b one fewer.  Each division by 1 - x is a
+    prefix sum whose final entry is the remainder.
+    """
+    flip = f[::-1]
+    a, acc = [], 0
+    for fi, prev in zip(f + [0], [0] + flip):  # f - x * flip(f)
+        acc += fi - prev
+        a.append(acc)
+    b, acc = [], 0
+    for fi, ri in zip(f, flip):  # flip(f) - f
+        acc += ri - fi
+        b.append(acc)
+    if a.pop() or b.pop():
+        raise DivisibilityError("division by 1 - x left a remainder")
+    assert [ai + bi for ai, bi in zip(a, [0] + b)] == f, \
+        "decomposition failed to recombine"
+    return a, b
+
+
+def _gamma_ints(cs: list[int]) -> list[int]:
+    """Integer gamma vector of a palindromic int list; [] when all zero."""
+    if not any(cs):
+        return []
+    d = len(cs) - 1
+    if cs != cs[::-1]:
+        raise ValueError(
+            f"coefficient list is not palindromic at ambient degree {d}")
+    rem = list(cs)
+    gammas = []
+    for i in range(d // 2 + 1):
+        g = rem[i]
+        gammas.append(g)
+        if g:
+            m = d - 2 * i
+            for k in range(m + 1):
+                rem[i + k] -= g * comb(m, k)
+    assert not any(rem), "gamma elimination left a remainder"
+    return gammas
 
 
 # ----------------------------------------------------------------------
@@ -203,18 +261,15 @@ def _is_alternatingly_increasing(cs: Sequence[Fraction]) -> bool:
 
 def shape_checks(coeffs: Sequence[Fraction | int]) -> ShapeFlags:
     """Palindromicity, unimodality, alternating increase, gamma sign."""
-    cs = [Fraction(c) for c in coeffs]
+    cs, _ = _scaled_ints(coeffs)
     if not cs:
         raise ValueError("empty coefficient list")
     palin = cs == cs[::-1]
-    gamma_ok = False
-    if palin:
-        gamma_ok = all(g >= 0 for g in gamma_expand_coeffs(cs))
     return ShapeFlags(
         palindromic=palin,
         unimodal=_is_unimodal(cs),
         alternatingly_increasing=_is_alternatingly_increasing(cs),
-        gamma_nonnegative=gamma_ok,
+        gamma_nonnegative=palin and all(g >= 0 for g in _gamma_ints(cs)),
     )
 
 
@@ -245,30 +300,31 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     coefficient list.  The hypothesis zone is p > 1, q >= 1; points
     outside it need ``force=True``.  Reports never raise on a shape
     violation; they record it.
+
+    The work is exact on int coefficient lists: with p = a/b and
+    q = c/e, the t-vector is scaled by M = b**D * e**G (D, G the top
+    degrees in p and q), split and gamma-expanded by the integer
+    kernel, and divided by M only in the reported gammas.
     """
-    if not 1 <= n <= 9:
-        raise ValueError(f"n must be between 1 and 9, got {n}")
+    if not 1 <= n <= _TRIVAR_MAX_N:
+        raise ValueError(f"n must be between 1 and {_TRIVAR_MAX_N}, got {n}")
     p, q = Fraction(p), Fraction(q)
     in_hyp = p > 1 and q >= 1
     if not in_hyp and not force:
         raise ValueError(
             f"(p, q) = ({p}, {q}) is outside p > 1, q >= 1; pass force=True")
-    f = trivariate(n).subs({"p": p, "q": q})
-    d = n - 1
-    dense = f.to_dense("t")
-    dense += [Fraction(0)] * (d + 1 - len(dense))
-    if d == 0:
-        a_cs, b_cs = dense, []
-    else:
-        dec = sym_decompose(f, "t", d)
-        a_cs = dec.a.to_dense("t")
-        a_cs += [Fraction(0)] * (d + 1 - len(a_cs))
-        b_cs = dec.b.to_dense("t")
-        b_cs += [Fraction(0)] * (d - len(b_cs))
-        if dec.b.is_zero():
-            b_cs = []
-    gamma_a = gamma_expand_coeffs(a_cs)
-    gamma_b = gamma_expand_coeffs(b_cs) if b_cs else ()
+    f = trivariate(n)
+    top_des, top_gap = f.degree("p"), f.degree("q")
+    a, b, c, e = p.numerator, p.denominator, q.numerator, q.denominator
+    p_pow = [a ** k * b ** (top_des - k) for k in range(top_des + 1)]
+    q_pow = [c ** k * e ** (top_gap - k) for k in range(top_gap + 1)]
+    dense = [0] * n
+    for (exc, des, gap), count in f.terms.items():
+        dense[exc] += count.numerator * p_pow[des] * q_pow[gap]
+    scale = b ** top_des * e ** top_gap
+    a_cs, b_cs = _split_ints(dense)
+    gamma_a = tuple(Fraction(g, scale) for g in _gamma_ints(a_cs))
+    gamma_b = tuple(Fraction(g, scale) for g in _gamma_ints(b_cs))
     top = max(dense)
     modes = tuple(i for i, c in enumerate(dense) if c == top)
     return ScanReport(

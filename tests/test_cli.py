@@ -149,6 +149,16 @@ def test_verify_refuses_range_it_does_not_check(capsys):
                            "--max-n", "12")
     assert code == 2
     assert "'macmahon'" in err and "up to 10" in err
+    code, out, err = run_cli(capsys, "verify", "--check", "thm20",
+                             "--max-n", "1")
+    assert code == 2
+    assert out == ""
+    assert "'thm20'" in err and "from 2 up to 9" in err
+    code, out, err = run_cli(capsys, "verify", "--check", "counts",
+                             "--max-n", "-3")
+    assert code == 2
+    assert out == ""
+    assert "'counts'" in err and "from 1 up to 9" in err
     code, out, _ = run_cli(capsys, "verify", "--check", "thm20",
                            "--max-n", "9")
     assert code == 0
@@ -189,6 +199,13 @@ def test_scan_csv(capsys):
                         "in_hypothesis")
     assert len(lines) == 5
     assert lines[1].startswith("1,2,1,1,,")
+    code, out, _ = run_cli(capsys, "scan", "--max-n", "11", "--p", "2",
+                           "--q", "1")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("11,2,1,")
+    code, out, err = run_cli(capsys, "scan", "--max-n", "12")
+    assert code == 2
+    assert out == "" and "between 1 and 11" in err
 
 
 def test_scan_json(capsys):

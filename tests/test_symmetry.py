@@ -4,7 +4,8 @@ import pytest
 
 from eulerlab.distributions import eulerian_st, trivariate
 from eulerlab.mpoly import MPoly, variables
-from eulerlab.symmetry import (GammaExpansion, a_part, conjecture_scan,
+from eulerlab.symmetry import (GammaExpansion, _is_alternatingly_increasing,
+                               _is_unimodal, a_part, conjecture_scan,
                                gamma_expand, gamma_expand_coeffs,
                                is_palindromic, shape_checks, sym_decompose,
                                verify_thm20)
@@ -74,6 +75,8 @@ def test_gamma_expand_numeric_fixtures():
     assert gamma_expand_coeffs([0, 1, 0]) == (0, 1)
     assert gamma_expand_coeffs([]) == ()
     assert gamma_expand_coeffs([0, 0, 0]) == ()
+    assert gamma_expand_coeffs([F(1, 2), F(7, 2), F(1, 2)]) == (F(1, 2),
+                                                                 F(5, 2))
 
 
 def test_gamma_expand_symbolic():
@@ -85,10 +88,13 @@ def test_gamma_expand_symbolic():
 
 
 def test_gamma_expand_rejects_non_palindromic():
-    with pytest.raises(ValueError):
-        gamma_expand(1 + 2 * T, "t", 1)
-    with pytest.raises(ValueError):
-        gamma_expand_coeffs([1, 2])
+    # the sparse route and the integer kernel refuse the same lists
+    for cs in ([1, 2], [1, 2, 0, 3], [F(1, 2), 1]):
+        f = MPoly(("t",), {(i,): c for i, c in enumerate(cs)})
+        with pytest.raises(ValueError):
+            gamma_expand(f, "t", len(cs) - 1)
+        with pytest.raises(ValueError):
+            gamma_expand_coeffs(cs)
 
 
 def test_gamma_expansion_misc():
@@ -163,7 +169,44 @@ def test_scan_guards():
     with pytest.raises(ValueError):
         conjecture_scan(0, 2, 1)
     with pytest.raises(ValueError):
-        conjecture_scan(10, 2, 1)
+        conjecture_scan(12, 2, 1)
+
+
+def _sparse_scan(n, p, q):
+    """Gamma vectors, flags and modes of the scan by the MPoly route."""
+    f = trivariate(n).subs({"p": p, "q": q})
+    dense = f.to_dense("t")
+    dense += [F(0)] * (n - len(dense))
+    dec = sym_decompose(f, "t", n - 1)
+    gamma_a, gamma_b = (
+        tuple(g.constant() for g in gamma_expand(part, "t", d).gammas)
+        for part, d in ((dec.a, n - 1), (dec.b, n - 2)))
+    top = max(dense)
+    return (gamma_a, gamma_b,
+            all(g >= 0 for g in gamma_a), all(g >= 0 for g in gamma_b),
+            _is_alternatingly_increasing(dense), _is_unimodal(dense),
+            tuple(i for i, c in enumerate(dense) if c == top))
+
+
+def _kernel_scan(n, p, q):
+    r = conjecture_scan(n, p, q, force=True)
+    return (r.gamma_a, r.gamma_b, r.gamma_a_nonneg, r.gamma_b_nonneg,
+            r.alternatingly_increasing, r.unimodal, r.mode_indices)
+
+
+_IN_ZONE = [(F(p), F(q)) for p in ("3/2", "2", "5/2", "3", "7/3", "11/10")
+            for q in ("1", "5/4", "3/2", "2", "3", "7/2")]
+_FORCED = [(F(p), F(q)) for p in ("0", "1", "-1", "1/2", "-3/7")
+           for q in ("0", "1", "-2", "1/3")]
+
+
+def test_scan_kernel_matches_sparse_route():
+    cases = [(n, p, q) for n in range(1, 10) for p, q in _IN_ZONE + _FORCED]
+    cases += [(n, p, q) for n in (10, 11)
+              for p, q in [(F(2), F(1)), (F(11, 10), F(7, 2)),
+                           (F(-3, 7), F(1, 3))]]
+    for n, p, q in cases:
+        assert _kernel_scan(n, p, q) == _sparse_scan(n, p, q), (n, p, q)
 
 
 def test_scan_accepts_fractions():
