@@ -15,6 +15,7 @@ from . import detformula, gfengine
 from .distributions import (classic_eulerian, derangement_lhs, eulerian_st,
                             exc_slice, xi, xi_transposed)
 from .mpoly import MPoly
+from .perms import MAX_ENUM_N
 from .qanalog import fubini_number, subfactorial
 from .symmetry import a_part, verify_thm20
 
@@ -36,10 +37,10 @@ def _result(name: str, lines: list[str], failures: list[str]) -> CheckResult:
     )
 
 
-def check_macmahon(max_n: int = 9) -> CheckResult:
+def check_macmahon(max_n: int) -> CheckResult:
     """Descent and excedance counts are equidistributed over S_n."""
     lines, failures = [], []
-    for n in range(1, min(max_n, _TOP_N["macmahon"]) + 1):
+    for n in range(1, max_n + 1):
         des = classic_eulerian(n, "des")
         exc = classic_eulerian(n, "exc")
         ok = des == exc
@@ -50,10 +51,10 @@ def check_macmahon(max_n: int = 9) -> CheckResult:
     return _result("macmahon", lines, failures)
 
 
-def check_thm20(max_n: int = 9) -> CheckResult:
+def check_thm20(max_n: int) -> CheckResult:
     """Two-term recursion of the palindromic decomposition parts."""
     lines, failures = [], []
-    for n in range(2, min(max_n, _TOP_N["thm20"]) + 1):
+    for n in range(2, max_n + 1):
         report = verify_thm20(n)
         lines.append(f"thm20 n={n}: {'PASS' if report.passed else 'FAIL'}")
         if not report.passed:
@@ -61,7 +62,7 @@ def check_thm20(max_n: int = 9) -> CheckResult:
     return _result("thm20", lines, failures)
 
 
-def check_thm01(max_n: int = 7) -> CheckResult:
+def check_thm01(max_n: int) -> CheckResult:
     """Derangement refinement expands over the sparse-descent slices.
 
     Compares the derangement-restricted (exc, des, maj-exc) polynomial
@@ -73,7 +74,7 @@ def check_thm01(max_n: int = 7) -> CheckResult:
     lines, failures = [], []
     vars3 = ("t", "p", "q")
     t = MPoly.variable("t", vars3)
-    for n in range(2, min(max_n, _TOP_N["thm01"]) + 1):
+    for n in range(2, max_n + 1):
         lhs = derangement_lhs(n)
         rhs = MPoly.zero(vars3)
         transposed_agree = True
@@ -94,8 +95,9 @@ def check_thm01(max_n: int = 7) -> CheckResult:
     return _result("thm01", lines, failures)
 
 
-def check_eq1(max_n: int = 6, max_r: int = 6) -> CheckResult:
-    """Closed-form lattice count against direct coefficient extraction.
+def check_eq1(max_n: int) -> CheckResult:
+    """Closed-form lattice count against direct coefficient extraction,
+    for r = 0..6.
 
     The closed form uses the corrected index roles; the detail lines
     record the two readings it replaces.  The verbatim swapped-window
@@ -106,10 +108,10 @@ def check_eq1(max_n: int = 6, max_r: int = 6) -> CheckResult:
     notes in its docstring.
     """
     lines, failures = [], []
-    for n in range(1, min(max_n, _TOP_N["eq1"]) + 1):
+    for n in range(1, max_n + 1):
         bad = []
         for k in range(0, n):
-            for r in range(0, max_r + 1):
+            for r in range(0, 7):
                 direct = gfengine.f_nkr(n, k, r)
                 closed = gfengine.f_nkr_closed(n, k, r)
                 if direct != closed:
@@ -125,11 +127,14 @@ def check_eq1(max_n: int = 6, max_r: int = 6) -> CheckResult:
     return _result("eq1", lines, failures)
 
 
-def check_gf(max_order: int = 7, max_r: int = 7) -> CheckResult:
-    """Series regrouping, its palindromic companion, and the telescope."""
-    report = gfengine.verify_foata(max_order, max_r)
+def check_gf(max_n: int) -> CheckResult:
+    """Series regrouping, its palindromic companion, and the telescope.
+
+    ``max_n`` caps both the series order and r.
+    """
+    report = gfengine.verify_foata(max_n, max_n)
     lines = [
-        f"gf joint coefficients n<={max_order} r<={max_r}: "
+        f"gf joint coefficients n<={max_n} r<={max_n}: "
         f"{'PASS' if report.joint_ok else 'FAIL'}",
         f"gf palindromic-part coefficients: "
         f"{'PASS' if report.a_ok else 'FAIL'}",
@@ -138,21 +143,22 @@ def check_gf(max_order: int = 7, max_r: int = 7) -> CheckResult:
     return _result("gf", lines, list(report.failures))
 
 
-def check_thT1(max_n: int = 7) -> CheckResult:
+def check_thT1(max_n: int) -> CheckResult:
     """Determinant formula: Cramer determinant vs recurrence, then
     reconstruction of the palindromic parts from the determinant alone.
 
-    The determinant half stops one below the reconstruction half.
+    The determinant half stops at n = 6, one below the reconstruction
+    half's top.
     """
     lines, failures = [], []
-    for n in range(0, min(max_n, _TOP_N["thT1"] - 1) + 1):
+    for n in range(0, min(max_n, 6) + 1):
         det = detformula.det_Mnr(n)
         rec = detformula.recurrence_f(n)
         ok = det == rec
         lines.append(f"thT1 det=recurrence n={n}: {'PASS' if ok else 'FAIL'}")
         if not ok:
             failures.append(f"n={n}: det={det.dumps()} rec={rec.dumps()}")
-    for n in range(1, min(max_n, _TOP_N["thT1"]) + 1):
+    for n in range(1, max_n + 1):
         got = detformula.reconstruct_a(n)
         want = a_part(n)
         ok = got == want
@@ -166,10 +172,10 @@ def check_thT1(max_n: int = 7) -> CheckResult:
 _FUBINI_FIRST = (1, 3, 13, 75, 541)
 
 
-def check_fubini(max_n: int = 7) -> CheckResult:
+def check_fubini(max_n: int) -> CheckResult:
     """Joint polynomial at (2, 1) counts ordered set partitions."""
     lines, failures = [], []
-    for n in range(1, min(max_n, _TOP_N["fubini"]) + 1):
+    for n in range(1, max_n + 1):
         got = eulerian_st(n).evaluate({"s": 2, "t": 1})
         want = fubini_number(n)
         ok = got == want
@@ -181,10 +187,10 @@ def check_fubini(max_n: int = 7) -> CheckResult:
     return _result("fubini", lines, failures)
 
 
-def check_li_binomial(max_n: int = 9) -> CheckResult:
+def check_li_binomial(max_n: int) -> CheckResult:
     """Linear descent coefficient of each excedance slice is binomial."""
     lines, failures = [], []
-    for n in range(2, min(max_n, _TOP_N["li-binomial"]) + 1):
+    for n in range(2, max_n + 1):
         bad = []
         for k in range(1, n):
             got = exc_slice(n, k).coeff_of("s", 1).constant()
@@ -196,10 +202,10 @@ def check_li_binomial(max_n: int = 9) -> CheckResult:
     return _result("li-binomial", lines, failures)
 
 
-def check_counts(max_n: int = 7) -> CheckResult:
+def check_counts(max_n: int) -> CheckResult:
     """Total masses: n! for the joint polynomial, derangement counts."""
     lines, failures = [], []
-    for n in range(1, min(max_n, _TOP_N["counts"]) + 1):
+    for n in range(1, max_n + 1):
         total = eulerian_st(n).evaluate({"s": 1, "t": 1})
         ok = total == factorial(n)
         if n >= 2:
@@ -224,23 +230,22 @@ CHECKS = {
     "counts": (check_counts, "total masses against factorials"),
 }
 
-_DEFAULT_MAX_N = {
-    "macmahon": 9, "thm01": 7, "thm20": 9, "eq1": 6, "gf": 7,
-    "thT1": 7, "fubini": 7, "li-binomial": 9, "counts": 7,
-}
-
-#: Largest max_n each suite checks in full; for gf it caps both the
-#: series order and r.
-_TOP_N = {
-    "macmahon": 10, "thm01": 8, "thm20": 9, "eq1": 9, "gf": 8,
-    "thT1": 7, "fubini": 9, "li-binomial": 10, "counts": 9,
-}
-
-#: Smallest max_n at which each suite checks a case; for thT1 it is the
-#: first n at which both halves (determinant and reconstruction) do.
-_FIRST_N = {
-    "macmahon": 1, "thm01": 2, "thm20": 2, "eq1": 1, "gf": 0,
-    "thT1": 1, "fubini": 1, "li-binomial": 2, "counts": 1,
+#: token -> (first, default, top) max_n: the first checks a case, the
+#: default runs when none is given, the top is the cap of the route that
+#: bounds the suite.  Two tops are set here: thm01's, since xi_transposed
+#: enumerates S_n (one slice takes 0.4 s at n = 8, 3.7 s at n = 9), and
+#: thT1's, whose halves stop at n = 6 and 7, the split its detail lines
+#: and perfbench's verify labels record.
+_RANGES = {
+    "macmahon": (1, 9, MAX_ENUM_N),
+    "thm01": (2, 7, 8),
+    "thm20": (2, 9, MAX_ENUM_N),
+    "eq1": (1, 6, MAX_ENUM_N),
+    "gf": (0, 7, gfengine._MAX_ORDER),
+    "thT1": (1, 7, 7),
+    "fubini": (1, 7, MAX_ENUM_N),
+    "li-binomial": (2, 9, MAX_ENUM_N),
+    "counts": (1, 7, MAX_ENUM_N),
 }
 
 
@@ -268,17 +273,10 @@ def run_checks(names, max_n: int | None = None) -> list[CheckResult]:
                 f"{', '.join(list(CHECKS) + ['all'])}")
     if max_n is not None:
         for name in resolved:
-            if not _FIRST_N[name] <= max_n <= _TOP_N[name]:
+            first, _, top = _RANGES[name]
+            if not first <= max_n <= top:
                 raise ValueError(
                     f"max_n={max_n} is out of range for check {name!r}, "
-                    f"which supports max_n from {_FIRST_N[name]} "
-                    f"up to {_TOP_N[name]}")
-    out = []
-    for name in resolved:
-        fn, _ = CHECKS[name]
-        if name == "gf":
-            cap = max_n if max_n is not None else _DEFAULT_MAX_N["gf"]
-            out.append(fn(cap, cap))
-        else:
-            out.append(fn(max_n if max_n is not None else _DEFAULT_MAX_N[name]))
-    return out
+                    f"which supports max_n from {first} up to {top}")
+    return [CHECKS[name][0](_RANGES[name][1] if max_n is None else max_n)
+            for name in resolved]

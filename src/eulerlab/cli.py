@@ -56,8 +56,7 @@ def _cmd_table(args) -> int:
             "eulerian": eul,
         })
     if args.format == "json":
-        out = [dict(r, eulerian=r["eulerian"]) for r in rows]
-        print(json.dumps(out, separators=(",", ":")))
+        print(json.dumps(rows, separators=(",", ":")))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", "permutations", "derangements",
@@ -177,8 +176,10 @@ def _cmd_verify(args) -> int:
 # scan
 
 def _scan_rows(args):
-    for n in range(1, args.max_n + 1):
-        rep = conjecture_scan(n, args.p, args.q, force=args.force)
+    # the top n first, so an n out of range is refused before any build
+    reports = [conjecture_scan(n, args.p, args.q, force=args.force)
+               for n in range(args.max_n, 0, -1)]
+    for rep in reversed(reports):
         yield {
             "n": rep.n,
             "p": str(rep.p),
@@ -329,10 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

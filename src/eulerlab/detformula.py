@@ -11,8 +11,7 @@ Solving the unit-lower-triangular system by Cramer's rule turns f_n into
 an (n+1) x (n+1) determinant: entry (i, j) is (-1)**(i-j) * alpha_(i-j)
 for j < n (zero above the diagonal) and beta_i in the last column.  The
 alternating signs are part of the Cramer matrix; a plain alpha_(i-j)
-layout changes the determinant and is kept only behind ``signed=False``
-so tests can demonstrate the difference.
+layout changes the determinant.
 
 Binomial coefficients here are polynomials in r, so they do not vanish
 for small integer r; in particular C(r - 1, n) at r = 0 is (-1)**n,
@@ -69,7 +68,7 @@ def recurrence_f(n: int) -> MPoly:
     return acc
 
 
-def build_matrix(n: int, signed: bool = True) -> list[list[MPoly]]:
+def build_matrix(n: int) -> list[list[MPoly]]:
     """The (n+1) x (n+1) Cramer matrix whose determinant is f_n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -82,7 +81,7 @@ def build_matrix(n: int, signed: bool = True) -> list[list[MPoly]]:
                 row.append(zero)
             else:
                 entry = alpha(i - j)
-                if signed and (i - j) % 2:
+                if (i - j) % 2:
                     entry = -entry
                 row.append(entry)
         row.append(beta(i))
@@ -143,6 +142,7 @@ def det_cofactor(matrix: list[list[MPoly]]) -> MPoly:
     return acc
 
 
+@lru_cache(maxsize=None)
 def det_Mnr(n: int) -> MPoly:
     """Determinant of the Cramer matrix, as a polynomial in t and r."""
     if not 0 <= n <= _MAX_DET_N:

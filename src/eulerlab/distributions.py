@@ -105,8 +105,9 @@ def _des_exc_step(key, pos, last, v, used):
 
 
 def _trivariate_step(key, pos, last, v, used):
-    # key = 16 * exc + des, q = maj; keys stay below 256 while n <= 11,
-    # so CPython shares the key ints across states
+    # key = 16 * exc + des, q = maj; exc and des stay below 16 while
+    # n <= 16, so divmod(key, 16) decodes the key and keys stay below 256,
+    # where CPython shares the int objects across states
     if last > v:
         return key + 16 * (v > pos) + 1, pos - 1
     return key + 16 * (v > pos), 0
@@ -148,9 +149,6 @@ def derangement_poly(n: int) -> MPoly:
     return MPoly(("x",), (((k,), c) for (_, k), c in counts.items()))
 
 
-_TRIVAR_MAX_N = 11
-
-
 def _trivariate_poly(n: int, step) -> MPoly:
     terms = []
     for (key, maj), count in _transfer(n, step).items():
@@ -170,14 +168,14 @@ def trivariate(n: int) -> MPoly:
     The exponent of t is the excedance count, p marks descents and q
     carries the gap between major index and excedance count.
     """
-    _check_n(n, 1, _TRIVAR_MAX_N)
+    _check_n(n, 1, MAX_ENUM_N)
     return _trivariate_poly(n, _trivariate_step)
 
 
 @lru_cache(maxsize=None)
 def derangement_lhs(n: int) -> MPoly:
     """Same refinement as :func:`trivariate`, restricted to derangements."""
-    _check_n(n, 2, _TRIVAR_MAX_N)
+    _check_n(n, 2, MAX_ENUM_N)
     return _trivariate_poly(n, _derangements(_trivariate_step))
 
 

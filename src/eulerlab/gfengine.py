@@ -30,7 +30,6 @@ from .series import USeries
 from .symmetry import a_part
 from .univariate import RatFunc, UPoly
 
-_MAX_N = 9
 _MAX_ORDER = 8
 
 _T = RatFunc(UPoly((0, 1)))
@@ -114,8 +113,6 @@ def lhs_coeff(n: int, r: int) -> UPoly:
     """[s**r u**n] of the assembled joint generating function, in t."""
     if n < 0 or r < 0:
         raise ValueError("n and r must be nonnegative")
-    if n > _MAX_N:
-        raise ValueError(f"n must be at most {_MAX_N}, got {n}")
     return _resummed_coeff(_joint(n), n, r)
 
 
@@ -123,8 +120,6 @@ def lhs_coeff_a(n: int, r: int) -> UPoly:
     """Same extraction applied to the palindromic parts a_n."""
     if n < 0 or r < 0:
         raise ValueError("n and r must be nonnegative")
-    if n > _MAX_N:
-        raise ValueError(f"n must be at most {_MAX_N}, got {n}")
     if n == 0:
         return UPoly()
     return _resummed_coeff(a_part(n), n, r)
@@ -191,8 +186,6 @@ def f_nkr(n: int, k: int, r: int) -> int:
     """[s**r t**k u**n] of the joint generating function, by direct expansion."""
     if n < 0 or k < 0 or r < 0:
         raise ValueError("all indices must be nonnegative")
-    if n > _MAX_N:
-        raise ValueError(f"n must be at most {_MAX_N}, got {n}")
     acc = 0
     for (j, e), c in _joint(n).terms.items():
         if e == k:

@@ -27,8 +27,9 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Sequence
 
-from .distributions import _TRIVAR_MAX_N, eulerian_st, trivariate
+from .distributions import eulerian_st, trivariate
 from .mpoly import DivisibilityError, MPoly, exact_divide, reciprocal_in
+from .perms import MAX_ENUM_N
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,8 @@ def verify_thm20(n: int) -> RecursionReport:
     (s - 1) times the previous palindromic part, and that the recombined
     identity A_n = a_n + (s - 1) * t * a_{n-1} holds exactly.
     """
-    if not 2 <= n <= 9:
-        raise ValueError(f"n must be between 2 and 9, got {n}")
+    if not 2 <= n <= MAX_ENUM_N:
+        raise ValueError(f"n must be between 2 and {MAX_ENUM_N}, got {n}")
     joint = eulerian_st(n)
     dec = sym_decompose(joint, "t", n - 1)
     s, t = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
@@ -298,16 +299,15 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     splits it in t at ambient degree n - 1, and reports the gamma
     vectors of both parts together with shape flags of the recombined
     coefficient list.  The hypothesis zone is p > 1, q >= 1; points
-    outside it need ``force=True``.  Reports never raise on a shape
-    violation; they record it.
+    outside it need ``force=True``.  n takes the range of
+    :func:`trivariate`.  Reports never raise on a shape violation; they
+    record it.
 
     The work is exact on int coefficient lists: with p = a/b and
     q = c/e, the t-vector is scaled by M = b**D * e**G (D, G the top
     degrees in p and q), split and gamma-expanded by the integer
     kernel, and divided by M only in the reported gammas.
     """
-    if not 1 <= n <= _TRIVAR_MAX_N:
-        raise ValueError(f"n must be between 1 and {_TRIVAR_MAX_N}, got {n}")
     p, q = Fraction(p), Fraction(q)
     in_hyp = p > 1 and q >= 1
     if not in_hyp and not force:

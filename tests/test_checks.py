@@ -1,6 +1,8 @@
 import pytest
 
-from eulerlab.checks import CHECKS, run_checks
+from eulerlab import detformula, gfengine, perms
+from eulerlab.checks import _RANGES, CHECKS, run_checks
+from eulerlab.distributions import eulerian_st
 
 
 def test_registry_tokens():
@@ -40,3 +42,53 @@ def test_thm01_lines_name_the_reading():
     (res,) = run_checks("thm01", max_n=5)
     assert all("literal and transposed slice filters agree" in line
                for line in res.lines)
+
+
+def test_each_top_is_the_cap_of_its_route():
+    assert set(_RANGES) == set(CHECKS)
+    for name in ("macmahon", "thm20", "eq1", "fubini", "li-binomial",
+                 "counts"):
+        assert _RANGES[name][2] == perms.MAX_ENUM_N, name
+    assert _RANGES["gf"][2] == gfengine._MAX_ORDER
+    # the two tops the table sets itself stay inside their routes' caps
+    assert _RANGES["thm01"][2] <= perms._MAX_LIST_N
+    assert _RANGES["thT1"][2] <= detformula._MAX_DET_N
+    for first, default, top in _RANGES.values():
+        assert first <= default <= top
+    # one above a route's cap, the route refuses on its own
+    with pytest.raises(ValueError):
+        eulerian_st(perms.MAX_ENUM_N + 1)
+    with pytest.raises(ValueError):
+        gfengine.verify_foata(gfengine._MAX_ORDER + 1, 0)
+
+
+def _labels(name, first, max_n):
+    if name == "thT1":
+        return ([f"thT1 det=recurrence n={n}: PASS"
+                 for n in range(0, min(max_n, 6) + 1)]
+                + [f"thT1 reconstruct a_{n}: PASS"
+                   for n in range(first, max_n + 1)])
+    return [f"{name} n={n}: PASS" for n in range(first, max_n + 1)]
+
+
+# macmahon, thm01 and counts take 2 to 6 s at their tops, so they run at
+# a smaller max_n; thm20 at 13 is in test_cli; gf prints no per-n lines
+@pytest.mark.parametrize("name, max_n", [
+    ("fubini", None), ("li-binomial", None), ("eq1", None), ("thT1", None),
+    ("macmahon", 8), ("thm01", 6), ("counts", 6)])
+def test_suite_checks_exactly_first_to_max_n(name, max_n):
+    first, _, top = _RANGES[name]
+    max_n = top if max_n is None else max_n
+    (res,) = run_checks(name, max_n=max_n)
+    assert res.passed, res.witness
+    lines = [line.split(" (")[0] for line in res.lines]
+    if name == "eq1":
+        assert lines.pop().startswith("eq1 note:")
+    assert lines == _labels(name, first, max_n)
+
+
+def test_thT1_builds_each_determinant_once():
+    detformula.det_Mnr.cache_clear()
+    run_checks("thT1")
+    info = detformula.det_Mnr.cache_info()
+    assert (info.misses, info.hits) == (8, 6)

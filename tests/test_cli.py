@@ -141,29 +141,43 @@ def test_verify_single_suite(capsys):
 
 def test_verify_refuses_range_it_does_not_check(capsys):
     code, out, err = run_cli(capsys, "verify", "--check", "thm20",
-                             "--max-n", "20")
+                             "--max-n", "14")
     assert code == 2
     assert out == ""
-    assert "'thm20'" in err and "up to 9" in err
+    assert "'thm20'" in err and "up to 13" in err
     code, _, err = run_cli(capsys, "verify", "--check", "macmahon",
-                           "--max-n", "12")
+                           "--max-n", "14")
     assert code == 2
-    assert "'macmahon'" in err and "up to 10" in err
+    assert "'macmahon'" in err and "up to 13" in err
+    code, out, err = run_cli(capsys, "verify", "--check", "thT1",
+                             "--max-n", "8")
+    assert code == 2
+    assert out == ""
+    assert "'thT1'" in err and "up to 7" in err
     code, out, err = run_cli(capsys, "verify", "--check", "thm20",
                              "--max-n", "1")
     assert code == 2
     assert out == ""
-    assert "'thm20'" in err and "from 2 up to 9" in err
+    assert "'thm20'" in err and "from 2 up to 13" in err
     code, out, err = run_cli(capsys, "verify", "--check", "counts",
                              "--max-n", "-3")
     assert code == 2
     assert out == ""
-    assert "'counts'" in err and "from 1 up to 9" in err
+    assert "'counts'" in err and "from 1 up to 13" in err
     code, out, _ = run_cli(capsys, "verify", "--check", "thm20",
                            "--max-n", "9")
     assert code == 0
     assert "thm20 n=9: PASS" in out
     assert out.rstrip().endswith("result: PASS")
+
+
+def test_verify_thm20_reaches_the_builder_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--check", "thm20",
+                           "--max-n", "13")
+    assert code == 0
+    assert out.splitlines() == (
+        [f"thm20 n={n}: PASS" for n in range(2, 14)]
+        + ["thm20: PASS", "result: PASS"])
 
 
 def test_verify_reports_reading(capsys):
@@ -199,13 +213,13 @@ def test_scan_csv(capsys):
                         "in_hypothesis")
     assert len(lines) == 5
     assert lines[1].startswith("1,2,1,1,,")
-    code, out, _ = run_cli(capsys, "scan", "--max-n", "11", "--p", "2",
+    code, out, _ = run_cli(capsys, "scan", "--max-n", "12", "--p", "2",
                            "--q", "1")
     assert code == 0
-    assert out.splitlines()[-1].startswith("11,2,1,")
-    code, out, err = run_cli(capsys, "scan", "--max-n", "12")
+    assert out.splitlines()[-1].startswith("12,2,1,")
+    code, out, err = run_cli(capsys, "scan", "--max-n", "14")
     assert code == 2
-    assert out == "" and "between 1 and 11" in err
+    assert out == "" and "between 1 and 13" in err
 
 
 def test_scan_json(capsys):

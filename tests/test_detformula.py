@@ -39,6 +39,13 @@ def test_recurrence_first_values():
         recurrence_f(-1)
 
 
+def _unsigned(n):
+    """The Cramer layout with plain alpha_(i-j) entries, signs dropped."""
+    zero = MPoly.zero(("t", "r"))
+    return [[alpha(i - j) if i >= j else zero for j in range(n)] + [beta(i)]
+            for i in range(n + 1)]
+
+
 def test_matrix_structure():
     m = build_matrix(3)
     assert len(m) == 4 and all(len(row) == 4 for row in m)
@@ -48,8 +55,7 @@ def test_matrix_structure():
                 assert m[i][j].is_zero()
     assert m[3][3] == beta(3)
     assert m[2][1] == -alpha(1)
-    unsigned = build_matrix(3, signed=False)
-    assert unsigned[2][1] == alpha(1)
+    assert _unsigned(3)[2][1] == alpha(1)
 
 
 def test_determinant_equals_recurrence():
@@ -72,7 +78,7 @@ def test_determinant_at_r0_collapses():
 
 def test_unsigned_layout_differs():
     # dropping the Cramer signs changes the answer already at n = 1
-    wrong = det_bareiss(build_matrix(1, signed=False))
+    wrong = det_bareiss(_unsigned(1))
     assert wrong == (1 + T + T ** 2) - R * (2 + 3 * T + 2 * T ** 2)
     assert wrong != recurrence_f(1)
 

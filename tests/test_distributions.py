@@ -35,6 +35,10 @@ def test_joint_guards():
         eulerian_st(0)
     with pytest.raises(ValueError):
         eulerian_st(14)
+    with pytest.raises(ValueError):
+        trivariate(MAX_ENUM_N + 1)
+    with pytest.raises(ValueError):
+        derangement_lhs(MAX_ENUM_N + 1)
 
 
 def test_marginals_match_single_statistic_builders():
@@ -114,6 +118,9 @@ def test_xi_guards():
         xi(5, 0)
     with pytest.raises(ValueError):
         xi(MAX_ENUM_N + 1, 1)
+    # xi(11, 1) builds by transfer; the enumerating route stops at n = 10
+    with pytest.raises(ValueError, match="between 1 and 10"):
+        xi_transposed(11, 1)
 
 
 def test_xi_transposed_agrees():

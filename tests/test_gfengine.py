@@ -42,7 +42,7 @@ def test_lhs_coeff_fixtures():
     assert lhs_coeff_a(0, 3) == UPoly()
     assert lhs_coeff_a(2, 0) == UPoly((1, 1))
     with pytest.raises(ValueError):
-        lhs_coeff(10, 0)
+        lhs_coeff(14, 0)
     with pytest.raises(ValueError):
         lhs_coeff(-1, 0)
 
@@ -101,7 +101,7 @@ def test_f_nkr_guards():
     with pytest.raises(ValueError):
         f_nkr(-1, 0, 0)
     with pytest.raises(ValueError):
-        f_nkr(10, 0, 0)
+        f_nkr(14, 0, 0)
     with pytest.raises(ValueError):
         f_nkr_closed(0, -1, 0)
 

@@ -28,6 +28,10 @@ def test_enumeration_guards():
         list(enumerate_perms(0))
     with pytest.raises(ValueError):
         list(enumerate_perms(MAX_ENUM_N + 1))
+    # listing S_11 takes seconds and S_13 hours; the call itself refuses
+    for n in (11, MAX_ENUM_N):
+        with pytest.raises(ValueError, match="between 1 and 10"):
+            enumerate_perms(n)
 
 
 def test_stats_examples():

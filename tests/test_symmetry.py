@@ -64,7 +64,7 @@ def test_recursion_report_range():
     with pytest.raises(ValueError):
         verify_thm20(1)
     with pytest.raises(ValueError):
-        verify_thm20(10)
+        verify_thm20(14)
 
 
 def test_gamma_expand_numeric_fixtures():
@@ -169,7 +169,7 @@ def test_scan_guards():
     with pytest.raises(ValueError):
         conjecture_scan(0, 2, 1)
     with pytest.raises(ValueError):
-        conjecture_scan(12, 2, 1)
+        conjecture_scan(14, 2, 1)
 
 
 def _sparse_scan(n, p, q):
