@@ -9,20 +9,22 @@ floating point.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from fractions import Fraction
 from math import factorial
 
-from .checks import CHECKS, run_checks
-from .detformula import det_Mnr, reconstruct_a
 from .distributions import (FAMILIES, DistributionSpec, build_distribution,
                             classic_eulerian)
 from .mpoly import MPoly
-from .qanalog import fubini_number, subfactorial
-from .symmetry import a_part, conjecture_scan, gamma_expand, sym_decompose
+
+# Each command imports the modules it runs, so building the parser loads
+# only what poly and export need.  verify's choices are therefore spelled
+# out here: the tokens of checks.CHECKS, in order (a test keeps the two
+# equal).
+_SUITES = ("macmahon", "thm01", "thm20", "eq1", "gf", "thT1", "fubini",
+           "li-binomial", "counts")
 
 
 def _rational(text: str) -> Fraction:
@@ -45,19 +47,23 @@ def _render(poly: MPoly, fmt: str) -> str:
 # table
 
 def _cmd_table(args) -> int:
+    from .qanalog import fubini_number, subfactorial
+
+    # the top n first, so an n out of range is refused before any build
+    eulerian = [classic_eulerian(n) for n in range(args.max_n, 0, -1)]
     rows = []
-    for n in range(1, args.max_n + 1):
-        eul = [str(int(c)) for c in classic_eulerian(n).to_dense("x")]
+    for n, eul in enumerate(reversed(eulerian), 1):
         rows.append({
             "n": n,
             "permutations": factorial(n),
             "derangements": subfactorial(n),
             "ordered_set_partitions": fubini_number(n),
-            "eulerian": eul,
+            "eulerian": [str(int(c)) for c in eul.to_dense("x")],
         })
     if args.format == "json":
         print(json.dumps(rows, separators=(",", ":")))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", "permutations", "derangements",
                          "ordered_set_partitions", "eulerian"])
@@ -116,6 +122,8 @@ def _specialized(args) -> tuple[MPoly, str]:
 
 
 def _cmd_decompose(args) -> int:
+    from .symmetry import sym_decompose
+
     poly, var = _specialized(args)
     d = args.d if args.d is not None else args.n - 1
     dec = sym_decompose(poly, var, d)
@@ -127,6 +135,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from .symmetry import gamma_expand, sym_decompose
+
     poly, var = _specialized(args)
     d = args.d if args.d is not None else args.n - 1
     dec = sym_decompose(poly, var, d)
@@ -144,6 +154,8 @@ def _cmd_gamma(args) -> int:
 # det
 
 def _cmd_det(args) -> int:
+    from .detformula import det_Mnr, reconstruct_a
+
     det = det_Mnr(args.n)
     fmts = ("latex", "json") if args.format == "all" else (args.format,)
     for fmt in fmts:
@@ -159,6 +171,8 @@ def _cmd_det(args) -> int:
 # verify
 
 def _cmd_verify(args) -> int:
+    from .checks import run_checks
+
     results = run_checks(args.check, max_n=args.max_n)
     failed = False
     for res in results:
@@ -176,6 +190,8 @@ def _cmd_verify(args) -> int:
 # scan
 
 def _scan_rows(args):
+    from .symmetry import conjecture_scan
+
     # the top n first, so an n out of range is refused before any build
     reports = [conjecture_scan(n, args.p, args.q, force=args.force)
                for n in range(args.max_n, 0, -1)]
@@ -205,6 +221,7 @@ def _cmd_scan(args) -> int:
     if args.format == "json":
         print(json.dumps(rows, separators=(",", ":")))
     else:
+        import csv
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_SCAN_FIELDS,
                                 lineterminator="\n")
@@ -219,10 +236,13 @@ def _cmd_scan(args) -> int:
 
 def _cmd_export(args) -> int:
     if args.family == "det":
+        from .detformula import det_Mnr
         poly = det_Mnr(args.n)
     elif args.family == "a_part":
+        from .symmetry import a_part
         poly = a_part(args.n)
     elif args.family == "reconstruct_a":
+        from .detformula import reconstruct_a
         poly = reconstruct_a(args.n)
     else:
         poly = build_distribution(_spec_from_args(args))
@@ -297,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_det)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--check", choices=tuple(CHECKS) + ("all",),
+    p.add_argument("--check", choices=_SUITES + ("all",),
                    default="all")
     p.add_argument("--max-n", type=int, default=None)
     p.set_defaults(fn=_cmd_verify)

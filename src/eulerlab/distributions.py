@@ -28,7 +28,7 @@ offending statistics in the message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -254,13 +254,10 @@ FAMILIES = ("des_exc", "classic_eulerian", "derangement", "trivariate",
             "derangement_refined", "xi", "exc_slice")
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """A family name plus the integers needed to pin down one member."""
-    family: str
-    n: int
-    i: int | None = None
-    k: int | None = None
+#: A family name plus the integers needed to pin down one member: the
+#: slice index i of xi and the excedance level k of exc_slice.
+DistributionSpec = namedtuple("DistributionSpec", "family n i k",
+                              defaults=(None, None))
 
 
 def build_distribution(spec: DistributionSpec) -> MPoly:

@@ -12,7 +12,7 @@ combinatorial conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
@@ -26,13 +26,8 @@ MAX_ENUM_N = 13
 _MAX_LIST_N = 10
 
 
-@dataclass(frozen=True)
-class PermStats:
-    des: int
-    exc: int
-    fix: int
-    maj: int
-    des_set: tuple[int, ...]
+#: des, exc, fix and maj are ints; des_set is the tuple of descent positions
+PermStats = namedtuple("PermStats", "des exc fix maj des_set")
 
 
 def _validate(perm: Sequence[int]) -> tuple[int, ...]:

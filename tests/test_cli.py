@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from eulerlab import cli
 from eulerlab.checks import CHECKS, CheckResult
 from eulerlab.cli import main
 from eulerlab.detformula import det_Mnr
-from eulerlab.distributions import eulerian_st
+from eulerlab.distributions import classic_eulerian, eulerian_st
 from eulerlab.mpoly import MPoly
 
 
@@ -64,6 +65,13 @@ def test_table_formats(capsys):
 
     code, out, _ = run_cli(capsys, "table", "--max-n", "3")
     assert code == 0 and "eulerian" in out.splitlines()[0]
+
+
+def test_table_refuses_before_any_build(capsys):
+    classic_eulerian.cache_clear()
+    code, out, err = run_cli(capsys, "table", "--max-n", "14")
+    assert code == 2 and out == "" and "error:" in err
+    assert classic_eulerian.cache_info().currsize == 0
 
 
 def test_decompose_output(capsys):
@@ -129,6 +137,17 @@ def test_det_command(capsys):
     assert det_line == f"det (json): {det_Mnr(2).dumps()}"
     rec = MPoly.loads(rec_line.split(": ", 1)[1])
     assert rec == MPoly(("s", "t"), {(0, 0): 1, (0, 1): 1})
+
+
+def test_verify_choices_are_the_registered_suites(capsys, monkeypatch):
+    # cli spells the suite tokens out so the parser needs no checks import
+    assert cli._SUITES == tuple(CHECKS)
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert "{" + ",".join([*CHECKS, "all"]) + "}" in usage
 
 
 def test_verify_single_suite(capsys):

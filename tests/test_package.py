@@ -1,0 +1,106 @@
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import eulerlab
+from eulerlab.distributions import FAMILIES
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: what ``import eulerlab.cli`` and building its parser load
+STARTUP = ["eulerlab", "eulerlab.cli", "eulerlab.distributions",
+           "eulerlab.mpoly", "eulerlab.perms"]
+
+
+def test_every_export_is_its_defining_modules_object():
+    for module, names in eulerlab._EXPORTS.items():
+        home = import_module(f"eulerlab.{module}")
+        for name in names:
+            assert getattr(eulerlab, name) is getattr(home, name), name
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from eulerlab import *", namespace)
+    assert set(eulerlab.__all__) <= namespace.keys()
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        eulerlab.nope
+    assert not hasattr(eulerlab, "nope")
+
+
+def test_dir_lists_every_export():
+    assert set(eulerlab.__all__) <= set(dir(eulerlab))
+
+
+def test_lookup_leaves_the_package_namespace_unchanged():
+    # perfbench's tracer compares snapshots of this namespace
+    before = dict(vars(eulerlab))
+    for name in eulerlab.__all__:
+        getattr(eulerlab, name)
+    assert vars(eulerlab) == before
+
+
+def _probe(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; it prints one JSON line last."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_JOBS = """
+import contextlib, io, json, sys
+preloaded = "dataclasses" in sys.modules
+from eulerlab import cli
+cli.build_parser()
+for argv in {jobs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps({{
+    "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "eulerlab"),
+    "dataclasses": not preloaded and "dataclasses" in sys.modules}}))
+"""
+
+
+def test_parser_loads_only_the_startup_modules():
+    got = _probe(_JOBS.format(jobs=[]))
+    assert got["loaded"] == STARTUP
+
+
+def test_poly_and_export_load_no_other_module(tmp_path):
+    extra = {"xi": ["--i", "2"], "exc_slice": ["--k", "1"]}
+    jobs = []
+    for family in FAMILIES:
+        args = ["--family", family, "--n", "5", *extra.get(family, [])]
+        jobs.append(["poly", *args, "--format", "json"])
+        jobs.append(["export", *args, "--out", str(tmp_path / "p.json")])
+    got = _probe(_JOBS.format(jobs=jobs))
+    assert got["loaded"] == STARTUP
+    assert not got["dataclasses"]
+
+
+def test_verify_loads_checks():
+    got = _probe(_JOBS.format(jobs=[["verify", "--check", "gf",
+                                     "--max-n", "2"]]))
+    assert "eulerlab.checks" in got["loaded"]
+
+
+def test_checks_imports_its_suite_modules_eagerly():
+    # perfbench's tracer imports eulerlab.checks and then wraps functions
+    # of these modules, reached as attributes of the package
+    got = _probe("import json, sys, eulerlab.checks\n"
+                 "print(json.dumps({'loaded': sorted(sys.modules)}))")
+    for module in ("detformula", "gfengine", "symmetry", "series",
+                   "univariate"):
+        assert f"eulerlab.{module}" in got["loaded"]
