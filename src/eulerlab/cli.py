@@ -50,9 +50,10 @@ def _cmd_table(args) -> int:
     from .qanalog import fubini_number, subfactorial
 
     # the top n first, so an n out of range is refused before any build
-    eulerian = [classic_eulerian(n) for n in range(args.max_n, 0, -1)]
+    top = classic_eulerian(args.max_n)
+    eulerian = [classic_eulerian(n) for n in range(1, args.max_n)] + [top]
     rows = []
-    for n, eul in enumerate(reversed(eulerian), 1):
+    for n, eul in enumerate(eulerian, 1):
         rows.append({
             "n": n,
             "permutations": factorial(n),
@@ -193,9 +194,10 @@ def _scan_rows(args):
     from .symmetry import conjecture_scan
 
     # the top n first, so an n out of range is refused before any build
+    top = conjecture_scan(args.max_n, args.p, args.q, force=args.force)
     reports = [conjecture_scan(n, args.p, args.q, force=args.force)
-               for n in range(args.max_n, 0, -1)]
-    for rep in reversed(reports):
+               for n in range(1, args.max_n)] + [top]
+    for rep in reports:
         yield {
             "n": rep.n,
             "p": str(rep.p),

@@ -30,10 +30,10 @@ from functools import lru_cache
 
 from .gfengine import binom_resum
 from .mpoly import DivisibilityError, MPoly, exact_divide
+from .perms import MAX_ENUM_N
 from .qanalog import binom_poly, t_analog
 
 _VARS = ("t", "r")
-_MAX_DET_N = 8
 
 
 @lru_cache(maxsize=None)
@@ -144,9 +144,13 @@ def det_cofactor(matrix: list[list[MPoly]]) -> MPoly:
 
 @lru_cache(maxsize=None)
 def det_Mnr(n: int) -> MPoly:
-    """Determinant of the Cramer matrix, as a polynomial in t and r."""
-    if not 0 <= n <= _MAX_DET_N:
-        raise ValueError(f"n must be in 0..{_MAX_DET_N}, got {n}")
+    """Determinant of the Cramer matrix, as a polynomial in t and r.
+
+    n runs up to ``MAX_ENUM_N``, the largest n whose a_n the
+    reconstruction can be checked against.
+    """
+    if not 0 <= n <= MAX_ENUM_N:
+        raise ValueError(f"n must be in 0..{MAX_ENUM_N}, got {n}")
     return det_bareiss(build_matrix(n))
 
 
@@ -156,8 +160,8 @@ def reconstruct_a(n: int) -> MPoly:
     Resums det over r with the (1 - s)**(n+1) weight, strips the
     boundary term (1 + t**(n+1)) * (1 - s)**n, and divides by t.
     """
-    if not 1 <= n <= _MAX_DET_N:
-        raise ValueError(f"n must be in 1..{_MAX_DET_N}, got {n}")
+    if not 1 <= n <= MAX_ENUM_N:
+        raise ValueError(f"n must be in 1..{MAX_ENUM_N}, got {n}")
     s, t = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
     resummed = binom_resum(det_Mnr(n), n)
     total = resummed - (1 + t ** (n + 1)) * (1 - s) ** n

@@ -98,31 +98,32 @@ def f_series(r: int, order: int) -> USeries:
     return num * _joint_denominator(r, order).inverse()
 
 
-def _resummed_coeff(poly: MPoly, n: int, r: int) -> UPoly:
-    """sum_j [s**j] poly * C(n + r - j, n) as a polynomial in t."""
-    acc = UPoly()
-    for j in range(poly.degree("s") + 1):
-        slice_t = poly.coeff_of("s", j)
-        if slice_t.is_zero():
-            continue
-        acc = acc + UPoly(slice_t.to_dense("t")) * comb(n + r - j, n)
-    return acc
+def _resummed(poly: MPoly, n: int, r: int) -> list[int]:
+    """sum_j [s**j] poly * C(n + r - j, n) as an int coefficient list in t.
+
+    ``poly`` is an integer polynomial over (s, t); entry k of the result
+    is the coefficient of t**k.
+    """
+    out: list[int] = []
+    for (j, k), c in poly.terms.items():
+        if k >= len(out):
+            out.extend([0] * (k + 1 - len(out)))
+        out[k] += int(c) * comb(n + r - j, n)
+    return out
 
 
 def lhs_coeff(n: int, r: int) -> UPoly:
     """[s**r u**n] of the assembled joint generating function, in t."""
     if n < 0 or r < 0:
         raise ValueError("n and r must be nonnegative")
-    return _resummed_coeff(_joint(n), n, r)
+    return UPoly(_resummed(_joint(n), n, r))
 
 
 def lhs_coeff_a(n: int, r: int) -> UPoly:
     """Same extraction applied to the palindromic parts a_n."""
     if n < 0 or r < 0:
         raise ValueError("n and r must be nonnegative")
-    if n == 0:
-        return UPoly()
-    return _resummed_coeff(a_part(n), n, r)
+    return UPoly(_resummed(a_part(n), n, r))
 
 
 @dataclass(frozen=True)
@@ -143,36 +144,30 @@ def verify_foata(max_order: int, max_r: int) -> FoataReport:
     if not 0 <= max_r <= _MAX_ORDER:
         raise ValueError(f"max_r must be in 0..{_MAX_ORDER}")
     failures: list[str] = []
-    joint_ok = a_ok = telescope_ok = True
+    failed: set[str] = set()
+    telescope_ok = True
     one = USeries.constant(1, max_order)
     one_minus_ut = _pow_one_minus_ut(1, max_order)
     for r in range(max_r + 1):
         g = foata_term(r, max_order)
         w = a_series_term(r, max_order)
         for n in range(max_order + 1):
-            got = g.coeff(n)
-            if not got.is_polynomial():
-                joint_ok = False
-                failures.append(f"joint r={r} n={n}: non-polynomial {got!r}")
-                continue
-            want = lhs_coeff(n, r)
-            if got.as_upoly() != want:
-                joint_ok = False
-                failures.append(
-                    f"joint r={r} n={n}: series {got!r} vs direct {want!r}")
-            got_a = w.coeff(n)
-            if not got_a.is_polynomial():
-                a_ok = False
-                failures.append(f"a-part r={r} n={n}: non-polynomial {got_a!r}")
-                continue
-            want_a = lhs_coeff_a(n, r)
-            if got_a.as_upoly() != want_a:
-                a_ok = False
-                failures.append(
-                    f"a-part r={r} n={n}: series {got_a!r} vs direct {want_a!r}")
+            for label, series, direct in (("joint", g, lhs_coeff),
+                                          ("a-part", w, lhs_coeff_a)):
+                got = series.coeff(n)
+                if not got.is_polynomial():
+                    why = f"non-polynomial {got!r}"
+                elif got.as_upoly() != (want := direct(n, r)):
+                    why = f"series {got!r} vs direct {want!r}"
+                else:
+                    continue
+                failed.add(label)
+                failures.append(f"{label} r={r} n={n}: {why}")
         if g - one_minus_ut * w != one:
             telescope_ok = False
             failures.append(f"telescope r={r}: g - (1-ut)w is not 1")
+    joint_ok = "joint" not in failed
+    a_ok = "a-part" not in failed
     passed = joint_ok and a_ok and telescope_ok
     return FoataReport(max_order=max_order, max_r=max_r, joint_ok=joint_ok,
                        a_ok=a_ok, telescope_ok=telescope_ok, passed=passed,
@@ -186,11 +181,8 @@ def f_nkr(n: int, k: int, r: int) -> int:
     """[s**r t**k u**n] of the joint generating function, by direct expansion."""
     if n < 0 or k < 0 or r < 0:
         raise ValueError("all indices must be nonnegative")
-    acc = 0
-    for (j, e), c in _joint(n).terms.items():
-        if e == k:
-            acc += int(c) * comb(n + r - j, n)
-    return acc
+    coeffs = _resummed(_joint(n), n, r)
+    return coeffs[k] if k < len(coeffs) else 0
 
 
 def f_nkr_closed(n: int, k: int, r: int, literal: bool = False) -> int:

@@ -68,7 +68,7 @@ class MPoly:
                 raise ValueError(
                     f"exponent {exp} has length {len(exp)}, expected {width}")
             for e in exp:
-                if not isinstance(e, int) or e < 0:
+                if type(e) is not int or e < 0:
                     raise ValueError(f"bad exponent entry in {exp}")
             if perm is not None:
                 exp = tuple(exp[i] for i in perm)
@@ -225,11 +225,6 @@ class MPoly:
             return -1
         return max(e[i] for e in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def coeff_of(self, var: str, k: int) -> "MPoly":
         """Coefficient of ``var**k`` as a polynomial in the other variables."""
         i = self._vi(var)
@@ -239,15 +234,6 @@ class MPoly:
             if exp[i] == k:
                 out[exp[:i] + exp[i + 1:]] = c
         return _raw(rest, out)
-
-    def coeff_keeping(self, var: str, k: int) -> "MPoly":
-        """Like :meth:`coeff_of` but the result stays over the same variables."""
-        i = self._vi(var)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            if exp[i] == k:
-                out[exp[:i] + (0,) + exp[i + 1:]] = c
-        return _raw(self.vars, out)
 
     def subs(self, assignments: Mapping[str, Scalar]) -> "MPoly":
         """Substitute rational values for some variables."""
@@ -347,13 +333,17 @@ class MPoly:
     def from_json_dict(cls, data: Mapping) -> "MPoly":
         try:
             vars = data["vars"]
-            terms = {
-                tuple(item["e"]): Fraction(int(item["n"]), int(item["d"]))
-                for item in data["terms"]
-            }
-        except (KeyError, TypeError, ValueError) as exc:
+            if not isinstance(vars, list):
+                raise TypeError(f"vars must be a list, got {vars!r}")
+            terms = {}
+            for item in data["terms"]:
+                exp = tuple(item["e"])
+                if exp in terms:
+                    raise ValueError(f"repeated exponent {list(exp)}")
+                terms[exp] = Fraction(int(item["n"]), int(item["d"]))
+            return cls(vars, terms)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
-        return cls(vars, terms)
 
     @classmethod
     def loads(cls, text: str) -> "MPoly":
@@ -366,55 +356,39 @@ class MPoly:
     # ------------------------------------------------------------------
     # rendering
 
-    def _display_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    def _render(self, body) -> str:
+        """Terms by total degree, then exponent, joined as ``-a + b - c``.
+
+        ``body(exp, a)`` writes one term from its exponent vector and the
+        absolute value ``a`` of its coefficient.
+        """
+        if not self.terms:
+            return "0"
+        out = "".join(
+            (" - " if c < 0 else " + ") + body(exp, abs(c))
+            for exp, c in sorted(self.terms.items(),
+                                 key=lambda kv: (sum(kv[0]), kv[0])))
+        return out[3:] if out[1] == "+" else "-" + out[3:]
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, c in self._display_terms():
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.vars, exp) if e)
+        def body(exp, a):
+            mono = "*".join(v if e == 1 else f"{v}^{e}"
+                            for v, e in zip(self.vars, exp) if e)
             if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            parts.append((c < 0, body))
-        first_neg, first = parts[0]
-        out = ("-" if first_neg else "") + first
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+                return str(a)
+            return mono if a == 1 else f"{a}*{mono}"
+        return self._render(body)
 
     def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, c in self._display_terms():
-            mono = "".join(
-                v if e == 1 else f"{v}^{{{e}}}"
-                for v, e in zip(self.vars, exp) if e)
-            a = abs(c)
-            if a.denominator == 1:
-                num = str(a.numerator)
-            else:
-                num = rf"\frac{{{a.numerator}}}{{{a.denominator}}}"
+        def body(exp, a):
+            mono = "".join(v if e == 1 else f"{v}^{{{e}}}"
+                           for v, e in zip(self.vars, exp) if e)
             if mono and a == 1:
-                body = mono
-            elif mono:
-                body = num + mono
-            else:
-                body = num
-            parts.append((c < 0, body))
-        first_neg, first = parts[0]
-        out = ("-" if first_neg else "") + first
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+                return mono
+            if a.denominator == 1:
+                return str(a.numerator) + mono
+            return rf"\frac{{{a.numerator}}}{{{a.denominator}}}" + mono
+        return self._render(body)
 
     def __repr__(self):
         return f"MPoly[{','.join(self.vars)}]({self.text()})"

@@ -146,7 +146,7 @@ def gamma_expand(f: MPoly, var: str, d: int) -> GammaExpansion:
     rem = f
     gammas = []
     for i in range(d // 2 + 1):
-        g = rem.coeff_keeping(var, i)
+        g = rem.coeff_of(var, i).with_vars(rem.vars)
         gammas.append(g)
         if g:
             rem = rem - g * x ** i * (1 + x) ** (d - 2 * i)

@@ -52,7 +52,7 @@ def test_each_top_is_the_cap_of_its_route():
     assert _RANGES["gf"][2] == gfengine._MAX_ORDER
     # the two tops the table sets itself stay inside their routes' caps
     assert _RANGES["thm01"][2] <= perms._MAX_LIST_N
-    assert _RANGES["thT1"][2] <= detformula._MAX_DET_N
+    assert _RANGES["thT1"][2] <= perms.MAX_ENUM_N
     for first, default, top in _RANGES.values():
         assert first <= default <= top
     # one above a route's cap, the route refuses on its own

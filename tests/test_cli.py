@@ -72,6 +72,11 @@ def test_table_refuses_before_any_build(capsys):
     code, out, err = run_cli(capsys, "table", "--max-n", "14")
     assert code == 2 and out == "" and "error:" in err
     assert classic_eulerian.cache_info().currsize == 0
+    for max_n in ("0", "-2"):
+        code, out, err = run_cli(capsys, "table", "--max-n", max_n,
+                                 "--format", "json")
+        assert code == 2 and out == ""
+        assert f"n must be between 1 and 13, got {max_n}" in err
 
 
 def test_decompose_output(capsys):
@@ -239,6 +244,10 @@ def test_scan_csv(capsys):
     code, out, err = run_cli(capsys, "scan", "--max-n", "14")
     assert code == 2
     assert out == "" and "between 1 and 13" in err
+    for args in (("--max-n", "0"), ("--max-n", "-3", "--format", "json")):
+        code, out, err = run_cli(capsys, "scan", *args)
+        assert code == 2
+        assert out == "" and "between 1 and 13" in err
 
 
 def test_scan_json(capsys):

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from eulerlab import gfengine
 from eulerlab.gfengine import (a_series_term, binom_resum, f_nkr,
                                f_nkr_closed, f_series, foata_term, lhs_coeff,
                                lhs_coeff_a, verify_foata)
@@ -72,6 +73,20 @@ def test_verify_foata():
     assert report.passed
     assert report.joint_ok and report.a_ok and report.telescope_ok
     assert report.failures == ()
+
+
+def test_verify_foata_compares_both_statements_at_every_n(monkeypatch):
+    # a non-polynomial joint coefficient must not hide a wrong a-part
+    one = RatFunc(UPoly((1,)))
+    pole = RatFunc(UPoly((1,)), UPoly((1, -1)))
+    monkeypatch.setattr(gfengine, "foata_term",
+                        lambda r, order: USeries(order, [pole] * (order + 1)))
+    monkeypatch.setattr(gfengine, "a_series_term",
+                        lambda r, order: USeries(order, [one] * (order + 1)))
+    report = verify_foata(1, 0)
+    assert not report.joint_ok and not report.a_ok and not report.passed
+    assert [f.split(":")[0] for f in report.failures] == [
+        "joint r=0 n=0", "a-part r=0 n=0", "joint r=0 n=1", "telescope r=0"]
 
 
 def test_verify_foata_guards():

@@ -161,6 +161,16 @@ def test_json_malformed():
         MPoly.loads('{"vars":["t"]}')
     with pytest.raises(ValueError):
         MPoly.loads('{"vars":["t"],"terms":[{"e":[1,2],"n":"1","d":"1"}]}')
+    for text in (
+            '{"vars":["t"],"terms":[{"e":[true],"n":"1","d":"1"}]}',
+            '{"vars":["t"],"terms":[{"e":[1],"n":"1","d":"0"}]}',
+            '{"vars":["s","t"],"terms":[{"e":[1,0],"n":"1","d":"1"},'
+            '{"e":[1,0],"n":"2","d":"1"}]}',
+            '{"vars":"st","terms":[{"e":[1,0],"n":"1","d":"1"}]}'):
+        with pytest.raises(ValueError, match="malformed polynomial JSON"):
+            MPoly.loads(text)
+    with pytest.raises(ValueError):
+        MPoly(("s",), {(True,): 1})
 
 
 def test_rendering():

@@ -1,3 +1,4 @@
+import doctest
 import json
 import os
 import subprocess
@@ -104,3 +105,9 @@ def test_checks_imports_its_suite_modules_eagerly():
     for module in ("detformula", "gfengine", "symmetry", "series",
                    "univariate"):
         assert f"eulerlab.{module}" in got["loaded"]
+
+
+def test_readme_quickstart_runs():
+    failed, attempted = doctest.testfile(str(ROOT / "README.md"),
+                                         module_relative=False)
+    assert attempted and not failed
