@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 #: defining module -> the names the package exports from it
 _EXPORTS = {
     "checks": ("CHECKS", "CheckResult", "run_checks"),
-    "detformula": ("alpha", "beta", "build_matrix", "det_bareiss",
-                   "det_cofactor", "det_Mnr", "reconstruct_a",
+    "detformula": ("alpha", "beta", "build_matrix", "det_at", "det_bareiss",
+                   "det_cofactor", "det_Mnr", "f_at", "reconstruct_a",
                    "recurrence_f"),
     "distributions": ("DistributionSpec", "FAMILIES", "build_distribution",
                       "classic_eulerian", "derangement_lhs",

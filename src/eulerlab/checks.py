@@ -130,7 +130,9 @@ def check_eq1(max_n: int) -> CheckResult:
 def check_gf(max_n: int) -> CheckResult:
     """Series regrouping, its palindromic companion, and the telescope.
 
-    ``max_n`` caps both the series order and r.
+    ``max_n`` caps both the series order and r.  The statements are
+    checked multiplied through by their denominators, on int
+    coefficient lists in t (see :func:`gfengine.verify_foata`).
     """
     report = gfengine.verify_foata(max_n, max_n)
     lines = [
@@ -147,17 +149,27 @@ def check_thT1(max_n: int) -> CheckResult:
     """Determinant formula: Cramer determinant vs recurrence, then
     reconstruction of the palindromic parts from the determinant alone.
 
+    Both halves work at integer r on int coefficient lists in t.  The
+    determinant half compares ``det_at(n, r)`` (Bareiss over Z[t]) with
+    ``f_at(n, r)`` (the recurrence) for r = 0..n.  That proves the
+    identity as polynomials in r: f_n has r-degree at most n by
+    induction, since alpha_j has degree j and beta_n degree n; and each
+    permutation term of the Cramer matrix has r-degree exactly n, as
+    entry (i, j) has degree i - j and the last column's beta_i degree i.
+    Two polynomials of degree at most n that agree at n + 1 points are
+    equal.
+
     The determinant half stops at n = 6, one below the reconstruction
     half's top.
     """
     lines, failures = [], []
     for n in range(0, min(max_n, 6) + 1):
-        det = detformula.det_Mnr(n)
-        rec = detformula.recurrence_f(n)
-        ok = det == rec
-        lines.append(f"thT1 det=recurrence n={n}: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures.append(f"n={n}: det={det.dumps()} rec={rec.dumps()}")
+        bad = [r for r in range(n + 1)
+               if detformula.det_at(n, r) != detformula.f_at(n, r)]
+        lines.append(
+            f"thT1 det=recurrence n={n}: {'PASS' if not bad else 'FAIL'}")
+        failures.extend(f"n={n} r={r}: det={list(detformula.det_at(n, r))} "
+                        f"rec={list(detformula.f_at(n, r))}" for r in bad)
     for n in range(1, max_n + 1):
         got = detformula.reconstruct_a(n)
         want = a_part(n)
@@ -241,7 +253,7 @@ _RANGES = {
     "thm01": (2, 7, 8),
     "thm20": (2, 9, MAX_ENUM_N),
     "eq1": (1, 6, MAX_ENUM_N),
-    "gf": (0, 7, gfengine._MAX_ORDER),
+    "gf": (0, 7, MAX_ENUM_N),
     "thT1": (1, 7, 7),
     "fubini": (1, 7, MAX_ENUM_N),
     "li-binomial": (2, 9, MAX_ENUM_N),

@@ -17,21 +17,33 @@ Binomial coefficients here are polynomials in r, so they do not vanish
 for small integer r; in particular C(r - 1, n) at r = 0 is (-1)**n,
 which is exactly what makes the recurrence hold at r = 0.
 
+The working route evaluates at integer r, on ``int`` coefficient lists
+in t: :func:`f_at` runs the recurrence and :func:`det_at` runs
+fraction-free Bareiss elimination over Z[t] (:func:`det_bareiss`) on the
+Cramer matrix.  Both sides have degree at most n in r, so their values
+at r = 0..n determine them: :func:`det_Mnr` is the Newton form
+sum_k Delta**k det(0) * C(r, k) of those values.
+
 :func:`reconstruct_a` resums the determinant against (1 - s)**(n+1),
 subtracts the boundary term and divides by t, recovering the palindromic
 part a_n(s, t) of the joint polynomial without touching the symmetric
 group.  The division by t must be exact; if it is not, the identity
 chain upstream is broken and a DivisibilityError says so.
+
+The ``MPoly`` versions in (t, r) -- :func:`alpha`, :func:`beta`,
+:func:`recurrence_f`, :func:`build_matrix` and :func:`det_cofactor` --
+are kept as the test oracle for the integer route.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
-from .gfengine import binom_resum
-from .mpoly import DivisibilityError, MPoly, exact_divide
+from .mpoly import DivisibilityError, MPoly
 from .perms import MAX_ENUM_N
-from .qanalog import binom_poly, t_analog
+from .qanalog import (binom_poly, gen_binomial, int_add, int_div, int_mul,
+                      int_sub, int_trim, t_analog)
 
 _VARS = ("t", "r")
 
@@ -89,9 +101,11 @@ def build_matrix(n: int) -> list[list[MPoly]]:
     return rows
 
 
-def det_bareiss(matrix: list[list[MPoly]]) -> MPoly:
-    """Fraction-free determinant; every division is exact by construction.
+def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
+    """Fraction-free determinant of a square matrix over Z[t].
 
+    Entries are int coefficient lists in t.  Each division is exact in
+    Z[t] by Sylvester's identity; a remainder raises DivisibilityError.
     Zero pivots are handled by row swaps (with the sign flip); if no
     nonzero pivot exists below, the determinant is zero.
     """
@@ -100,27 +114,26 @@ def det_bareiss(matrix: list[list[MPoly]]) -> MPoly:
         raise ValueError("matrix is not square")
     if size == 0:
         raise ValueError("empty matrix")
-    vars = matrix[0][0].vars
-    m = [list(row) for row in matrix]
+    m = [[int_trim(e) for e in row] for row in matrix]
     sign = 1
-    prev = MPoly.const(vars, 1)
+    prev = [1]
     for k in range(size - 1):
-        if m[k][k].is_zero():
+        if not m[k][k]:
             for l in range(k + 1, size):
-                if not m[l][k].is_zero():
+                if m[l][k]:
                     m[k], m[l] = m[l], m[k]
                     sign = -sign
                     break
             else:
-                return MPoly.zero(vars)
+                return []
         for i in range(k + 1, size):
             for j in range(k + 1, size):
-                m[i][j] = exact_divide(
-                    m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = MPoly.zero(vars)
+                m[i][j] = int_div(int_sub(int_mul(m[k][k], m[i][j]),
+                                          int_mul(m[i][k], m[k][j])), prev)
+            m[i][k] = []
         prev = m[k][k]
     det = m[size - 1][size - 1]
-    return det if sign == 1 else -det
+    return det if sign == 1 else [-c for c in det]
 
 
 def det_cofactor(matrix: list[list[MPoly]]) -> MPoly:
@@ -142,32 +155,97 @@ def det_cofactor(matrix: list[list[MPoly]]) -> MPoly:
     return acc
 
 
+def _alpha_at(j: int, r: int) -> list[int]:
+    return [comb(r, j)] * (j + 1)
+
+
+def _beta_at(j: int, r: int) -> list[int]:
+    return [(-1) ** j * gen_binomial(r - 1, j)] * (j + 2)
+
+
+def _check_at(n: int, r: int) -> None:
+    if n < 0 or r < 0:
+        raise ValueError("n and r must be nonnegative")
+
+
+@lru_cache(maxsize=None)
+def f_at(n: int, r: int) -> tuple[int, ...]:
+    """f_n(t, r) at integer r >= 0 from the recurrence, as t-coefficients."""
+    _check_at(n, r)
+    acc = _beta_at(n, r)
+    for j in range(1, n + 1):
+        term = int_mul(_alpha_at(j, r), f_at(n - j, r))
+        acc = int_sub(acc, term) if j % 2 == 0 else int_add(acc, term)
+    return tuple(int_trim(acc))
+
+
+@lru_cache(maxsize=None)
+def det_at(n: int, r: int) -> tuple[int, ...]:
+    """The Cramer determinant at integer r >= 0, by Bareiss over Z[t]."""
+    _check_at(n, r)
+    rows = []
+    for i in range(n + 1):
+        row = [[] if i < j else
+               [(-1) ** (i - j) * c for c in _alpha_at(i - j, r)]
+               for j in range(n)]
+        row.append(_beta_at(i, r))
+        rows.append(row)
+    return tuple(det_bareiss(rows))
+
+
+def _differences(n: int) -> list[list[int]]:
+    """Delta**k det_at(n, .)(0) for k = 0..n, as t-coefficient lists."""
+    values = [list(det_at(n, r)) for r in range(n + 1)]
+    out = []
+    for _ in range(n + 1):
+        out.append(values[0])
+        values = [int_sub(b, a) for a, b in zip(values, values[1:])]
+    return out
+
+
+def _check_n(n: int, lo: int) -> None:
+    if not lo <= n <= MAX_ENUM_N:
+        raise ValueError(f"n must be in {lo}..{MAX_ENUM_N}, got {n}")
+
+
 @lru_cache(maxsize=None)
 def det_Mnr(n: int) -> MPoly:
     """Determinant of the Cramer matrix, as a polynomial in t and r.
 
+    The determinant has degree at most n in r, so it equals its Newton
+    form sum_k Delta**k det(0) * C(r, k) over the values r = 0..n.
     n runs up to ``MAX_ENUM_N``, the largest n whose a_n the
     reconstruction can be checked against.
     """
-    if not 0 <= n <= MAX_ENUM_N:
-        raise ValueError(f"n must be in 0..{MAX_ENUM_N}, got {n}")
-    return det_bareiss(build_matrix(n))
+    _check_n(n, 0)
+    acc = MPoly.zero(_VARS)
+    for k, diff in enumerate(_differences(n)):
+        if diff:
+            coeff = MPoly(_VARS, {(e, 0): c for e, c in enumerate(diff)})
+            acc = acc + coeff * binom_poly(k, 0).with_vars(_VARS)
+    return acc
 
 
 def reconstruct_a(n: int) -> MPoly:
     """Rebuild the palindromic part a_n(s, t) from the determinant alone.
 
-    Resums det over r with the (1 - s)**(n+1) weight, strips the
-    boundary term (1 + t**(n+1)) * (1 - s)**n, and divides by t.
+    With c_k = Delta**k det(0), the resummation of det over r against
+    (1 - s)**(n+1) is sum_k c_k s**k (1 - s)**(n-k).  Strip the boundary
+    term (1 + t**(n+1)) * (1 - s)**n from it and divide by t.
     """
-    if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"n must be in 1..{MAX_ENUM_N}, got {n}")
-    s, t = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
-    resummed = binom_resum(det_Mnr(n), n)
-    total = resummed - (1 + t ** (n + 1)) * (1 - s) ** n
-    try:
-        return exact_divide(total, t)
-    except DivisibilityError as exc:
+    _check_n(n, 1)
+    terms = list(enumerate(_differences(n)))
+    terms.append((0, [-1] + [0] * n + [-1]))   # minus the boundary term
+    total: dict[tuple[int, int], int] = {}
+    for k, cs in terms:
+        for m in range(n - k + 1):
+            w = (-1) ** m * comb(n - k, m)
+            for e, c in enumerate(cs):
+                key = (k + m, e)
+                total[key] = total.get(key, 0) + w * c
+    if any(c for (_, e), c in total.items() if e == 0):
         raise DivisibilityError(
             f"reconstruction at n={n} is not divisible by t; "
-            f"the determinant identity is broken") from exc
+            f"the determinant identity is broken")
+    return MPoly(("s", "t"), {(j, e - 1): c for (j, e), c in total.items()
+                              if c})

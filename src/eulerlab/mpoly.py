@@ -340,7 +340,10 @@ class MPoly:
                 exp = tuple(item["e"])
                 if exp in terms:
                     raise ValueError(f"repeated exponent {list(exp)}")
-                terms[exp] = Fraction(int(item["n"]), int(item["d"]))
+                num, den = _decimal(item["n"]), _decimal(item["d"])
+                if den <= 0:
+                    raise ValueError(f"denominator {den} is not positive")
+                terms[exp] = Fraction(num, den)
             return cls(vars, terms)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
@@ -397,6 +400,13 @@ class MPoly:
 
 
 _ZERO = Fraction(0)
+
+
+def _decimal(text) -> int:
+    """The integer that canonical JSON spells as ``text``; else ValueError."""
+    if not isinstance(text, str) or str(int(text)) != text:
+        raise ValueError(f"{text!r} is not a canonical decimal string")
+    return int(text)
 
 
 def _raw(vars: tuple[str, ...], terms: dict) -> MPoly:

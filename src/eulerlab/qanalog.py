@@ -1,11 +1,13 @@
-"""Binomial polynomials, t-analogs, Stirling numbers, counting sequences.
+"""Binomial polynomials, t-analogs, Stirling numbers, counting sequences,
+and arithmetic on integer coefficient lists in t.
 
-Everything here returns exact integers or :class:`~eulerlab.mpoly.MPoly`
-values.  The binomial helpers follow the falling-factorial definition,
-so a negative upper argument is meaningful: for example the value of
-``binom_poly(j, shift=-1)`` at 0 is ``(-1)**j``, not 0.  That sign is
-load-bearing for the determinant recurrences in this package, which are
-polynomial identities in the shifted argument and must hold at 0 too.
+Everything here returns exact integers, integer lists or
+:class:`~eulerlab.mpoly.MPoly` values.  The binomial helpers follow the
+falling-factorial definition, so a negative upper argument is
+meaningful: for example the value of ``binom_poly(j, shift=-1)`` at 0
+is ``(-1)**j``, not 0.  That sign is load-bearing for the determinant
+recurrences in this package, which are polynomial identities in the
+shifted argument and must hold at 0 too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .mpoly import MPoly
+from .mpoly import DivisibilityError, MPoly
 
 
 def gen_binomial(a: int, j: int) -> int:
@@ -74,3 +76,63 @@ def fubini_number(n: int) -> int:
     if n < 0:
         raise ValueError("negative argument")
     return sum(factorial(k) * stirling2(n, k) for k in range(n + 1))
+
+
+# ----------------------------------------------------------------------
+# integer coefficient lists in t
+#
+# A polynomial in t with integer coefficients is a list whose entry k is
+# the coefficient of t**k.  Results carry no trailing zeros, so zero is
+# ``[]`` and two results are equal exactly when their polynomials are.
+
+def int_trim(a) -> list[int]:
+    """``a`` as a list without trailing zeros."""
+    out = list(a)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def int_add(a, b) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, y in enumerate(b):
+        out[k] += y
+    return int_trim(out)
+
+
+def int_sub(a, b) -> list[int]:
+    return int_add(a, [-y for y in b])
+
+
+def int_mul(a, b) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return int_trim(out)
+
+
+def int_div(a, b) -> list[int]:
+    """Quotient a / b in Z[t]; DivisibilityError unless it is exact."""
+    a, b = int_trim(a), int_trim(b)
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    lead = b[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[k + len(b) - 1], lead)
+        if r:
+            raise DivisibilityError(f"{b} does not divide {a} in Z[t]")
+        quot[k] = q
+        if q:
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+    if any(rem):
+        raise DivisibilityError(f"{b} does not divide {a} in Z[t]")
+    return int_trim(quot)

@@ -46,10 +46,9 @@ def test_thm01_lines_name_the_reading():
 
 def test_each_top_is_the_cap_of_its_route():
     assert set(_RANGES) == set(CHECKS)
-    for name in ("macmahon", "thm20", "eq1", "fubini", "li-binomial",
+    for name in ("macmahon", "thm20", "eq1", "gf", "fubini", "li-binomial",
                  "counts"):
         assert _RANGES[name][2] == perms.MAX_ENUM_N, name
-    assert _RANGES["gf"][2] == gfengine._MAX_ORDER
     # the two tops the table sets itself stay inside their routes' caps
     assert _RANGES["thm01"][2] <= perms._MAX_LIST_N
     assert _RANGES["thT1"][2] <= perms.MAX_ENUM_N
@@ -59,7 +58,7 @@ def test_each_top_is_the_cap_of_its_route():
     with pytest.raises(ValueError):
         eulerian_st(perms.MAX_ENUM_N + 1)
     with pytest.raises(ValueError):
-        gfengine.verify_foata(gfengine._MAX_ORDER + 1, 0)
+        gfengine.verify_foata(perms.MAX_ENUM_N + 1, 0)
 
 
 def _labels(name, first, max_n):
@@ -88,7 +87,9 @@ def test_suite_checks_exactly_first_to_max_n(name, max_n):
 
 
 def test_thT1_builds_each_determinant_once():
-    detformula.det_Mnr.cache_clear()
+    # det_at(n, r) for n = 0..7, r = 0..n: 36 evaluations; the
+    # reconstruction reuses the 27 the determinant half made at n = 1..6
+    detformula.det_at.cache_clear()
     run_checks("thT1")
-    info = detformula.det_Mnr.cache_info()
-    assert (info.misses, info.hits) == (8, 6)
+    info = detformula.det_at.cache_info()
+    assert (info.misses, info.hits) == (36, 27)

@@ -204,6 +204,21 @@ def test_verify_thm20_reaches_the_builder_cap(capsys):
         + ["thm20: PASS", "result: PASS"])
 
 
+def test_verify_gf_reaches_the_builder_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--check", "gf",
+                           "--max-n", "13")
+    assert code == 0
+    assert out.splitlines() == [
+        "gf joint coefficients n<=13 r<=13: PASS",
+        "gf palindromic-part coefficients: PASS",
+        "gf telescope identity: PASS", "gf: PASS", "result: PASS"]
+    code, out, err = run_cli(capsys, "verify", "--check", "gf",
+                             "--max-n", "14")
+    assert code == 2
+    assert out == ""
+    assert "'gf'" in err and "from 0 up to 13" in err
+
+
 def test_verify_reports_reading(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "thm01",
                            "--max-n", "4")

@@ -2,14 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulerlab.detformula import (alpha, beta, build_matrix, det_Mnr,
-                                 det_bareiss, det_cofactor, reconstruct_a,
-                                 recurrence_f)
+from eulerlab import detformula
+from eulerlab.detformula import (alpha, beta, build_matrix, det_at, det_Mnr,
+                                 det_bareiss, det_cofactor, f_at,
+                                 reconstruct_a, recurrence_f)
 from eulerlab.gfengine import f_series
-from eulerlab.mpoly import MPoly, variables
-from eulerlab.qanalog import t_analog
+from eulerlab.mpoly import DivisibilityError, MPoly, variables
+from eulerlab.perms import MAX_ENUM_N
+from eulerlab.qanalog import int_div, int_trim, t_analog
 from eulerlab.symmetry import a_part
-from eulerlab.univariate import UPoly
 
 T, R = variables(("t", "r"))
 
@@ -78,26 +79,49 @@ def test_determinant_at_r0_collapses():
 
 def test_unsigned_layout_differs():
     # dropping the Cramer signs changes the answer already at n = 1
-    wrong = det_bareiss(_unsigned(1))
+    wrong = det_cofactor(_unsigned(1))
     assert wrong == (1 + T + T ** 2) - R * (2 + 3 * T + 2 * T ** 2)
     assert wrong != recurrence_f(1)
+
+
+def _at(poly, r):
+    """An MPoly in (t, r) at integer r, as an int coefficient list in t."""
+    return int_trim(int(c) for c in poly.subs({"r": r}).to_dense("t"))
 
 
 def test_bareiss_matches_cofactor():
     for n in range(5):
         m = build_matrix(n)
-        assert det_bareiss(m) == det_cofactor(m)
+        want = det_cofactor(m)
+        for r in range(n + 1):
+            ints = [[_at(e, r) for e in row] for row in m]
+            assert det_bareiss(ints) == _at(want, r), (n, r)
+            assert list(det_at(n, r)) == _at(want, r), (n, r)
 
 
 def test_bareiss_edge_cases():
-    zero = MPoly.zero(("t",))
-    one = MPoly.const(("t",), 1)
-    assert det_bareiss([[zero, one], [one, zero]]) == -one
-    assert det_bareiss([[zero, zero], [zero, one]]).is_zero()
+    one, t = [1], [0, 1]
+    # a zero pivot is swapped away, with the sign flip
+    assert det_bareiss([[[], one], [one, []]]) == [-1]
+    assert det_bareiss([[[0, 0], t], [t, [1, 1]]]) == [0, 0, -1]
+    assert det_bareiss([[[], []], [[], one]]) == []
+    assert det_bareiss([[one, t], [t, [0, 0, 1]]]) == []
+    assert det_bareiss([[[2, 1]]]) == [2, 1]
     with pytest.raises(ValueError):
         det_bareiss([])
     with pytest.raises(ValueError):
-        det_bareiss([[one, zero]])
+        det_bareiss([[one, []]])
+
+
+def test_int_div_is_exact_or_raises():
+    assert int_div([1, 0, -1], [1, 1]) == [1, -1]
+    assert int_div([], [1, 1]) == []
+    with pytest.raises(DivisibilityError):
+        int_div([1, 0, 1], [1, 1])
+    with pytest.raises(DivisibilityError):
+        int_div([1, 1], [2, 2])
+    with pytest.raises(ZeroDivisionError):
+        int_div([1], [0])
 
 
 def test_recurrence_matches_series():
@@ -105,11 +129,31 @@ def test_recurrence_matches_series():
     for r in range(5):
         fs = f_series(r, order)
         for n in range(order + 1):
-            want = UPoly(recurrence_f(n).subs({"r": r}).to_dense("t"))
-            assert fs.coeff(n).as_upoly() == want, (n, r)
+            want = [int(c) for c in fs.coeff(n).as_upoly().coeffs]
+            assert _at(recurrence_f(n), r) == want, (n, r)
+            assert list(f_at(n, r)) == want, (n, r)
+
+
+def test_det_at_equals_f_at_up_to_the_cap():
+    for n in range(MAX_ENUM_N + 1):
+        for r in range(n + 1):
+            assert det_at(n, r) == f_at(n, r), (n, r)
+
+
+def test_reconstruct_refuses_a_broken_determinant(monkeypatch):
+    det = detformula.det_at
+    monkeypatch.setattr(detformula, "det_at",
+                        lambda n, r: (det(n, r)[0] + 1,) + det(n, r)[1:]
+                        if r == 0 else det(n, r))
+    with pytest.raises(DivisibilityError, match="not divisible by t"):
+        reconstruct_a(3)
 
 
 def test_det_guards():
+    with pytest.raises(ValueError):
+        f_at(-1, 0)
+    with pytest.raises(ValueError):
+        det_at(2, -1)
     with pytest.raises(ValueError):
         det_Mnr(14)
     with pytest.raises(ValueError):

@@ -4,11 +4,14 @@ from math import comb
 import pytest
 
 from eulerlab import gfengine
-from eulerlab.gfengine import (a_series_term, binom_resum, f_nkr,
+from eulerlab.gfengine import (_joint, _resummed, _statements,
+                               a_series_term, binom_resum, f_nkr,
                                f_nkr_closed, f_series, foata_term, lhs_coeff,
                                lhs_coeff_a, verify_foata)
 from eulerlab.mpoly import MPoly, variables
+from eulerlab.perms import MAX_ENUM_N
 from eulerlab.qanalog import t_analog
+from eulerlab.symmetry import a_part
 from eulerlab.series import USeries
 from eulerlab.univariate import RatFunc, UPoly
 
@@ -75,27 +78,53 @@ def test_verify_foata():
     assert report.failures == ()
 
 
+def _ints(series, n):
+    """[u**n] of a USeries with polynomial coefficients, as an int list."""
+    return [int(c) for c in series.coeff(n).as_upoly().coeffs]
+
+
+def test_int_route_equals_closed_forms():
+    # the counting sides and the division-free statements against the
+    # USeries closed forms, coefficient by coefficient
+    for order in range(6):
+        for r in range(6):
+            g, w = foata_term(r, order), a_series_term(r, order)
+            counted_L = [_resummed(_joint(n), n, r) for n in range(order + 1)]
+            counted_W = [_resummed(a_part(n), n, r) for n in range(order + 1)]
+            closed_L = [_ints(g, n) for n in range(order + 1)]
+            closed_W = [_ints(w, n) for n in range(order + 1)]
+            assert counted_L == closed_L, (order, r)
+            assert counted_W == closed_W, (order, r)
+            for label, lhs, rhs in _statements(closed_L, closed_W, r, order):
+                assert lhs == rhs, (label, order, r)
+
+
 def test_verify_foata_compares_both_statements_at_every_n(monkeypatch):
-    # a non-polynomial joint coefficient must not hide a wrong a-part
-    one = RatFunc(UPoly((1,)))
-    pole = RatFunc(UPoly((1,)), UPoly((1, -1)))
-    monkeypatch.setattr(gfengine, "foata_term",
-                        lambda r, order: USeries(order, [pole] * (order + 1)))
-    monkeypatch.setattr(gfengine, "a_series_term",
-                        lambda r, order: USeries(order, [one] * (order + 1)))
-    report = verify_foata(1, 0)
-    assert not report.joint_ok and not report.a_ok and not report.passed
+    # corrupt the counting side: A_2 and a_1 each gain a t**5 term
+    joint, part = gfengine._joint, gfengine.a_part
+    bump = MPoly(("s", "t"), {(0, 5): 1})
+    monkeypatch.setattr(gfengine, "_joint",
+                        lambda n: joint(n) + bump if n == 2 else joint(n))
+    monkeypatch.setattr(gfengine, "a_part",
+                        lambda n: part(n) + bump if n == 1 else part(n))
+    report = verify_foata(3, 1)
+    assert not report.joint_ok and not report.a_ok
+    assert not report.telescope_ok and not report.passed
+    # one failure per (statement, r), at the lowest differing u-degree
     assert [f.split(":")[0] for f in report.failures] == [
-        "joint r=0 n=0", "a-part r=0 n=0", "joint r=0 n=1", "telescope r=0"]
+        "joint r=0 n=2", "a-part r=0 n=1", "telescope r=0 n=1",
+        "joint r=1 n=2", "a-part r=1 n=1", "telescope r=1 n=1"]
 
 
 def test_verify_foata_guards():
     with pytest.raises(ValueError):
-        verify_foata(9, 1)
+        verify_foata(MAX_ENUM_N + 1, 1)
     with pytest.raises(ValueError):
-        verify_foata(1, 9)
+        verify_foata(1, MAX_ENUM_N + 1)
     with pytest.raises(ValueError):
         verify_foata(-1, 0)
+    with pytest.raises(ValueError):
+        verify_foata(0, -1)
 
 
 def test_f_nkr_frozen_values():

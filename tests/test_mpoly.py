@@ -166,7 +166,13 @@ def test_json_malformed():
             '{"vars":["t"],"terms":[{"e":[1],"n":"1","d":"0"}]}',
             '{"vars":["s","t"],"terms":[{"e":[1,0],"n":"1","d":"1"},'
             '{"e":[1,0],"n":"2","d":"1"}]}',
-            '{"vars":"st","terms":[{"e":[1,0],"n":"1","d":"1"}]}'):
+            '{"vars":"st","terms":[{"e":[1,0],"n":"1","d":"1"}]}',
+            # only the decimal strings the writer emits, with d > 0
+            '{"vars":["t"],"terms":[{"e":[1],"n":true,"d":"1"}]}',
+            '{"vars":["t"],"terms":[{"e":[1],"n":3,"d":"1"}]}',
+            '{"vars":["t"],"terms":[{"e":[1],"n":2,"d":"-4"}]}',
+            '{"vars":["t"],"terms":[{"e":[1],"n":"2","d":"-4"}]}',
+            '{"vars":["t"],"terms":[{"e":[1],"n":" 3","d":"1"}]}'):
         with pytest.raises(ValueError, match="malformed polynomial JSON"):
             MPoly.loads(text)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import ast
 import doctest
 import json
 import os
@@ -111,3 +112,24 @@ def test_readme_quickstart_runs():
     failed, attempted = doctest.testfile(str(ROOT / "README.md"),
                                          module_relative=False)
     assert attempted and not failed
+
+
+def test_library_is_stdlib_only_and_float_free():
+    # the library imports only the standard library and has no floats
+    stdlib = sys.stdlib_module_names
+    for path in sorted((ROOT / "src" / "eulerlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                tops = []
+            for top in tops:
+                assert top in stdlib, f"{path.name}:{node.lineno}: {top}"
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), (
+                    f"{path.name}:{node.lineno}: {node.value!r}")
+            if isinstance(node, ast.Name):
+                assert node.id != "float", f"{path.name}:{node.lineno}"
