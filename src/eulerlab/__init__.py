@@ -26,16 +26,16 @@ _EXPORTS = {
                       "classic_eulerian", "derangement_lhs",
                       "derangement_poly", "eulerian_st", "exc_slice",
                       "trivariate", "xi", "xi_transposed"),
-    "gfengine": ("FoataReport", "a_series_term", "binom_resum", "f_nkr",
-                 "f_nkr_closed", "f_series", "foata_term", "lhs_coeff",
-                 "lhs_coeff_a", "verify_foata"),
+    "gfengine": ("FoataReport", "binom_resum", "f_nkr", "f_nkr_closed",
+                 "verify_foata"),
     "mpoly": ("DivisibilityError", "MPoly", "VAR_ORDER", "canonical_vars",
               "exact_divide", "reciprocal_in", "variables"),
     "perms": ("MAX_ENUM_N", "PermStats", "enumerate_perms", "inverse",
               "is_derangement", "stable_subsets", "stats"),
     "qanalog": ("binom_poly", "fubini_number", "gen_binomial", "stirling2",
                 "subfactorial", "t_analog"),
-    "series": ("USeries",),
+    "series": ("USeries", "a_series_term", "f_series", "foata_term",
+               "lhs_coeff", "lhs_coeff_a"),
     "symmetry": ("GammaExpansion", "RecursionReport", "ScanReport",
                  "ShapeFlags", "SymDecomp", "a_part", "conjecture_scan",
                  "gamma_expand", "gamma_expand_coeffs", "is_palindromic",

@@ -1,6 +1,6 @@
 """Determinant formula for the palindromic-part coefficients.
 
-The series coefficients f_n(t, r) of :func:`eulerlab.gfengine.f_series`
+The series coefficients f_n(t, r) of :func:`eulerlab.series.f_series`
 satisfy a linear recurrence with polynomial coefficients
 
     alpha_j = C(r, j) * (1 + t + ... + t**j)

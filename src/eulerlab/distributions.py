@@ -220,24 +220,35 @@ def _slice_filter(n: int) -> set[tuple[int, ...]]:
     return set(stable_subsets(2, n - 2))
 
 
+@lru_cache(maxsize=None)
+def _transposed_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
+    """``{i: {(1 + des, maj): count}}`` for every slice i, in one pass over S_n.
+
+    Slice i holds the permutations whose inverse has an allowed descent
+    set with i - 1 members; each contributes the statistics of itself.
+    """
+    allowed = _slice_filter(n)
+    slices: dict[int, dict[tuple[int, int], int]] = {}
+    for perm in enumerate_perms(n):
+        des_set = stats(inverse(perm)).des_set
+        if des_set not in allowed:
+            continue
+        w = stats(perm)
+        counts = slices.setdefault(len(des_set) + 1, {})
+        key = (1 + w.des, w.maj)
+        counts[key] = counts.get(key, 0) + 1
+    return slices
+
+
 def xi_transposed(n: int, i: int) -> MPoly:
     """Variant of :func:`xi` with the filter applied to the inverse instead.
 
     Equal to :func:`xi` because inversion is a bijection of S_n; kept as
     an independently computed route so the equality can be checked rather
-    than assumed.
+    than assumed.  One enumeration of S_n serves every slice of an n.
     """
     _check_slice(n, i)
-    allowed = _slice_filter(n)
-    counts: dict[tuple[int, int], int] = {}
-    for perm in enumerate_perms(n):
-        st = stats(inverse(perm))
-        if len(st.des_set) != i - 1 or st.des_set not in allowed:
-            continue
-        w = stats(perm)
-        key = (1 + w.des, w.maj)
-        counts[key] = counts.get(key, 0) + 1
-    return MPoly(("p", "q"), {(a, b): c for (a, b), c in counts.items()})
+    return MPoly(("p", "q"), _transposed_slices(n).get(i, {}))
 
 
 def exc_slice(n: int, k: int) -> MPoly:

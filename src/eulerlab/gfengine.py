@@ -14,10 +14,10 @@ r.
 
 :func:`verify_foata` checks all three statements on plain ``int``
 coefficient lists in t, with no division: each series side is
-multiplied by its denominator and compared mod u**(K+1).  The series
-:func:`foata_term`, :func:`a_series_term` and :func:`f_series` over
-``USeries`` compute the closed forms themselves; they are the oracle
-the tests hold the integer route against.
+multiplied by its denominator and compared mod u**(K+1).  The closed
+forms themselves, over ``USeries``, live in :mod:`eulerlab.series`; they
+are the oracle the tests hold the integer route against, and nothing
+here imports them.
 
 Integer coefficient extraction (:func:`f_nkr` and its closed form) and
 the binomial resummation of a polynomial in r live here too.
@@ -25,83 +25,20 @@ the binomial resummation of a polynomial in r live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from collections import namedtuple
 from math import comb, factorial
 
 from .distributions import eulerian_st
 from .mpoly import MPoly
 from .perms import MAX_ENUM_N
 from .qanalog import int_add, int_mul, int_sub, int_trim, stirling2
-from .series import USeries
 from .symmetry import a_part
-from .univariate import RatFunc, UPoly
-
-_T = RatFunc(UPoly((0, 1)))
-_ONE_MINUS_T = RatFunc(UPoly((1, -1)))
 
 
 def _joint(n: int) -> MPoly:
     if n == 0:
         return MPoly.const(("s", "t"), 1)
     return eulerian_st(n)
-
-
-@lru_cache(maxsize=None)
-def _pow_one_minus_u(r: int, order: int) -> USeries:
-    """(1 - u)**r truncated; coefficients are rational constants."""
-    return USeries(order, [Fraction((-1) ** j * comb(r, j))
-                           for j in range(min(r, order) + 1)])
-
-
-@lru_cache(maxsize=None)
-def _pow_one_minus_ut(r: int, order: int) -> USeries:
-    """(1 - u*t)**r truncated; coefficient of u**j is C(r, j)(-t)**j."""
-    return USeries(order, [RatFunc(UPoly.term(j, (-1) ** j * comb(r, j)))
-                           for j in range(min(r, order) + 1)])
-
-
-def _joint_denominator(r: int, order: int) -> USeries:
-    return (_pow_one_minus_u(r, order)
-            - _pow_one_minus_ut(r, order).scale(_T))
-
-
-def foata_term(r: int, order: int) -> USeries:
-    """The series g_r, truncated at the given order in u."""
-    if r < 0 or order < 0:
-        raise ValueError("r and order must be nonnegative")
-    num = _pow_one_minus_ut(r, order).scale(_ONE_MINUS_T)
-    den = _joint_denominator(r, order) * _pow_one_minus_u(1, order)
-    return num * den.inverse()
-
-
-def a_series_term(r: int, order: int) -> USeries:
-    """The companion series w_r carrying the palindromic parts."""
-    if r < 0 or order < 0:
-        raise ValueError("r and order must be nonnegative")
-    num = _pow_one_minus_ut(r + 1, order) - _pow_one_minus_u(r + 1, order)
-    den = (_pow_one_minus_u(1, order) * _pow_one_minus_ut(1, order)
-           * _joint_denominator(r, order))
-    return num * den.inverse()
-
-
-def f_series(r: int, order: int) -> USeries:
-    """Series whose u**n coefficient matches the determinant recurrence.
-
-    Equals ((1-u)**(r-1) - t**2 (1-u*t)**(r-1)) / ((1-u)**r - t (1-u*t)**r);
-    at r = 0 the negative powers are expanded as series inverses.
-    """
-    if r < 0 or order < 0:
-        raise ValueError("r and order must be nonnegative")
-    if r >= 1:
-        left = _pow_one_minus_u(r - 1, order)
-        right = _pow_one_minus_ut(r - 1, order)
-    else:
-        left = _pow_one_minus_u(1, order).inverse()
-        right = _pow_one_minus_ut(1, order).inverse()
-    num = left - right.scale(_T * _T)
-    return num * _joint_denominator(r, order).inverse()
 
 
 def _resummed(poly: MPoly, n: int, r: int) -> list[int]:
@@ -116,20 +53,6 @@ def _resummed(poly: MPoly, n: int, r: int) -> list[int]:
             out.extend([0] * (k + 1 - len(out)))
         out[k] += int(c) * comb(n + r - j, n)
     return int_trim(out)
-
-
-def lhs_coeff(n: int, r: int) -> UPoly:
-    """[s**r u**n] of the assembled joint generating function, in t."""
-    if n < 0 or r < 0:
-        raise ValueError("n and r must be nonnegative")
-    return UPoly(_resummed(_joint(n), n, r))
-
-
-def lhs_coeff_a(n: int, r: int) -> UPoly:
-    """Same extraction applied to the palindromic parts a_n."""
-    if n < 0 or r < 0:
-        raise ValueError("n and r must be nonnegative")
-    return UPoly(_resummed(a_part(n), n, r))
 
 
 def _binomial_series(r: int, order: int, step: int) -> list[list[int]]:
@@ -186,15 +109,10 @@ def _statements(L, W, r: int, order: int):
     )
 
 
-@dataclass(frozen=True)
-class FoataReport:
-    max_order: int
-    max_r: int
-    joint_ok: bool
-    a_ok: bool
-    telescope_ok: bool
-    passed: bool
-    failures: tuple[str, ...]
+#: the checked order and r, one flag per statement, the overall verdict
+#: and the tuple of failure messages
+FoataReport = namedtuple("FoataReport", "max_order max_r joint_ok a_ok "
+                         "telescope_ok passed failures")
 
 
 def verify_foata(max_order: int, max_r: int) -> FoataReport:

@@ -1,16 +1,29 @@
-"""Truncated power series with rational-function coefficients.
+"""Truncated power series with rational-function coefficients, and the
+closed-form generating series of :mod:`eulerlab.gfengine`.
 
 A :class:`USeries` of order N stores coefficients for u**0 .. u**N and
 silently discards everything above.  Operands must share the same order;
 mixing truncation levels is almost always a bug in the calling code, so
 it raises instead of guessing.
+
+:func:`foata_term` (g_r), :func:`a_series_term` (w_r) and
+:func:`f_series` compute the closed series by division in Q(t)[[u]], and
+:func:`lhs_coeff`/:func:`lhs_coeff_a` wrap the counting side of
+``gfengine`` in :class:`~eulerlab.univariate.UPoly`.  They are the
+oracle the tests hold ``gfengine``'s division-free integer route
+against; ``eulerlab verify`` never loads this module.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import comb
 from typing import Iterable
 
-from .univariate import RatFunc
+from .gfengine import _joint, _resummed
+from .symmetry import a_part
+from .univariate import RatFunc, UPoly
 
 
 class USeries:
@@ -106,3 +119,80 @@ class USeries:
 
     def __repr__(self):
         return f"USeries(order={self.order}, {list(self.coeffs)!r})"
+
+
+# ----------------------------------------------------------------------
+# closed forms of the regrouped generating series
+
+_T = RatFunc(UPoly((0, 1)))
+_ONE_MINUS_T = RatFunc(UPoly((1, -1)))
+
+
+@lru_cache(maxsize=None)
+def _pow_one_minus_u(r: int, order: int) -> USeries:
+    """(1 - u)**r truncated; coefficients are rational constants."""
+    return USeries(order, [Fraction((-1) ** j * comb(r, j))
+                           for j in range(min(r, order) + 1)])
+
+
+@lru_cache(maxsize=None)
+def _pow_one_minus_ut(r: int, order: int) -> USeries:
+    """(1 - u*t)**r truncated; coefficient of u**j is C(r, j)(-t)**j."""
+    return USeries(order, [RatFunc(UPoly.term(j, (-1) ** j * comb(r, j)))
+                           for j in range(min(r, order) + 1)])
+
+
+def _joint_denominator(r: int, order: int) -> USeries:
+    return (_pow_one_minus_u(r, order)
+            - _pow_one_minus_ut(r, order).scale(_T))
+
+
+def foata_term(r: int, order: int) -> USeries:
+    """The series g_r, truncated at the given order in u."""
+    if r < 0 or order < 0:
+        raise ValueError("r and order must be nonnegative")
+    num = _pow_one_minus_ut(r, order).scale(_ONE_MINUS_T)
+    den = _joint_denominator(r, order) * _pow_one_minus_u(1, order)
+    return num * den.inverse()
+
+
+def a_series_term(r: int, order: int) -> USeries:
+    """The companion series w_r carrying the palindromic parts."""
+    if r < 0 or order < 0:
+        raise ValueError("r and order must be nonnegative")
+    num = _pow_one_minus_ut(r + 1, order) - _pow_one_minus_u(r + 1, order)
+    den = (_pow_one_minus_u(1, order) * _pow_one_minus_ut(1, order)
+           * _joint_denominator(r, order))
+    return num * den.inverse()
+
+
+def f_series(r: int, order: int) -> USeries:
+    """Series whose u**n coefficient matches the determinant recurrence.
+
+    Equals ((1-u)**(r-1) - t**2 (1-u*t)**(r-1)) / ((1-u)**r - t (1-u*t)**r);
+    at r = 0 the negative powers are expanded as series inverses.
+    """
+    if r < 0 or order < 0:
+        raise ValueError("r and order must be nonnegative")
+    if r >= 1:
+        left = _pow_one_minus_u(r - 1, order)
+        right = _pow_one_minus_ut(r - 1, order)
+    else:
+        left = _pow_one_minus_u(1, order).inverse()
+        right = _pow_one_minus_ut(1, order).inverse()
+    num = left - right.scale(_T * _T)
+    return num * _joint_denominator(r, order).inverse()
+
+
+def lhs_coeff(n: int, r: int) -> UPoly:
+    """[s**r u**n] of the assembled joint generating function, in t."""
+    if n < 0 or r < 0:
+        raise ValueError("n and r must be nonnegative")
+    return UPoly(_resummed(_joint(n), n, r))
+
+
+def lhs_coeff_a(n: int, r: int) -> UPoly:
+    """Same extraction applied to the palindromic parts a_n."""
+    if n < 0 or r < 0:
+        raise ValueError("n and r must be nonnegative")
+    return UPoly(_resummed(a_part(n), n, r))

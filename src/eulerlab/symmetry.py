@@ -16,12 +16,15 @@ the scan command hunts for.
 The joint descent/excedance polynomial has ambient degree n - 1 in the
 excedance variable.  Its palindromic part satisfies a two-term recursion
 against the previous n which :func:`verify_thm20` checks; the seed of
-that recursion at n = 0 is the zero polynomial by convention.
+that recursion at n = 0 is the zero polynomial by convention.  Both
+:func:`a_part` and :func:`verify_thm20` split it one s-row at a time with
+the integer kernel below; :func:`sym_decompose` is the general route and
+their test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -32,13 +35,9 @@ from .mpoly import DivisibilityError, MPoly, exact_divide, reciprocal_in
 from .perms import MAX_ENUM_N
 
 
-@dataclass(frozen=True)
-class SymDecomp:
+class SymDecomp(namedtuple("SymDecomp", "a b var ambient_degree")):
     """The pair (a, b) with f = a + var * b, both parts palindromic."""
-    a: MPoly
-    b: MPoly
-    var: str
-    ambient_degree: int
+    __slots__ = ()
 
     def recombined(self) -> MPoly:
         x = MPoly.variable(self.var, self.a.vars)
@@ -62,6 +61,24 @@ def sym_decompose(f: MPoly, var: str, d: int) -> SymDecomp:
     return SymDecomp(a=a, b=b, var=var, ambient_degree=d)
 
 
+def _split_st(n: int) -> tuple[MPoly, MPoly]:
+    """The parts (a, b) of eulerian_st(n) in t at ambient degree n - 1.
+
+    Equal to ``sym_decompose(eulerian_st(n), "t", n - 1)``: each s-row
+    of the joint polynomial is a t-vector of length n, split by the
+    integer kernel :func:`_split_ints`.
+    """
+    rows: dict[int, list[int]] = {}
+    for (j, k), c in eulerian_st(n).terms.items():
+        rows.setdefault(j, [0] * n)[k] = c.numerator
+    a_terms, b_terms = {}, {}
+    for j, row in rows.items():
+        a, b = _split_ints(row)
+        a_terms.update(((j, k), c) for k, c in enumerate(a) if c)
+        b_terms.update(((j, k), c) for k, c in enumerate(b) if c)
+    return MPoly(("s", "t"), a_terms), MPoly(("s", "t"), b_terms)
+
+
 @lru_cache(maxsize=None)
 def a_part(n: int) -> MPoly:
     """Palindromic part of the joint (des, exc) polynomial; zero at n = 0."""
@@ -69,16 +86,14 @@ def a_part(n: int) -> MPoly:
         raise ValueError("negative n")
     if n == 0:
         return MPoly.zero(("s", "t"))
-    return sym_decompose(eulerian_st(n), "t", n - 1).a
+    return _split_st(n)[0]
 
 
-@dataclass(frozen=True)
-class RecursionReport:
-    n: int
-    b_recursion_ok: bool
-    recombination_ok: bool
-    passed: bool
-    witness: str | None = None
+#: the checked n, both halves of the recursion and their conjunction, and
+#: the serialized b-part against its expected value when it failed
+RecursionReport = namedtuple(
+    "RecursionReport", "n b_recursion_ok recombination_ok passed witness",
+    defaults=(None,))
 
 
 def verify_thm20(n: int) -> RecursionReport:
@@ -91,14 +106,14 @@ def verify_thm20(n: int) -> RecursionReport:
     if not 2 <= n <= MAX_ENUM_N:
         raise ValueError(f"n must be between 2 and {MAX_ENUM_N}, got {n}")
     joint = eulerian_st(n)
-    dec = sym_decompose(joint, "t", n - 1)
+    a, b = _split_st(n)
     s, t = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
     prev = a_part(n - 1)
-    b_ok = dec.b == (s - 1) * prev
-    recomb_ok = joint == dec.a + (s - 1) * t * prev
+    b_ok = b == (s - 1) * prev
+    recomb_ok = joint == a + (s - 1) * t * prev
     witness = None
     if not (b_ok and recomb_ok):
-        witness = (f"b_part={dec.b.dumps()} "
+        witness = (f"b_part={b.dumps()} "
                    f"expected={((s - 1) * prev).dumps()}")
     return RecursionReport(n=n, b_recursion_ok=b_ok, recombination_ok=recomb_ok,
                            passed=b_ok and recomb_ok, witness=witness)
@@ -107,12 +122,10 @@ def verify_thm20(n: int) -> RecursionReport:
 # ----------------------------------------------------------------------
 # gamma expansion
 
-@dataclass(frozen=True)
-class GammaExpansion:
+class GammaExpansion(namedtuple("GammaExpansion",
+                                "var ambient_degree gammas")):
     """Coefficients against the basis var**i * (1 + var)**(d - 2*i)."""
-    var: str
-    ambient_degree: int
-    gammas: tuple[MPoly, ...]
+    __slots__ = ()
 
     def reconstructed(self) -> MPoly:
         if not self.gammas:
@@ -228,12 +241,8 @@ def _gamma_ints(cs: list[int]) -> list[int]:
 # ----------------------------------------------------------------------
 # shape predicates on coefficient lists
 
-@dataclass(frozen=True)
-class ShapeFlags:
-    palindromic: bool
-    unimodal: bool
-    alternatingly_increasing: bool
-    gamma_nonnegative: bool
+ShapeFlags = namedtuple("ShapeFlags", "palindromic unimodal "
+                        "alternatingly_increasing gamma_nonnegative")
 
 
 def _is_unimodal(cs: Sequence[Fraction]) -> bool:
@@ -277,19 +286,12 @@ def shape_checks(coeffs: Sequence[Fraction | int]) -> ShapeFlags:
 # ----------------------------------------------------------------------
 # numeric scan of the three-variable refinement
 
-@dataclass(frozen=True)
-class ScanReport:
-    n: int
-    p: Fraction
-    q: Fraction
-    in_hypothesis: bool
-    gamma_a: tuple[Fraction, ...]
-    gamma_b: tuple[Fraction, ...]
-    gamma_a_nonneg: bool
-    gamma_b_nonneg: bool
-    alternatingly_increasing: bool
-    unimodal: bool
-    mode_indices: tuple[int, ...]
+#: n and the point (p, q) as Fractions, whether it lies in the zone, the
+#: gamma vectors of both parts as tuples of Fractions with their sign
+#: flags, the shape flags of the t-vector and the tuple of its modes
+ScanReport = namedtuple(
+    "ScanReport", "n p q in_hypothesis gamma_a gamma_b gamma_a_nonneg "
+    "gamma_b_nonneg alternatingly_increasing unimodal mode_indices")
 
 
 def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:

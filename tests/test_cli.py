@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from eulerlab import cli
+from eulerlab import cli, detformula
 from eulerlab.checks import CHECKS, CheckResult
 from eulerlab.cli import main
 from eulerlab.detformula import det_Mnr
 from eulerlab.distributions import classic_eulerian, eulerian_st
-from eulerlab.mpoly import MPoly
+from eulerlab.mpoly import DivisibilityError, MPoly
 
 
 def run_cli(capsys, *argv):
@@ -234,6 +234,27 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--check", "macmahon")
     assert code == 1
     assert "macmahon witness: n=1: forced failure" in out
+    assert out.rstrip().endswith("result: FAIL")
+
+
+def _inexact_division(n, r):
+    raise DivisibilityError("forced inexact division")
+
+
+# a constant determinant leaves a reconstruction not divisible by t
+@pytest.mark.parametrize("det_at, witness", [
+    (lambda n, r: (2,), "n=1: reconstruction at n=1 is not divisible by t"),
+    (_inexact_division, "n=0: forced inexact division"),
+])
+def test_verify_thT1_fails_on_an_inexact_division(capsys, monkeypatch,
+                                                  det_at, witness):
+    monkeypatch.setattr(detformula, "det_at", det_at)
+    code, out, err = run_cli(capsys, "verify", "--check", "thT1",
+                             "--max-n", "2")
+    assert code == 1 and not err
+    assert "thT1 reconstruct a_1: FAIL" in out
+    (line,) = [x for x in out.splitlines() if x.startswith("thT1 witness:")]
+    assert witness in line
     assert out.rstrip().endswith("result: FAIL")
 
 

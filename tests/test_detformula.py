@@ -6,10 +6,10 @@ from eulerlab import detformula
 from eulerlab.detformula import (alpha, beta, build_matrix, det_at, det_Mnr,
                                  det_bareiss, det_cofactor, f_at,
                                  reconstruct_a, recurrence_f)
-from eulerlab.gfengine import f_series
 from eulerlab.mpoly import DivisibilityError, MPoly, variables
 from eulerlab.perms import MAX_ENUM_N
 from eulerlab.qanalog import int_div, int_trim, t_analog
+from eulerlab.series import f_series
 from eulerlab.symmetry import a_part
 
 T, R = variables(("t", "r"))

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from eulerlab import distributions
 from eulerlab.distributions import (DistributionSpec, build_distribution,
                                     classic_eulerian, derangement_lhs,
                                     derangement_poly, eulerian_st, exc_slice,
@@ -124,9 +125,27 @@ def test_xi_guards():
 
 
 def test_xi_transposed_agrees():
-    for n in range(2, 7):
+    for n in range(2, 9):
         for i in range(1, n // 2 + 1):
             assert xi(n, i) == xi_transposed(n, i)
+
+
+def test_xi_transposed_enumerates_once_per_n(monkeypatch):
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return enumerate_perms(n)
+
+    distributions._transposed_slices.cache_clear()
+    monkeypatch.setattr(distributions, "enumerate_perms", spy)
+    try:
+        for n in range(2, 8):
+            for i in range(1, n // 2 + 1):
+                assert xi_transposed(n, i) == xi(n, i)
+    finally:
+        distributions._transposed_slices.cache_clear()
+    assert calls == list(range(2, 8))
 
 
 def test_exc_slice():

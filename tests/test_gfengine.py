@@ -4,15 +4,14 @@ from math import comb
 import pytest
 
 from eulerlab import gfengine
-from eulerlab.gfengine import (_joint, _resummed, _statements,
-                               a_series_term, binom_resum, f_nkr,
-                               f_nkr_closed, f_series, foata_term, lhs_coeff,
-                               lhs_coeff_a, verify_foata)
+from eulerlab.gfengine import (_joint, _resummed, _statements, binom_resum,
+                               f_nkr, f_nkr_closed, verify_foata)
 from eulerlab.mpoly import MPoly, variables
 from eulerlab.perms import MAX_ENUM_N
 from eulerlab.qanalog import t_analog
+from eulerlab.series import (USeries, a_series_term, f_series, foata_term,
+                             lhs_coeff, lhs_coeff_a)
 from eulerlab.symmetry import a_part
-from eulerlab.series import USeries
 from eulerlab.univariate import RatFunc, UPoly
 
 

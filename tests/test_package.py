@@ -50,12 +50,17 @@ def test_lookup_leaves_the_package_namespace_unchanged():
     assert vars(eulerlab) == before
 
 
-def _probe(code: str) -> dict:
-    """Run ``code`` in a fresh interpreter; it prints one JSON line last."""
+def _env() -> dict:
+    """The environment with this checkout's sources first on the path."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def _probe(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; it prints one JSON line last."""
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -99,13 +104,44 @@ def test_verify_loads_checks():
 
 
 def test_checks_imports_its_suite_modules_eagerly():
-    # perfbench's tracer imports eulerlab.checks and then wraps functions
-    # of these modules, reached as attributes of the package
-    got = _probe("import json, sys, eulerlab.checks\n"
+    # perfbench's tracer imports eulerlab.checks and eulerlab.series, then
+    # wraps functions of these modules, reached as attributes of the package
+    got = _probe("import json, sys, eulerlab.checks, eulerlab.series\n"
                  "print(json.dumps({'loaded': sorted(sys.modules)}))")
     for module in ("detformula", "gfengine", "symmetry", "series",
                    "univariate"):
         assert f"eulerlab.{module}" in got["loaded"]
+
+
+def test_verify_loads_no_dataclasses_or_series_oracle():
+    from eulerlab.checks import _RANGES
+    jobs = [["verify", "--check", name, "--max-n", str(first)]
+            for name, (first, _, _) in _RANGES.items()]
+    got = _probe(_JOBS.format(jobs=jobs))
+    assert not got["dataclasses"]
+    assert "eulerlab.series" not in got["loaded"]
+    assert "eulerlab.univariate" not in got["loaded"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "all"],
+    ["poly", "--family", "xi", "--n", "6", "--i", "2"],
+])
+def test_perfbench_traced_cli_runs_unchanged(argv, tmp_path):
+    # the benchmark's traced jobs wrap the package from outside; an import
+    # change that breaks them fails here
+    env = _env()
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"),
+         str(spans), "0", "--", *argv],
+        env=env, capture_output=True, text=True, timeout=300)
+    plain = subprocess.run([sys.executable, "-m", "eulerlab.cli", *argv],
+                           env=env, capture_output=True, text=True,
+                           timeout=300)
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(spans.read_text(encoding="utf-8"))["restored"] is True
 
 
 def test_readme_quickstart_runs():

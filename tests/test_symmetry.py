@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from eulerlab import symmetry
 from eulerlab.distributions import eulerian_st, trivariate
 from eulerlab.mpoly import MPoly, variables
 from eulerlab.symmetry import (GammaExpansion, _is_alternatingly_increasing,
@@ -54,6 +55,28 @@ def test_a_part_n5_middle_coefficient():
     middle = a_part(5).coeff_of("t", 2)
     expected = MPoly(("s",), {(0,): 1, (1,): 14, (2,): 36, (3,): 14, (4,): 1})
     assert middle == expected
+
+
+def test_integer_split_matches_sym_decompose():
+    for n in range(1, 14):
+        dec = sym_decompose(eulerian_st(n), "t", n - 1)
+        assert a_part(n).dumps() == dec.a.dumps(), n
+        assert symmetry._split_st(n)[1].dumps() == dec.b.dumps(), n
+
+
+def test_verify_thm20_reports_a_corrupted_b_part(monkeypatch):
+    split = symmetry._split_st
+
+    def corrupted(n):
+        a, b = split(n)
+        return a, b + S * T
+
+    monkeypatch.setattr(symmetry, "_split_st", corrupted)
+    report = verify_thm20(4)
+    assert not report.passed and not report.b_recursion_ok
+    assert report.recombination_ok
+    assert report.witness.startswith(
+        f"b_part={(split(4)[1] + S * T).dumps()} expected=")
 
 
 def test_recursion_report_range():
