@@ -29,7 +29,7 @@ _EXPORTS = {
     "gfengine": ("FoataReport", "binom_resum", "f_nkr", "f_nkr_closed",
                  "verify_foata"),
     "mpoly": ("DivisibilityError", "MPoly", "VAR_ORDER", "canonical_vars",
-              "exact_divide", "reciprocal_in", "variables"),
+              "exact_divide", "variables"),
     "perms": ("MAX_ENUM_N", "PermStats", "enumerate_perms", "inverse",
               "is_derangement", "stable_subsets", "stats"),
     "qanalog": ("binom_poly", "fubini_number", "gen_binomial", "stirling2",

@@ -237,6 +237,9 @@ def _cmd_scan(args) -> int:
 # export
 
 def _cmd_export(args) -> int:
+    if args.family in ("det", "a_part", "reconstruct_a") and (
+            args.i is not None or args.k is not None):
+        raise ValueError(f"family {args.family!r} takes no --i/--k")
     if args.family == "det":
         from .detformula import det_Mnr
         poly = det_Mnr(args.n)

@@ -253,6 +253,7 @@ def xi_transposed(n: int, i: int) -> MPoly:
 
 def exc_slice(n: int, k: int) -> MPoly:
     """Descent distribution over the excedance-k slice of S_n, in s."""
+    _check_n(n, 1, MAX_ENUM_N)
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must lie in 0..{n - 1} for n={n}, got {k}")
     return eulerian_st(n).coeff_of("t", k)
@@ -278,10 +279,14 @@ def build_distribution(spec: DistributionSpec) -> MPoly:
     if spec.family == "xi":
         if spec.i is None:
             raise ValueError("family 'xi' needs --i")
+        if spec.k is not None:
+            raise ValueError("family 'xi' takes no --k")
         return xi(spec.n, spec.i)
     if spec.family == "exc_slice":
         if spec.k is None:
             raise ValueError("family 'exc_slice' needs --k")
+        if spec.i is not None:
+            raise ValueError("family 'exc_slice' takes no --i")
         return exc_slice(spec.n, spec.k)
     if spec.i is not None or spec.k is not None:
         raise ValueError(f"family {spec.family!r} takes no --i/--k")

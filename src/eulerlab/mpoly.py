@@ -465,18 +465,3 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
                 del rem[key]
     return _raw(f.vars, {e: c for e, c in quo.items() if c})
 
-
-def reciprocal_in(f: MPoly, var: str, d: int) -> MPoly:
-    """Reverse the coefficient sequence in ``var`` at ambient degree ``d``.
-
-    Sends the coefficient of ``var**e`` to ``var**(d-e)``; other variables
-    ride along untouched.  Requires ``deg_var(f) <= d``.
-    """
-    i = f._vi(var)
-    if f.degree(var) > d:
-        raise ValueError(
-            f"degree {f.degree(var)} in {var!r} exceeds ambient degree {d}")
-    out = {}
-    for exp, c in f.terms.items():
-        out[exp[:i] + (d - exp[i],) + exp[i + 1:]] = c
-    return _raw(f.vars, out)

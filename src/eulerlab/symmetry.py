@@ -13,13 +13,16 @@ unique expansion in the basis x**i * (1 + x)**(d - 2*i); nonnegativity
 of those expansion coefficients is the gamma-positivity property that
 the scan command hunts for.
 
+One integer kernel on coefficient lists (:func:`_split_ints`,
+:func:`_gamma_ints`) serves ``verify``, ``scan``, ``decompose`` and
+``gamma``: :func:`sym_decompose` and :func:`gamma_expand` run it on each
+row of f, the list in x of one monomial in the other variables.  The
+division route above and top-down elimination are its test reference.
+
 The joint descent/excedance polynomial has ambient degree n - 1 in the
 excedance variable.  Its palindromic part satisfies a two-term recursion
 against the previous n which :func:`verify_thm20` checks; the seed of
-that recursion at n = 0 is the zero polynomial by convention.  Both
-:func:`a_part` and :func:`verify_thm20` split it one s-row at a time with
-the integer kernel below; :func:`sym_decompose` is the general route and
-their test oracle.
+that recursion at n = 0 is the zero polynomial by convention.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from .distributions import eulerian_st, trivariate
-from .mpoly import DivisibilityError, MPoly, exact_divide, reciprocal_in
+from .mpoly import DivisibilityError, MPoly
 from .perms import MAX_ENUM_N
 
 
@@ -44,39 +47,46 @@ class SymDecomp(namedtuple("SymDecomp", "a b var ambient_degree")):
         return self.a + x * self.b
 
 
+def _rows(f: MPoly, var: str, d: int) -> dict[tuple, list]:
+    """f's coefficient list in var, of length d + 1, for each monomial in
+    the other variables, keyed by its exponents before and after var."""
+    if f.degree(var) > d:
+        raise ValueError(
+            f"degree {f.degree(var)} in {var!r} exceeds ambient degree {d}")
+    i = f.vars.index(var)
+    rows: dict[tuple, list] = {}
+    for exp, c in f.terms.items():
+        rows.setdefault((exp[:i], exp[i + 1:]), [0] * (d + 1))[exp[i]] = c
+    return rows
+
+
+def _by_rows(f: MPoly, var: str, d: int, kernel, parts: int) -> list[MPoly]:
+    """Run an integer kernel on every row of f and reassemble its output.
+
+    Each row is scaled to ints by :func:`_scaled_ints`.  ``kernel`` maps
+    it to ``parts`` int lists; entry k of list j, divided by the row's
+    scale, is the coefficient of var**k times the row's monomial in part j.
+    """
+    out: list[dict] = [{} for _ in range(parts)]
+    for (head, tail), row in _rows(f, var, d).items():
+        ints, scale = _scaled_ints(row)
+        for terms, cs in zip(out, kernel(ints)):
+            for k, c in enumerate(cs):
+                if c:
+                    terms[head + (k,) + tail] = (
+                        c if scale == 1 else Fraction(c, scale))
+    return [MPoly(f.vars, terms) for terms in out]
+
+
 def is_palindromic(f: MPoly, var: str, d: int) -> bool:
-    return f.degree(var) <= d and reciprocal_in(f, var, d) == f
+    return f.degree(var) <= d and all(
+        row == row[::-1] for row in _rows(f, var, d).values())
 
 
 def sym_decompose(f: MPoly, var: str, d: int) -> SymDecomp:
     """Split f into its palindromic parts at ambient degree d."""
-    if f.degree(var) > d:
-        raise ValueError(
-            f"degree {f.degree(var)} in {var!r} exceeds ambient degree {d}")
-    x = MPoly.variable(var, f.vars)
-    flip = reciprocal_in(f, var, d)
-    a = exact_divide(f - x * flip, 1 - x)
-    b = exact_divide(flip - f, 1 - x)
-    assert a + x * b == f, "decomposition failed to recombine"
+    a, b = _by_rows(f, var, d, _split_ints, 2)
     return SymDecomp(a=a, b=b, var=var, ambient_degree=d)
-
-
-def _split_st(n: int) -> tuple[MPoly, MPoly]:
-    """The parts (a, b) of eulerian_st(n) in t at ambient degree n - 1.
-
-    Equal to ``sym_decompose(eulerian_st(n), "t", n - 1)``: each s-row
-    of the joint polynomial is a t-vector of length n, split by the
-    integer kernel :func:`_split_ints`.
-    """
-    rows: dict[int, list[int]] = {}
-    for (j, k), c in eulerian_st(n).terms.items():
-        rows.setdefault(j, [0] * n)[k] = c.numerator
-    a_terms, b_terms = {}, {}
-    for j, row in rows.items():
-        a, b = _split_ints(row)
-        a_terms.update(((j, k), c) for k, c in enumerate(a) if c)
-        b_terms.update(((j, k), c) for k, c in enumerate(b) if c)
-    return MPoly(("s", "t"), a_terms), MPoly(("s", "t"), b_terms)
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +96,7 @@ def a_part(n: int) -> MPoly:
         raise ValueError("negative n")
     if n == 0:
         return MPoly.zero(("s", "t"))
-    return _split_st(n)[0]
+    return sym_decompose(eulerian_st(n), "t", n - 1).a
 
 
 #: the checked n, both halves of the recursion and their conjunction, and
@@ -106,7 +116,8 @@ def verify_thm20(n: int) -> RecursionReport:
     if not 2 <= n <= MAX_ENUM_N:
         raise ValueError(f"n must be between 2 and {MAX_ENUM_N}, got {n}")
     joint = eulerian_st(n)
-    a, b = _split_st(n)
+    dec = sym_decompose(joint, "t", n - 1)
+    a, b = dec.a, dec.b
     s, t = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
     prev = a_part(n - 1)
     b_ok = b == (s - 1) * prev
@@ -145,25 +156,17 @@ class GammaExpansion(namedtuple("GammaExpansion",
 def gamma_expand(f: MPoly, var: str, d: int) -> GammaExpansion:
     """Expand a palindromic f in the gamma basis at ambient degree d.
 
-    Works top down: the coefficient of var**i in the running remainder
-    is the next gamma, because every later basis element starts at a
-    higher power of var.  Raises ValueError when f is not palindromic
-    at ambient degree d (the basis only spans those).
+    Gamma i is a polynomial in the other variables: each row of f is
+    expanded by :func:`_gamma_ints`.  Raises ValueError when f is not
+    palindromic at ambient degree d (the basis only spans those).
     """
     if f.is_zero():
         return GammaExpansion(var=var, ambient_degree=d, gammas=())
     if not is_palindromic(f, var, d):
         raise ValueError(
             f"not palindromic at ambient degree {d} in {var!r}: {f}")
-    x = MPoly.variable(var, f.vars)
-    rem = f
-    gammas = []
-    for i in range(d // 2 + 1):
-        g = rem.coeff_of(var, i).with_vars(rem.vars)
-        gammas.append(g)
-        if g:
-            rem = rem - g * x ** i * (1 + x) ** (d - 2 * i)
-    assert rem.is_zero(), "gamma elimination left a remainder"
+    gammas = _by_rows(f, var, d, lambda cs: [[g] for g in _gamma_ints(cs)],
+                      d // 2 + 1)
     return GammaExpansion(var=var, ambient_degree=d, gammas=tuple(gammas))
 
 
@@ -182,15 +185,16 @@ def gamma_expand_coeffs(coeffs: Sequence[Fraction | int]) -> tuple[Fraction, ...
 # ----------------------------------------------------------------------
 # integer coefficient-list kernel
 #
-# The dense analogues of sym_decompose and gamma_expand for a polynomial
-# in one variable with int coefficients, ambient degree len(list) - 1.
-# Callers with rational coefficients scale by a positive common
-# denominator first; splitting and gamma expansion are linear, and every
-# sign, order and mode test is unchanged by a positive scale.
+# Splitting and gamma expansion of a polynomial in one variable with int
+# coefficients, ambient degree len(list) - 1.  Callers with rational
+# coefficients scale by a positive common denominator first; splitting and
+# gamma expansion are linear, and every sign, order and mode test is
+# unchanged by a positive scale.
 
 def _scaled_ints(coeffs: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The list times the lcm of its denominators, and that lcm."""
-    cs = [Fraction(c) for c in coeffs]
+    # ints and Fractions carry numerator and denominator already
+    cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
     scale = lcm(*(c.denominator for c in cs))
     return [c.numerator * (scale // c.denominator) for c in cs], scale
 

@@ -48,6 +48,30 @@ def test_poly_missing_slice_index(capsys):
     assert "error:" in err and "--i" in err
 
 
+_UNUSED_INDEX = [
+    *((cmd, "xi", ("--i", "1", "--k", "9"), "'xi' takes no --k")
+      for cmd in ("poly", "export")),
+    *((cmd, "exc_slice", ("--k", "1", "--i", "2"), "'exc_slice' takes no --i")
+      for cmd in ("poly", "export")),
+    *(("export", fam, extra, f"{fam!r} takes no --i/--k")
+      for fam in ("det", "a_part", "reconstruct_a")
+      for extra in (("--i", "1"), ("--k", "0"))),
+]
+
+
+@pytest.mark.parametrize("command, family, extra, message", _UNUSED_INDEX)
+def test_family_refuses_an_index_it_does_not_use(capsys, tmp_path, command,
+                                                 family, extra, message):
+    out_file = tmp_path / "f.json"
+    argv = [command, "--family", family, "--n", "4", *extra]
+    if command == "export":
+        argv += ["--out", str(out_file)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: family {message}\n"
+    assert not out_file.exists()
+
+
 def test_table_formats(capsys):
     code, out, _ = run_cli(capsys, "table", "--max-n", "5", "--format", "csv")
     assert code == 0

@@ -154,6 +154,11 @@ def test_exc_slice():
     assert exc_slice(4, 3) == MPoly(("s",), {(1,): 1})
     with pytest.raises(ValueError):
         exc_slice(4, 4)
+    # n is checked before k, so the message names n's range
+    with pytest.raises(ValueError, match="n must be between 1 and 13, got 0"):
+        exc_slice(0, 0)
+    with pytest.raises(ValueError, match="n must be between 1 and 13, got 20"):
+        exc_slice(20, 25)
     # linear coefficient is a plain binomial
     for n in range(2, 8):
         for k in range(1, n):
@@ -183,6 +188,10 @@ def test_build_distribution_dispatch():
         build_distribution(DistributionSpec("exc_slice", 4))
     with pytest.raises(ValueError):
         build_distribution(DistributionSpec("des_exc", 4, i=1))
+    with pytest.raises(ValueError, match="family 'xi' takes no --k"):
+        build_distribution(DistributionSpec("xi", 4, i=1, k=9))
+    with pytest.raises(ValueError, match="family 'exc_slice' takes no --i"):
+        build_distribution(DistributionSpec("exc_slice", 4, i=1, k=1))
     with pytest.raises(ValueError):
         build_distribution(DistributionSpec("nope", 3))
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from eulerlab.mpoly import (DivisibilityError, MPoly, canonical_vars,
-                            exact_divide, reciprocal_in, variables)
+                            exact_divide, variables)
 
 
 def test_canonical_vars_ordering():
@@ -113,18 +113,6 @@ def test_exact_divide():
     with pytest.raises(ZeroDivisionError):
         exact_divide(s, MPoly.zero(("s", "t")))
     assert exact_divide(MPoly.zero(("s", "t")), 1 - t).is_zero()
-
-
-def test_reciprocal_in():
-    s, t = variables(("s", "t"))
-    f = 1 + (3 * s + s ** 2) * t + s * t ** 2
-    rev = reciprocal_in(f, "t", 3)
-    assert rev == t ** 3 + (3 * s + s ** 2) * t ** 2 + s * t
-    assert reciprocal_in(rev, "t", 3) == f
-    palin = 1 + 5 * t + t ** 2
-    assert reciprocal_in(palin, "t", 2) == palin
-    with pytest.raises(ValueError):
-        reciprocal_in(f, "t", 1)
 
 
 def test_json_round_trip_and_canonical_bytes():

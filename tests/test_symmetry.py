@@ -4,7 +4,7 @@ import pytest
 
 from eulerlab import symmetry
 from eulerlab.distributions import eulerian_st, trivariate
-from eulerlab.mpoly import MPoly, variables
+from eulerlab.mpoly import MPoly, exact_divide, variables
 from eulerlab.symmetry import (GammaExpansion, _is_alternatingly_increasing,
                                _is_unimodal, a_part, conjecture_scan,
                                gamma_expand, gamma_expand_coeffs,
@@ -57,26 +57,91 @@ def test_a_part_n5_middle_coefficient():
     assert middle == expected
 
 
+# ----------------------------------------------------------------------
+# the reference route: division by 1 - x and term-by-term elimination on
+# MPoly, against which the row-by-row integer kernel is checked
+
+def _reciprocal(f, var, d):
+    """f with the coefficient of var**e moved to var**(d - e)."""
+    i = f.vars.index(var)
+    return MPoly(f.vars, {exp[:i] + (d - exp[i],) + exp[i + 1:]: c
+                          for exp, c in f.terms.items()})
+
+
+def _division_split(f, var, d):
+    """(a, b) as (f - x * flip) / (1 - x) and (flip - f) / (1 - x)."""
+    assert f.degree(var) <= d
+    x = MPoly.variable(var, f.vars)
+    flip = _reciprocal(f, var, d)
+    a = exact_divide(f - x * flip, 1 - x)
+    b = exact_divide(flip - f, 1 - x)
+    assert a + x * b == f
+    return a, b
+
+
+def _elimination_gamma(f, var, d):
+    """Gammas of a palindromic f, the coefficient of var**i top down."""
+    if f.is_zero():
+        return ()
+    assert _reciprocal(f, var, d) == f
+    x = MPoly.variable(var, f.vars)
+    rem = f
+    gammas = []
+    for i in range(d // 2 + 1):
+        g = rem.coeff_of(var, i).with_vars(rem.vars)
+        gammas.append(g)
+        if g:
+            rem = rem - g * x ** i * (1 + x) ** (d - 2 * i)
+    assert rem.is_zero()
+    return tuple(gammas)
+
+
+def _assert_matches_reference(f, var, d):
+    dec = sym_decompose(f, var, d)
+    a, b = _division_split(f, var, d)
+    assert (dec.a.dumps(), dec.b.dumps()) == (a.dumps(), b.dumps())
+    for part, amb in ((a, d), (b, d - 1)):
+        assert is_palindromic(part, var, amb)
+        got = gamma_expand(part, var, amb).gammas
+        assert [g.dumps() for g in got] == [
+            g.dumps() for g in _elimination_gamma(part, var, amb)]
+    assert is_palindromic(f, var, d) == (_reciprocal(f, var, d) == f)
+
+
 def test_integer_split_matches_sym_decompose():
     for n in range(1, 14):
         dec = sym_decompose(eulerian_st(n), "t", n - 1)
-        assert a_part(n).dumps() == dec.a.dumps(), n
-        assert symmetry._split_st(n)[1].dumps() == dec.b.dumps(), n
+        a, b = _division_split(eulerian_st(n), "t", n - 1)
+        assert a_part(n).dumps() == dec.a.dumps() == a.dumps(), n
+        assert dec.b.dumps() == b.dumps(), n
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_kernel_matches_reference_route(n):
+    # the decompose/gamma inputs: symbolic and specialised refinements,
+    # the joint polynomial at a negative rational s, and d above n - 1
+    polys = [trivariate(n), eulerian_st(n),
+             eulerian_st(n).subs({"s": F(-3, 7)})]
+    polys += [trivariate(n).subs({v: r}) for v in ("p", "q")
+              for r in (F(3, 2), F(-5, 4))]
+    for f in polys:
+        for d in (n - 1, n):
+            _assert_matches_reference(f, "t", d)
 
 
 def test_verify_thm20_reports_a_corrupted_b_part(monkeypatch):
-    split = symmetry._split_st
+    decompose = symmetry.sym_decompose
 
-    def corrupted(n):
-        a, b = split(n)
-        return a, b + S * T
+    def corrupted(f, var, d):
+        dec = decompose(f, var, d)
+        return dec._replace(b=dec.b + S * T)
 
-    monkeypatch.setattr(symmetry, "_split_st", corrupted)
+    monkeypatch.setattr(symmetry, "sym_decompose", corrupted)
     report = verify_thm20(4)
     assert not report.passed and not report.b_recursion_ok
     assert report.recombination_ok
-    assert report.witness.startswith(
-        f"b_part={(split(4)[1] + S * T).dumps()} expected=")
+    b = decompose(eulerian_st(4), "t", 3).b
+    assert report.witness.startswith(f"b_part={(b + S * T).dumps()} expected=")
 
 
 def test_recursion_report_range():
@@ -200,10 +265,10 @@ def _sparse_scan(n, p, q):
     f = trivariate(n).subs({"p": p, "q": q})
     dense = f.to_dense("t")
     dense += [F(0)] * (n - len(dense))
-    dec = sym_decompose(f, "t", n - 1)
+    a, b = _division_split(f, "t", n - 1)
     gamma_a, gamma_b = (
-        tuple(g.constant() for g in gamma_expand(part, "t", d).gammas)
-        for part, d in ((dec.a, n - 1), (dec.b, n - 2)))
+        tuple(g.constant() for g in _elimination_gamma(part, "t", d))
+        for part, d in ((a, n - 1), (b, n - 2)))
     top = max(dense)
     return (gamma_a, gamma_b,
             all(g >= 0 for g in gamma_a), all(g >= 0 for g in gamma_b),
