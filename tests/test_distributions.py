@@ -58,6 +58,61 @@ def test_classic_eulerian_rows():
         classic_eulerian(3, "maj")
 
 
+def test_classic_eulerian_folds_once_per_spelling(monkeypatch):
+    folds = []
+    transfer = distributions._transfer
+
+    def spy(n, move):
+        folds.append(n)
+        return transfer(n, move)
+
+    classic_eulerian.cache_clear()
+    monkeypatch.setattr(distributions, "_transfer", spy)
+    rows = [classic_eulerian(5), classic_eulerian(5, "des"),
+            classic_eulerian(5, stat="des"), classic_eulerian(n=5)]
+    assert all(row == rows[0] for row in rows)
+    assert folds == [5]
+    assert classic_eulerian.cache_info().misses == 1
+    classic_eulerian.cache_clear()
+    assert classic_eulerian.cache_info().currsize == 0
+
+
+def test_top_n_digits_do_not_carry():
+    # a tag-free state ends up standing for all n! permutations, so digits
+    # of (n-1)! bits would carry into the next q at the top n
+    n = MAX_ENUM_N
+    assert classic_eulerian(n, "exc") == classic_eulerian(n, "des")
+    assert derangement_poly(n).evaluate({"x": 1}) == subfactorial(n)
+
+
+def test_transfer_calls_move_once_per_state_and_value():
+    n = 6
+    row = [1, 57, 302, 302, 57, 1]
+    calls = []
+
+    def exc(pos, tag, v, used):
+        calls.append(tag)
+        return 0, 0, v > pos
+
+    # tag-free: one state per value set of size 0..n-1, one call per
+    # value left, so sum C(n, k) (n - k) = n 2^(n-1) calls
+    counts = distributions._transfer(n, exc)
+    assert len(calls) == n * 2 ** (n - 1) == 192
+    assert counts == {(0, k): c for k, c in enumerate(row)}
+
+    calls.clear()
+
+    def des(pos, last, v, used):
+        calls.append(last)
+        return v, last > v, 0
+
+    # last value: n calls from the empty prefix, then one state per value
+    # set of size k >= 1 and last value in it, sum C(n, k) k (n - k)
+    counts = distributions._transfer(n, des)
+    assert len(calls) == n + n * (n - 1) * 2 ** (n - 2) == 486
+    assert counts == {(k, 0): c for k, c in enumerate(row)}
+
+
 def test_total_masses():
     for n in range(1, 7):
         assert eulerian_st(n).evaluate({"s": 1, "t": 1}) == factorial(n)
