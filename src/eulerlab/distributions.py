@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import factorial
 
 from .mpoly import MPoly
-from .perms import MAX_ENUM_N, enumerate_perms, inverse, stable_subsets, stats
+from .perms import MAX_ENUM_N, enumerate_perms, stable_subsets, stats
 
 
 def _transfer(n: int, move) -> dict[tuple[int, int], int]:
@@ -252,28 +252,34 @@ def xi(n: int, i: int) -> MPoly:
                               for (des, maj), c in _transfer(n, move).items()))
 
 
-def _slice_filter(n: int) -> set[tuple[int, ...]]:
-    # the interval [2, n-2] is empty below n = 4, leaving only the empty set
-    if n < 4:
-        return {()}
-    return set(stable_subsets(2, n - 2))
-
-
 @lru_cache(maxsize=None)
 def _transposed_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
     """``{i: {(1 + des, maj): count}}`` for every slice i, in one pass over S_n.
 
     Slice i holds the permutations whose inverse has an allowed descent
     set with i - 1 members; each contributes the statistics of itself.
+    The inverse is written into one position array reused for every
+    permutation, and its descent set is read off as a bitmask (bit v for
+    descent v), so only the permutations that pass are validated by
+    :func:`perms.stats`.
     """
-    allowed = _slice_filter(n)
+    # the interval [2, n-2] is empty below n = 4, leaving only the empty set
+    subsets = stable_subsets(2, n - 2) if n >= 4 else [()]
+    allowed = {sum(1 << v for v in sub): len(sub) for sub in subsets}
+    where = [0] * (n + 1)  # where[v] = position of v, i.e. pi^-1(v)
     slices: dict[int, dict[tuple[int, int], int]] = {}
     for perm in enumerate_perms(n):
-        des_set = stats(inverse(perm)).des_set
-        if des_set not in allowed:
+        for pos, v in enumerate(perm, 1):
+            where[v] = pos
+        mask = 0
+        for v in range(1, n):
+            if where[v] > where[v + 1]:
+                mask |= 1 << v
+        size = allowed.get(mask)
+        if size is None:
             continue
         w = stats(perm)
-        counts = slices.setdefault(len(des_set) + 1, {})
+        counts = slices.setdefault(size + 1, {})
         key = (1 + w.des, w.maj)
         counts[key] = counts.get(key, 0) + 1
     return slices

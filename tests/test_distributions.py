@@ -185,6 +185,27 @@ def test_xi_transposed_agrees():
             assert xi(n, i) == xi_transposed(n, i)
 
 
+def _reference_transposed_slices(n):
+    """The transposed slices, filtering on the public stats of each inverse."""
+    allowed = set(stable_subsets(2, n - 2)) if n >= 4 else {()}
+    slices = {}
+    for perm in enumerate_perms(n):
+        des_set = stats(inverse(perm)).des_set
+        if des_set not in allowed:
+            continue
+        w = stats(perm)
+        counts = slices.setdefault(len(des_set) + 1, {})
+        key = (1 + w.des, w.maj)
+        counts[key] = counts.get(key, 0) + 1
+    return slices
+
+
+def test_transposed_mask_matches_reference_filter():
+    for n in range(2, 8):
+        assert (distributions._transposed_slices(n)
+                == _reference_transposed_slices(n)), n
+
+
 def test_xi_transposed_enumerates_once_per_n(monkeypatch):
     calls = []
 

@@ -297,6 +297,45 @@ def test_scan_kernel_matches_sparse_route():
         assert _kernel_scan(n, p, q) == _sparse_scan(n, p, q), (n, p, q)
 
 
+def test_scan_table_matches_trivariate():
+    for n in range(1, 12):
+        f = trivariate(n)
+        table = symmetry._scan_table(n)
+        assert (table.top_des, table.top_gap) == (f.degree("p"),
+                                                  f.degree("q"))
+        assert len(table.terms) == len(f.terms)
+        assert {(e, d, g): c for e, d, g, c in table.terms} == f.terms
+        assert all(type(c) is int for *_, c in table.terms)
+
+
+def test_scan_table_built_once_per_n():
+    symmetry._scan_table.cache_clear()
+    for p, q in [(2, 1), (F(3, 2), 2), (F(-3, 7), F(1, 3)), (0, 0)]:
+        conjecture_scan(6, p, q, force=True)
+    info = symmetry._scan_table.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_scan_refusals_leave_no_table():
+    symmetry._scan_table.cache_clear()
+    for args in [(0, 2, 1), (14, 2, 1), (5, 1, 1)]:
+        with pytest.raises(ValueError):
+            conjecture_scan(*args)
+    assert symmetry._scan_table.cache_info().currsize == 0
+
+
+def test_scan_table_refuses_a_fractional_count(monkeypatch):
+    half = MPoly(("t", "p", "q"), {(0, 0, 0): F(1, 2)})
+    monkeypatch.setattr(symmetry, "trivariate", lambda n: half)
+    symmetry._scan_table.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="non-integer count 1/2"):
+            conjecture_scan(1, 2, 1)
+        assert symmetry._scan_table.cache_info().currsize == 0
+    finally:
+        symmetry._scan_table.cache_clear()
+
+
 def test_scan_accepts_fractions():
     report = conjecture_scan(4, F(3, 2), 2)
     assert report.p == F(3, 2) and report.q == F(2)
