@@ -11,13 +11,16 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb, factorial
 
-from . import detformula, gfengine
+# symmetry and gfengine are imported inside the suites that run them, so
+# a verify process loads only the modules of its suites.  detformula stays
+# here: perfbench's tracer reaches it as an attribute of the package after
+# importing only checks and series.
+from . import detformula
 from .distributions import (classic_eulerian, derangement_lhs, eulerian_st,
                             exc_slice, xi, xi_transposed)
 from .mpoly import DivisibilityError, MPoly
 from .perms import MAX_ENUM_N
 from .qanalog import fubini_number, subfactorial
-from .symmetry import a_part, verify_thm20
 
 
 #: a suite's verdict: its name, whether it passed, the tuple of detail
@@ -51,6 +54,8 @@ def check_macmahon(max_n: int) -> CheckResult:
 
 def check_thm20(max_n: int) -> CheckResult:
     """Two-term recursion of the palindromic decomposition parts."""
+    from .symmetry import verify_thm20
+
     lines, failures = [], []
     for n in range(2, max_n + 1):
         report = verify_thm20(n)
@@ -105,6 +110,8 @@ def check_eq1(max_n: int) -> CheckResult:
     reproducible via f_nkr_closed(..., literal=True) and the window
     notes in its docstring.
     """
+    from . import gfengine
+
     lines, failures = [], []
     for n in range(1, max_n + 1):
         bad = []
@@ -132,6 +139,8 @@ def check_gf(max_n: int) -> CheckResult:
     checked multiplied through by their denominators, on int
     coefficient lists in t (see :func:`gfengine.verify_foata`).
     """
+    from . import gfengine
+
     report = gfengine.verify_foata(max_n, max_n)
     lines = [
         f"gf joint coefficients n<={max_n} r<={max_n}: "
@@ -161,6 +170,8 @@ def check_thT1(max_n: int) -> CheckResult:
     half's top.  A division that the kernels find inexact means the
     identity is broken: it fails that n, with the error as the witness.
     """
+    from .symmetry import a_part
+
     lines, failures = [], []
     for n in range(0, min(max_n, 6) + 1):
         try:
@@ -252,10 +263,11 @@ CHECKS = {
 #: token -> (first, default, top) max_n: the first checks a case, the
 #: default runs when none is given, the top is the cap of the route that
 #: bounds the suite.  Two tops are set here: thm01's, since xi_transposed
-#: enumerates S_n (one pass serves every slice of an n and takes 0.35 s
-#: at n = 8, 3.9 s at n = 9; check_thm01(8) takes 0.44 s in all), and
-#: thT1's, whose halves stop at n = 6 and 7, the split its detail lines
-#: and perfbench's verify labels record.
+#: enumerates S_n (one pass serves every slice of an n and takes 0.08 s
+#: at n = 8, 0.7 s at n = 9; check_thm01(8) takes 0.1-0.15 s in all, in
+#: fresh processes on a 2-core x86 machine), and thT1's, whose halves
+#: stop at n = 6 and 7, the split its detail lines and perfbench's verify
+#: labels record.
 _RANGES = {
     "macmahon": (1, 9, MAX_ENUM_N),
     "thm01": (2, 7, 8),

@@ -5,11 +5,16 @@ and returns a sparse polynomial with integer coefficients.  The transfer
 is an exact reorganisation of enumerating S_n: it merges the prefixes
 that share their set of used values and their tag, which is what the
 family must remember about a prefix: the last value for the families
-that read descents, nothing for the excedance counts, and the last value
-with the descent count so far for :func:`xi`.  So n = 13 takes seconds
-(``trivariate(13)``, the slowest family, about 2 s on a 2-core x86
-machine) where listing 13! permutations would take hours.  Each family
-only supplies the move that reads its statistics off one placed value.
+that read descents, with the descent count so far for the three-variable
+refinements and :func:`xi`, and nothing for the excedance counts.  Each
+merged state holds one packed int over the remaining statistics, and
+since a family reads the last value only through the descent test, each
+value is placed once after all the prefixes ending below it and once
+after those ending above it.  So n = 13 takes about a second at most
+(``trivariate(13)`` and the largest ``xi`` slices, 0.5-1.2 s on a
+2-core x86 machine) where listing 13! permutations would take hours.
+Each family only supplies the move that reads its statistics off one
+placed value.
 Builders are cached, since several verification suites want the same
 polynomials.
 
@@ -40,104 +45,177 @@ from .mpoly import MPoly
 from .perms import MAX_ENUM_N, enumerate_perms, stable_subsets, stats
 
 
-def _transfer(n: int, move) -> dict[tuple[int, int], int]:
+def _transfer(n: int, move, width: int) -> dict[tuple[int, int], int]:
     """Fold a statistic over S_n, placing one value per position.
 
     A prefix (pi(1), ..., pi(pos - 1)) is summarised by its state: the bit
-    set ``used`` of its values (bit v for value v) and a ``tag``, what the
-    family must remember about the prefix to place the next value (0 when
-    it needs nothing).  Prefixes with the same state have the same
-    continuations, so each state keeps only ``{key: packed}``, and a layer
-    maps ``used`` to ``{tag: {key: packed}}``.  ``key`` is a small int
-    encoding the statistics a family tracks; ``packed`` holds the
-    distribution of one more statistic, the q-statistic, with the number
-    of prefixes having q = j in digit j.  A state that holds the last value
-    stands for at most (n-1)! prefixes, but a tag-free state after pos
-    values stands for all pos! orderings of them, up to n! at the end.  So
-    digits are ``n!.bit_length()`` bits wide, never carry, and raising q
-    by d is a left shift by d digits.
+    set ``used`` of its values (bit v for value v) and a ``tag`` =
+    16 * last + rest, where ``last`` is the last value placed (0 when the
+    family reads nothing off it) and ``rest`` < 16 is whatever else the
+    family must remember to place the next value.  Prefixes with the same
+    state have the same continuations, so a state holds one packed int:
+    digit j, ``width`` bits wide, counts its prefixes whose other tracked
+    statistics encode to j, and raising that code by d is a left shift by
+    d digits.  A layer maps ``used`` to ``{tag: packed}``; a used set
+    enters it only when some move reaches it.
 
-    ``move(pos, tag, v, used)`` places v at position ``pos`` after the
-    prefixes of a state.  It returns ``(new_tag, dkey, rise)``: each key of
-    the state moves to ``key + dkey`` and q rises by ``rise``; or None to
-    drop those prefixes.  So each (state, value) pair costs one call,
-    whatever the number of keys.  Returns ``{(key, q): count}`` over S_n.
+    Every family reads the last value only through the descent test
+    ``last > v``.  So for each used set the kernel groups the tags by rest,
+    adds their ints in ascending order of last, and places each free value
+    v at most twice per rest: once after the prefixes whose last value is
+    below v (no descent) and once after those above it (a descent).
+    ``move(pos, rest, v, used, descent)`` returns ``(new_tag, rise)``: the
+    prefixes move to the state (used | 1 << v, new_tag) and their code
+    rises by ``rise``; or None to drop them.
+
+    A state that holds the last value stands for at most (n-1)! prefixes,
+    and so does each sum below or above v, which runs over prefixes with
+    one used set of at most n - 1 values; so ``width`` =
+    ``(n-1)!.bit_length()`` keeps digits from carrying.  A tag-free state
+    after pos values stands for all pos! orderings of them, so those folds
+    need ``n!.bit_length()``.  Returns ``{(rest, code): count}`` over S_n.
     """
-    width = factorial(n).bit_length()
-    layer = {0: {0: {0: 1}}}
+    values = range(1, n + 1)
+    layer = {0: {0: 1}}
     for pos in range(1, n + 1):
         nxt: dict = {}
         while layer:
             used, tags = layer.popitem()
-            for v in range(1, n + 1):
-                if used >> v & 1:
-                    continue
-                out = nxt.get(used | 1 << v)
-                if out is None:
-                    out = nxt[used | 1 << v] = {}
-                for tag, src in tags.items():
-                    moved = move(pos, tag, v, used)
-                    if moved is None:
+            # outs[v]: the state dict of used | 1 << v, fetched or made
+            # by the first move into it, so every state dict is nonempty
+            outs = [None] * (n + 1)
+            groups: dict = {}
+            for tag in sorted(tags):
+                group = groups.get(tag & 15)
+                if group is None:
+                    groups[tag & 15] = [tag]
+                else:
+                    group.append(tag)
+            for rest, group in groups.items():
+                total = 0
+                for tag in group:
+                    total += tags[tag]
+                m = len(group)
+                k = 0  # the first k tags of the group have last < v
+                below = 0
+                for v in values:
+                    if used >> v & 1:
                         continue
-                    new_tag, dkey, rise = moved
-                    shift = rise * width
-                    tgt = out.get(new_tag)
-                    if tgt is None:
-                        out[new_tag] = ({key + dkey: packed << shift
-                                         for key, packed in src.items()}
-                                        if dkey or shift else src.copy())
-                        continue
-                    for key, packed in src.items():
-                        key += dkey
-                        tgt[key] = tgt.get(key, 0) + (packed << shift)
+                    while k < m and group[k] >> 4 < v:
+                        below += tags[group[k]]
+                        k += 1
+                    # a shift or subtraction by 0 would copy the int
+                    if k:
+                        moved = move(pos, rest, v, used, False)
+                        if moved is not None:
+                            new_tag, rise = moved
+                            packed = below << rise * width if rise else below
+                            out = outs[v]
+                            if out is None:
+                                out = outs[v] = nxt.setdefault(used | 1 << v,
+                                                               {})
+                            old = out.get(new_tag)
+                            out[new_tag] = (packed if old is None
+                                            else old + packed)
+                    if k < m:
+                        moved = move(pos, rest, v, used, True)
+                        if moved is not None:
+                            new_tag, rise = moved
+                            packed = total - below if k else total
+                            if rise:
+                                packed <<= rise * width
+                            out = outs[v]
+                            if out is None:
+                                out = outs[v] = nxt.setdefault(used | 1 << v,
+                                                               {})
+                            old = out.get(new_tag)
+                            out[new_tag] = (packed if old is None
+                                            else old + packed)
         layer = nxt
-    mask = (1 << width) - 1
     counts: dict[tuple[int, int], int] = {}
+    zero = "0" * width
     for tags in layer.values():
-        for src in tags.values():
-            for key, packed in src.items():
-                q = 0
-                while packed:
-                    if packed & mask:
-                        counts[key, q] = (counts.get((key, q), 0)
-                                          + (packed & mask))
-                    packed >>= width
-                    q += 1
+        for tag, packed in tags.items():
+            bits = format(packed, "b")
+            bits = zero[len(bits) % width or width:] + bits  # whole digits
+            for code, top in enumerate(range(len(bits), 0, -width)):
+                digit = bits[top - width:top]
+                if digit != zero:
+                    key = tag & 15, code
+                    counts[key] = counts.get(key, 0) + int(digit, 2)
     return counts
 
 
-# Moves.  The tag of the last-value families is the last value (0 before
-# the first); a descent sits at position pos - 1 when last > v, v is an
-# excedance when v > pos and a fixed point when v == pos.  The excedance
-# count reads nothing off the prefix, so its move keeps the tag 0 and its
-# fold runs over the 2^n value sets alone.
-
-def _des_move(pos, last, v, used):
-    return v, 0, last > v
+def _width(m: int) -> int:
+    """Digit width that holds any count up to m!."""
+    return factorial(m).bit_length()
 
 
-def _exc_move(pos, tag, v, used):
-    return 0, 0, v > pos
+# Moves.  A descent sits at position pos - 1 when the last value exceeds
+# v, v is an excedance when v > pos and a fixed point when v == pos.  The
+# excedance count reads nothing off the prefix, so its move keeps the tag
+# 0 and its fold runs over the 2^n value sets alone.  The other moves put
+# v into the tag as the next last value.
+
+def _des_move(pos, rest, v, used, descent):
+    # code = des
+    return 16 * v, descent
 
 
-def _des_exc_move(pos, last, v, used):
-    # key = des, q = exc
-    return v, last > v, v > pos
+def _exc_move(pos, rest, v, used, descent):
+    # code = exc
+    return 0, v > pos
 
 
-def _trivariate_move(pos, last, v, used):
-    # key = 16 * exc + des, q = maj; exc and des stay below 16 while
-    # n <= 16, so divmod(key, 16) decodes the key and keys stay below 256,
-    # where CPython shares the int objects across states
-    if last > v:
-        return v, 16 * (v > pos) + 1, pos - 1
-    return v, 16 * (v > pos), 0
+def _derangement_move(pos, rest, v, used, descent):
+    return None if v == pos else (0, v > pos)
 
 
-def _derangements(move):
-    def no_fixed_point(pos, tag, v, used):
-        return None if v == pos else move(pos, tag, v, used)
-    return no_fixed_point
+def _des_exc_move(n):
+    def move(pos, rest, v, used, descent):
+        # code = n * des + exc, as exc < n
+        return 16 * v, n * descent + (v > pos)
+    return move
+
+
+def _trivariate_move(n, derangements):
+    def move(pos, des, v, used, descent):
+        # rest = des; code = n * (maj - des (des + 1) / 2) + exc.  The des
+        # descents sit at distinct positions, so maj >= 1 + ... + des, and
+        # measuring maj from that floor keeps the codes of a state close
+        # together.  A new descent at pos - 1 raises it by pos - 2 - des.
+        if v == pos and derangements:
+            return None
+        if descent:
+            return 16 * v + des + 1, n * (pos - 2 - des) + (v > pos)
+        return 16 * v + des, v > pos
+    return move
+
+
+def _xi_move(n, i):
+    def move(pos, seen, v, used, descent):
+        # rest = 2 * descents so far + (previous position was a descent);
+        # code = n * maj(w) + des(w).  w = pi^-1 descends at v when v + 1
+        # is placed before v.
+        if descent:
+            if seen & 1 or not 2 <= pos - 1 <= n - 2 or seen >> 1 == i - 1:
+                return None
+            seen = (seen | 1) + 2
+        else:
+            seen &= 14
+        # once i - 1 descents are in, a further one is dropped whatever the
+        # flag, so clearing it merges states; short of that, drop prefixes
+        # that can no longer get there: the positions left are pos..n-2,
+        # minus pos after a descent, and no two may be consecutive
+        need = i - 1 - (seen >> 1)
+        if not need:
+            seen &= 14
+        elif (n - max(pos + (seen & 1), 2)) // 2 < need:
+            return None
+        if used >> (v + 1) & 1:
+            return 16 * v + seen, n * v + 1
+        return 16 * v + seen, 0
+    return move
 
 
 def _check_n(n: int, lo: int, hi: int) -> None:
@@ -149,7 +227,9 @@ def _check_n(n: int, lo: int, hi: int) -> None:
 def eulerian_st(n: int) -> MPoly:
     """Joint distribution of (des, exc) over S_n, as a polynomial in s, t."""
     _check_n(n, 1, MAX_ENUM_N)
-    return MPoly(("s", "t"), _transfer(n, _des_exc_move))
+    counts = _transfer(n, _des_exc_move(n), _width(n - 1))
+    return MPoly(("s", "t"),
+                 ((divmod(code, n), c) for (_, code), c in counts.items()))
 
 
 def classic_eulerian(n: int, stat: str = "des") -> MPoly:
@@ -163,7 +243,10 @@ def _classic_eulerian(n: int, stat: str) -> MPoly:
     if stat not in ("des", "exc"):
         raise ValueError(f"stat must be 'des' or 'exc', got {stat!r}")
     _check_n(n, 1, MAX_ENUM_N)
-    counts = _transfer(n, _des_move if stat == "des" else _exc_move)
+    if stat == "des":
+        counts = _transfer(n, _des_move, _width(n - 1))
+    else:
+        counts = _transfer(n, _exc_move, _width(n))
     return MPoly(("x",), (((k,), c) for (_, k), c in counts.items()))
 
 
@@ -175,14 +258,16 @@ classic_eulerian.cache_clear = _classic_eulerian.cache_clear
 def derangement_poly(n: int) -> MPoly:
     """Excedance distribution over the derangements of S_n, in x."""
     _check_n(n, 1, MAX_ENUM_N)
-    counts = _transfer(n, _derangements(_exc_move))
+    counts = _transfer(n, _derangement_move, _width(n))
     return MPoly(("x",), (((k,), c) for (_, k), c in counts.items()))
 
 
-def _trivariate_poly(n: int, move) -> MPoly:
+def _trivariate_poly(n: int, derangements: bool) -> MPoly:
+    move = _trivariate_move(n, derangements)
     terms = []
-    for (key, maj), count in _transfer(n, move).items():
-        exc, des = divmod(key, 16)
+    for (des, code), count in _transfer(n, move, _width(n - 1)).items():
+        maj, exc = divmod(code, n)
+        maj += des * (des + 1) // 2
         if maj < exc:
             raise AssertionError(
                 f"major index {maj} below excedance count {exc} "
@@ -199,14 +284,14 @@ def trivariate(n: int) -> MPoly:
     carries the gap between major index and excedance count.
     """
     _check_n(n, 1, MAX_ENUM_N)
-    return _trivariate_poly(n, _trivariate_move)
+    return _trivariate_poly(n, False)
 
 
 @lru_cache(maxsize=None)
 def derangement_lhs(n: int) -> MPoly:
     """Same refinement as :func:`trivariate`, restricted to derangements."""
     _check_n(n, 2, MAX_ENUM_N)
-    return _trivariate_poly(n, _derangements(_trivariate_move))
+    return _trivariate_poly(n, True)
 
 
 def _check_slice(n: int, i: int) -> None:
@@ -224,32 +309,12 @@ def xi(n: int, i: int) -> MPoly:
     consecutive positions, and has exactly i - 1 members.
     """
     _check_slice(n, i)
-
-    def move(pos, tag, v, used):
-        # tag = 16 * last + 2 * descents so far + (previous position was a
-        # descent); key = des(w), q = maj(w).  w = pi^-1 descends at v
-        # when v + 1 is placed before v.
-        seen = tag & 15
-        if tag >> 4 > v:
-            if seen & 1 or not 2 <= pos - 1 <= n - 2 or seen >> 1 == i - 1:
-                return None
-            seen = (seen | 1) + 2
-        else:
-            seen &= 14
-        # once i - 1 descents are in, a further one is dropped whatever the
-        # flag, so clearing it merges states; short of that, drop prefixes
-        # that can no longer get there: the positions left are pos..n-2,
-        # minus pos after a descent, and no two may be consecutive
-        need = i - 1 - (seen >> 1)
-        if not need:
-            seen &= 14
-        elif (n - max(pos + (seen & 1), 2)) // 2 < need:
-            return None
-        w_des = used >> (v + 1) & 1
-        return 16 * v + seen, w_des, v * w_des
-
-    return MPoly(("p", "q"), (((1 + des, maj), c)
-                              for (des, maj), c in _transfer(n, move).items()))
+    counts = _transfer(n, _xi_move(n, i), _width(n - 1))
+    terms = []
+    for (_, code), count in counts.items():
+        maj, des = divmod(code, n)
+        terms.append(((1 + des, maj), count))
+    return MPoly(("p", "q"), terms)
 
 
 @lru_cache(maxsize=None)

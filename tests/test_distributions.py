@@ -62,9 +62,9 @@ def test_classic_eulerian_folds_once_per_spelling(monkeypatch):
     folds = []
     transfer = distributions._transfer
 
-    def spy(n, move):
+    def spy(n, *args):
         folds.append(n)
-        return transfer(n, move)
+        return transfer(n, *args)
 
     classic_eulerian.cache_clear()
     monkeypatch.setattr(distributions, "_transfer", spy)
@@ -78,39 +78,85 @@ def test_classic_eulerian_folds_once_per_spelling(monkeypatch):
 
 
 def test_top_n_digits_do_not_carry():
-    # a tag-free state ends up standing for all n! permutations, so digits
-    # of (n-1)! bits would carry into the next q at the top n
+    # a tag-free state ends up standing for all n! permutations and needs
+    # digits of n! bits; one holding the last value needs (n-1)! bits
     n = MAX_ENUM_N
     assert classic_eulerian(n, "exc") == classic_eulerian(n, "des")
     assert derangement_poly(n).evaluate({"x": 1}) == subfactorial(n)
+    joint = eulerian_st(n)
+    assert joint.evaluate({"s": 1, "t": 1}) == factorial(n)
+    exc_row = joint.subs({"s": 1}).rename({"t": "x"})
+    des_row = joint.subs({"t": 1}).rename({"s": "x"})
+    assert exc_row == classic_eulerian(n, "exc")
+    assert des_row == classic_eulerian(n, "des")
 
 
-def test_transfer_calls_move_once_per_state_and_value():
+def test_top_n_rest_fits_four_bits():
+    # a tag is 16 * last + rest, so every rest must stay below 16 at the
+    # top n.  trivariate's rest is the descent count, up to n - 1: a
+    # descent at the last position after n - 2 of them must still decode
+    n = MAX_ENUM_N
+    move = distributions._trivariate_move(n, False)
+    tag, _ = move(n, n - 2, 1, (1 << n + 1) - 4, True)
+    assert divmod(tag, 16) == (1, n - 1)
+    # xi's rest is 2 * (descents so far) + flag, with at most i - 1
+    # descents and the flag cleared once they are all in.  Its move reads
+    # used and v only for the rise, so walking every rest it can return,
+    # position by position, bounds the rests of the fold at the top i
+    i = n // 2
+    move = distributions._xi_move(n, i)
+    rests, reached = {0}, set()
+    for pos in range(1, n + 1):
+        nxt = set()
+        for rest in rests:
+            for descent in (False, True):
+                moved = move(pos, rest, 1, 0, descent)
+                if moved is not None:
+                    nxt.add(moved[0] - 16)
+        reached |= nxt
+        rests = nxt
+    assert max(reached) == 2 * (i - 1) < 16
+    assert min(reached) >= 0
+
+
+def test_transfer_calls_move_at_most_twice_per_used_set_and_value():
     n = 6
     row = [1, 57, 302, 302, 57, 1]
     calls = []
 
-    def exc(pos, tag, v, used):
-        calls.append(tag)
-        return 0, 0, v > pos
+    def exc(pos, rest, v, used, descent):
+        calls.append(descent)
+        return 0, v > pos
 
     # tag-free: one state per value set of size 0..n-1, one call per
     # value left, so sum C(n, k) (n - k) = n 2^(n-1) calls
-    counts = distributions._transfer(n, exc)
+    counts = distributions._transfer(n, exc, distributions._width(n))
     assert len(calls) == n * 2 ** (n - 1) == 192
+    assert not any(calls)
     assert counts == {(0, k): c for k, c in enumerate(row)}
 
     calls.clear()
 
-    def des(pos, last, v, used):
-        calls.append(last)
-        return v, last > v, 0
+    def des(pos, rest, v, used, descent):
+        calls.append((used, v, descent))
+        return 16 * v, descent
 
-    # last value: n calls from the empty prefix, then one state per value
-    # set of size k >= 1 and last value in it, sum C(n, k) k (n - k)
-    counts = distributions._transfer(n, des)
-    assert len(calls) == n + n * (n - 1) * 2 ** (n - 2) == 486
-    assert counts == {(k, 0): c for k, c in enumerate(row)}
+    # last value: n calls from the empty prefix; then, for each nonempty
+    # value set and value v left, one call for the prefixes ending below v
+    # when min(used) < v and one for those ending above v when max(used) > v
+    counts = distributions._transfer(n, des, distributions._width(n - 1))
+    want = [(0, v, False) for v in range(1, n + 1)]
+    for used in range(2, (1 << n + 1) - 2, 2):
+        values = [v for v in range(1, n + 1) if used >> v & 1]
+        for v in range(1, n + 1):
+            if not used >> v & 1:
+                if min(values) < v:
+                    want.append((used, v, False))
+                if max(values) > v:
+                    want.append((used, v, True))
+    assert sorted(calls) == sorted(want)
+    assert len(calls) == 264
+    assert counts == {(0, k): c for k, c in enumerate(row)}
 
 
 def test_total_masses():

@@ -103,9 +103,20 @@ def test_verify_loads_checks():
     assert "eulerlab.checks" in got["loaded"]
 
 
+def test_verify_loads_only_its_suites_modules():
+    jobs = [["verify", "--check", name, "--max-n", "3"]
+            for name in ("macmahon", "thm01", "fubini", "li-binomial",
+                         "counts")]
+    got = _probe(_JOBS.format(jobs=jobs))
+    assert "eulerlab.symmetry" not in got["loaded"]
+    assert "eulerlab.gfengine" not in got["loaded"]
+    assert "eulerlab.detformula" in got["loaded"]
+
+
 def test_checks_imports_its_suite_modules_eagerly():
     # perfbench's tracer imports eulerlab.checks and eulerlab.series, then
-    # wraps functions of these modules, reached as attributes of the package
+    # wraps functions of these modules, reached as attributes of the package;
+    # checks loads detformula itself, series loads gfengine and symmetry
     got = _probe("import json, sys, eulerlab.checks, eulerlab.series\n"
                  "print(json.dumps({'loaded': sorted(sys.modules)}))")
     for module in ("detformula", "gfengine", "symmetry", "series",
