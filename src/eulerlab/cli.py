@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
-from fractions import Fraction
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .distributions import (FAMILIES, DistributionSpec, build_distribution,
                             classic_eulerian)
 from .mpoly import MPoly
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Each command imports the modules it runs, so building the parser loads
 # only what poly and export need.  verify's choices are therefore spelled
@@ -28,6 +30,7 @@ _SUITES = ("macmahon", "thm01", "thm20", "eq1", "gf", "thT1", "fubini",
 
 
 def _rational(text: str) -> Fraction:
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -62,6 +65,7 @@ def _cmd_table(args) -> int:
             "eulerian": [str(int(c)) for c in eul.to_dense("x")],
         })
     if args.format == "json":
+        import json
         print(json.dumps(rows, separators=(",", ":")))
     elif args.format == "csv":
         import csv
@@ -221,6 +225,7 @@ _SCAN_FIELDS = ["n", "p", "q", "gamma_a", "gamma_b", "gamma_a_nonneg",
 def _cmd_scan(args) -> int:
     rows = list(_scan_rows(args))
     if args.format == "json":
+        import json
         print(json.dumps(rows, separators=(",", ":")))
     else:
         import csv
@@ -330,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="shape scan of the specialized "
                                     "three-variable refinement")
     p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--p", type=_rational, default=Fraction(2))
-    p.add_argument("--q", type=_rational, default=Fraction(1))
+    p.add_argument("--p", type=_rational, default="2")
+    p.add_argument("--q", type=_rational, default="1")
     p.add_argument("--force", action="store_true",
                    help="allow p, q outside the hypothesis zone")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

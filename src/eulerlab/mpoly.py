@@ -1,10 +1,13 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a mapping from exponent vectors to nonzero ``Fraction``
-coefficients, together with a tuple of variable names.  Exponent vectors
-are tuples of nonnegative ints, one entry per variable.  Zero terms are
-never stored, so two polynomials are equal exactly when their variable
-tuples and term dictionaries are equal.
+A polynomial is a mapping from exponent vectors to nonzero coefficients,
+together with a tuple of variable names.  A coefficient is an ``int`` or
+a ``fractions.Fraction``: the constructors, the scalar product and
+:meth:`MPoly.subs` keep an integral value as an ``int``, so the
+permutation counts this package builds never load ``fractions``.
+Exponent vectors are tuples of nonnegative ints, one entry per variable.
+Zero terms are never stored, so two polynomials are equal exactly when
+their variable tuples and term dictionaries are equal.
 
 Variable tuples are kept in one global order (``VAR_ORDER``) so that
 polynomials built independently in different modules can be compared and
@@ -13,16 +16,20 @@ to carry the same variable tuple; use :meth:`MPoly.with_vars` to embed a
 polynomial into a larger variable set first.  This is deliberate: silent
 alignment hides bugs where a coefficient ring was mixed up.
 
-All arithmetic is exact.  There are no floats anywhere in this package.
+All arithmetic is exact.  There are no floats anywhere in this package:
+a float or complex coefficient or value is refused with ValueError.
+``fractions`` and ``json`` are imported on first need.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+import sys
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 #: Every variable this package uses, in display and serialization order.
 VAR_ORDER = ("s", "t", "u", "p", "q", "x", "r")
@@ -60,7 +67,7 @@ class MPoly:
         if order != vars:
             perm = tuple(vars.index(v) for v in order)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         width = len(vars)
         for exp, coeff in items:
             exp = tuple(exp)
@@ -72,7 +79,9 @@ class MPoly:
                     raise ValueError(f"bad exponent entry in {exp}")
             if perm is not None:
                 exp = tuple(exp[i] for i in perm)
-            c = clean.get(exp, _ZERO) + Fraction(coeff)
+            c = _coefficient(coeff)
+            if exp in clean:
+                c = _coefficient(clean[exp] + c)
             if c:
                 clean[exp] = c
             elif exp in clean:
@@ -93,7 +102,7 @@ class MPoly:
     @classmethod
     def const(cls, vars: Iterable[str], value: Scalar) -> "MPoly":
         vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): Fraction(value)})
+        return cls(vars, {(0,) * len(vars): value})
 
     @classmethod
     def variable(cls, name: str, vars: Iterable[str] | None = None) -> "MPoly":
@@ -101,7 +110,7 @@ class MPoly:
         if name not in vars:
             raise ValueError(f"{name!r} not among {vars!r}")
         exp = tuple(1 if v == name else 0 for v in canonical_vars(vars))
-        return cls(canonical_vars(vars), {exp: Fraction(1)})
+        return cls(canonical_vars(vars), {exp: 1})
 
     # ------------------------------------------------------------------
     # predicates and coercion
@@ -115,12 +124,12 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
-    def constant(self) -> Fraction:
+    def constant(self) -> Scalar:
         """The value of a polynomial with no effective variables."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
         zero_exp = (0,) * len(self.vars)
-        return self.terms.get(zero_exp, _ZERO)
+        return self.terms.get(zero_exp, 0)
 
     def _coerce(self, other) -> "MPoly | None":
         if isinstance(other, MPoly):
@@ -128,7 +137,7 @@ class MPoly:
                 raise ValueError(
                     f"variable mismatch: {self.vars} vs {other.vars}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return MPoly.const(self.vars, other)
         return None
 
@@ -141,7 +150,7 @@ class MPoly:
             return NotImplemented
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            v = out.get(exp, _ZERO) + c
+            v = out.get(exp, 0) + c
             if v:
                 out[exp] = v
             elif exp in out:
@@ -166,19 +175,19 @@ class MPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if _is_scalar(other):
+            c = _coefficient(other)
             if not c:
                 return MPoly.zero(self.vars)
             return _raw(self.vars, {e: k * c for e, k in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(exp, _ZERO) + c1 * c2
+                v = out.get(exp, 0) + c1 * c2
                 if v:
                     out[exp] = v
                 elif exp in out:
@@ -202,7 +211,7 @@ class MPoly:
     def __eq__(self, other):
         if isinstance(other, MPoly):
             return self.vars == other.vars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self.is_constant() and self.constant() == other
         return NotImplemented
 
@@ -229,7 +238,7 @@ class MPoly:
         """Coefficient of ``var**k`` as a polynomial in the other variables."""
         i = self._vi(var)
         rest = self.vars[:i] + self.vars[i + 1:]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exp, c in self.terms.items():
             if exp[i] == k:
                 out[exp[:i] + exp[i + 1:]] = c
@@ -241,23 +250,24 @@ class MPoly:
             self._vi(name)
         keep = tuple(v for v in self.vars if v not in assignments)
         idx = [self.vars.index(v) for v in keep]
-        values = {self.vars.index(v): Fraction(val)
+        values = {self.vars.index(v): _coefficient(val)
                   for v, val in assignments.items()}
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exp, c in self.terms.items():
             for i, val in values.items():
-                c = c * val ** exp[i]
+                if exp[i]:
+                    c = c * val ** exp[i]
             if not c:
                 continue
             nexp = tuple(exp[i] for i in idx)
-            v = out.get(nexp, _ZERO) + c
+            v = out.get(nexp, 0) + c
             if v:
                 out[nexp] = v
             elif nexp in out:
                 del out[nexp]
         return _raw(keep, out)
 
-    def evaluate(self, assignments: Mapping[str, Scalar]) -> Fraction:
+    def evaluate(self, assignments: Mapping[str, Scalar]) -> Scalar:
         """Evaluate fully; every variable must receive a value."""
         missing = [v for v in self.vars if v not in assignments]
         if missing:
@@ -285,7 +295,7 @@ class MPoly:
             if v not in target and any(e[i] for e in self.terms):
                 raise ValueError(f"cannot drop live variable {v!r}")
         pos = {v: j for j, v in enumerate(target)}
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exp, c in self.terms.items():
             nexp = [0] * len(target)
             for i, v in enumerate(self.vars):
@@ -294,7 +304,7 @@ class MPoly:
             out[tuple(nexp)] = c
         return _raw(target, out)
 
-    def to_dense(self, var: str) -> list[Fraction]:
+    def to_dense(self, var: str) -> list[Scalar]:
         """Coefficient list in ``var`` for an effectively univariate polynomial."""
         i = self._vi(var)
         for exp in self.terms:
@@ -303,7 +313,7 @@ class MPoly:
                     raise ValueError(
                         f"polynomial is not univariate in {var!r}: {self}")
         n = max((exp[i] for exp in self.terms), default=0)
-        dense = [_ZERO] * (n + 1)
+        dense = [0] * (n + 1)
         for exp, c in self.terms.items():
             dense[exp[i]] = c
         return dense
@@ -311,7 +321,7 @@ class MPoly:
     # ------------------------------------------------------------------
     # serialization
 
-    def terms_sorted(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def terms_sorted(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.terms.items())
 
     def to_json_dict(self) -> dict:
@@ -327,6 +337,7 @@ class MPoly:
 
     def dumps(self) -> str:
         """Canonical JSON text: fixed key order, sorted terms, no whitespace."""
+        import json
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
@@ -343,13 +354,18 @@ class MPoly:
                 num, den = _decimal(item["n"]), _decimal(item["d"])
                 if den <= 0:
                     raise ValueError(f"denominator {den} is not positive")
-                terms[exp] = Fraction(num, den)
+                if den == 1:
+                    terms[exp] = num
+                else:
+                    from fractions import Fraction
+                    terms[exp] = Fraction(num, den)
             return cls(vars, terms)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
 
     @classmethod
     def loads(cls, text: str) -> "MPoly":
+        import json
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -399,7 +415,44 @@ class MPoly:
     __str__ = text
 
 
-_ZERO = Fraction(0)
+def _is_scalar(value) -> bool:
+    """Whether ``value`` is an ``int`` or a ``Fraction``.
+
+    No Fraction exists before ``fractions`` is imported, so the check
+    reads the loaded module and never imports it.
+    """
+    if isinstance(value, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
+def _coefficient(value) -> Scalar:
+    """``value`` as a coefficient: an ``int`` as it is, anything else as
+    an exact ``Fraction``, collapsed to an ``int`` when its denominator
+    is 1.  An inexact number (a float or complex) raises ValueError."""
+    if type(value) is int:
+        return value
+    fractions = sys.modules.get("fractions")
+    if fractions is None or not isinstance(value, fractions.Fraction):
+        from fractions import Fraction
+        from numbers import Complex, Rational
+        if isinstance(value, Complex) and not isinstance(value, Rational):
+            raise ValueError(
+                f"inexact value {value!r}: give an int, a Fraction or 'a/b'")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly: an ``int`` when b divides a, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+        from fractions import Fraction
+        return Fraction(a, b)
+    return a / b
 
 
 def _decimal(text) -> int:
@@ -447,18 +500,18 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
     g_lead = max(g.terms)
     g_lc = g.terms[g_lead]
     rem = dict(f.terms)
-    quo: dict[tuple[int, ...], Fraction] = {}
+    quo: dict[tuple[int, ...], Scalar] = {}
     while rem:
         r_lead = max(rem)
         diff = tuple(a - b for a, b in zip(r_lead, g_lead))
         if any(d < 0 for d in diff):
             raise DivisibilityError(
                 f"not divisible: leading term {r_lead} vs divisor {g_lead}")
-        c = rem[r_lead] / g_lc
-        quo[diff] = quo.get(diff, _ZERO) + c
+        c = _quotient(rem[r_lead], g_lc)
+        quo[diff] = quo.get(diff, 0) + c
         for exp, gc in g.terms.items():
             key = tuple(a + b for a, b in zip(diff, exp))
-            v = rem.get(key, _ZERO) - c * gc
+            v = rem.get(key, 0) - c * gc
             if v:
                 rem[key] = v
             elif key in rem:

@@ -12,7 +12,6 @@ shifted argument and must hold at 0 too.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -37,6 +36,7 @@ def binom_poly(j: int, shift: int = 0) -> MPoly:
     prod = MPoly.const(("r",), 1)
     for m in range(j):
         prod = prod * (r + (shift - m))
+    from fractions import Fraction
     return prod * Fraction(1, factorial(j))
 
 

@@ -34,7 +34,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from .distributions import eulerian_st, trivariate
-from .mpoly import DivisibilityError, MPoly
+from .mpoly import DivisibilityError, MPoly, _coefficient
 from .perms import MAX_ENUM_N
 
 
@@ -329,8 +329,8 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     vectors of both parts together with shape flags of the recombined
     coefficient list.  The hypothesis zone is p > 1, q >= 1; points
     outside it need ``force=True``.  n takes the range of
-    :func:`trivariate`.  Reports never raise on a shape violation; they
-    record it.
+    :func:`trivariate`.  p and q are exact: a float or complex raises
+    ValueError.  Reports never raise on a shape violation; they record it.
 
     The work is exact on int coefficient lists.  The terms of
     ``trivariate(n)`` are read once per n into an integer table
@@ -342,7 +342,7 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     divided by M.  Once the tables are built, a point over n = 1..9
     takes about 0.55 ms (2-core x86, Python 3.11).
     """
-    p, q = Fraction(p), Fraction(q)
+    p, q = Fraction(_coefficient(p)), Fraction(_coefficient(q))
     a, b, c, e = p.numerator, p.denominator, q.numerator, q.denominator
     in_hyp = a > b and c >= e  # p > 1 and q >= 1, as b, e > 0
     if not in_hyp and not force:

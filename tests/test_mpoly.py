@@ -37,6 +37,37 @@ def test_basic_arithmetic():
     assert -(s - t) == t - s
     assert 2 * s == s + s
     assert s * F(1, 2) * 2 == s
+    results = [(1 + s * t) + (s - t), (1 - t) * (1 + t + t ** 2),
+               (s + t) ** 2, -(s - t), 2 * s, s * F(1, 2), s * F(4, 2),
+               3 - s, MPoly.const(("s", "t"), F(6, 3))]
+    for f in results:
+        assert all(type(c) in (int, F) for c in f.terms.values()), f
+    # integral values are kept as ints, whatever type they came in
+    assert type((s * F(4, 2)).terms[(1, 0)]) is int
+    assert type(MPoly.const(("s",), F(6, 3)).constant()) is int
+
+
+def test_constructor_refuses_inexact_coefficients():
+    # no floats: 0.1 would be stored as 3602879701896397/36028797018963968
+    for value in (0.1, 1j):
+        with pytest.raises(ValueError, match="inexact"):
+            MPoly(("x",), {(1,): value})
+    # exact non-int inputs still read as Fractions
+    (x,) = variables(("x",))
+    assert MPoly(("x",), {(1,): "3/2"}) == x * F(3, 2)
+
+
+def test_const_refuses_inexact_values():
+    with pytest.raises(ValueError, match="inexact"):
+        MPoly.const(("x",), 0.1)
+
+
+def test_subs_refuses_inexact_values():
+    (x,) = variables(("x",))
+    with pytest.raises(ValueError, match="inexact"):
+        (x + 1).subs({"x": 0.1})
+    with pytest.raises(TypeError):
+        x * 0.25
 
 
 def test_pow_validation():
@@ -113,6 +144,13 @@ def test_exact_divide():
     with pytest.raises(ZeroDivisionError):
         exact_divide(s, MPoly.zero(("s", "t")))
     assert exact_divide(MPoly.zero(("s", "t")), 1 - t).is_zero()
+    # int by int coefficients: a Fraction where the division is not whole,
+    # never a float
+    q = exact_divide(3 * s, 2 * s)
+    assert q == F(3, 2)
+    assert all(type(c) in (int, F) for c in q.terms.values())
+    q = exact_divide(6 * s * t - 3 * t, 2 * s - 1)
+    assert q == 3 * t and type(q.terms[(0, 1)]) is int
 
 
 def test_json_round_trip_and_canonical_bytes():
@@ -140,6 +178,10 @@ def test_json_zero_and_fractions():
     blob = json.loads(f.dumps())
     assert blob["terms"][0] == {"e": [1], "n": "-3", "d": "2"}
     assert MPoly.loads(f.dumps()) == f
+    g = MPoly.loads('{"vars":["t"],"terms":[{"e":[2],"n":"5","d":"2"}]}')
+    assert g == MPoly(("t",), {(2,): F(5, 2)})
+    assert json.loads(g.dumps())["terms"][0] == {"e": [2], "n": "5", "d": "2"}
+    assert type(MPoly.loads(MPoly.const(("t",), 7).dumps()).constant()) is int
 
 
 def test_json_malformed():

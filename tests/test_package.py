@@ -66,23 +66,44 @@ def _probe(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+#: standard modules that only rationals or JSON output need
+LAZY = ("fractions", "decimal", "json")
+
+# The probe reads sys.modules before it imports json to print its report.
 _JOBS = """
-import contextlib, io, json, sys
-preloaded = "dataclasses" in sys.modules
+import contextlib, io, sys
+preloaded = set(sys.modules)
 from eulerlab import cli
 cli.build_parser()
 for argv in {jobs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+loaded = set(sys.modules) - preloaded
+import json
 print(json.dumps({{
-    "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "eulerlab"),
-    "dataclasses": not preloaded and "dataclasses" in sys.modules}}))
+    "loaded": sorted(m for m in loaded if m.split(".")[0] == "eulerlab"),
+    "lazy": [m for m in {lazy!r} if m in loaded],
+    "dataclasses": "dataclasses" in loaded}}))
 """
 
 
+def _jobs(jobs: list) -> dict:
+    return _probe(_JOBS.format(jobs=jobs, lazy=LAZY))
+
+
 def test_parser_loads_only_the_startup_modules():
-    got = _probe(_JOBS.format(jobs=[]))
+    got = _jobs([])
     assert got["loaded"] == STARTUP
+    assert got["lazy"] == []
+
+
+def test_poly_text_and_latex_load_no_rationals_or_json():
+    jobs = [["poly", "--family", family, "--n", "5", "--format", fmt]
+            for family in ("des_exc", "trivariate", "derangement_refined")
+            for fmt in ("text", "latex")]
+    got = _jobs(jobs)
+    assert got["loaded"] == STARTUP
+    assert got["lazy"] == []
 
 
 def test_poly_and_export_load_no_other_module(tmp_path):
@@ -92,14 +113,24 @@ def test_poly_and_export_load_no_other_module(tmp_path):
         args = ["--family", family, "--n", "5", *extra.get(family, [])]
         jobs.append(["poly", *args, "--format", "json"])
         jobs.append(["export", *args, "--out", str(tmp_path / "p.json")])
-    got = _probe(_JOBS.format(jobs=jobs))
+    got = _jobs(jobs)
     assert got["loaded"] == STARTUP
+    assert got["lazy"] == ["json"]
     assert not got["dataclasses"]
 
 
+def test_integer_json_round_trip_loads_no_fractions():
+    got = _probe("import json, sys\n"
+                 "from eulerlab.distributions import trivariate\n"
+                 "from eulerlab.mpoly import MPoly\n"
+                 "f = trivariate(5)\n"
+                 "assert MPoly.loads(f.dumps()) == f\n"
+                 "print(json.dumps({'fractions': 'fractions' in sys.modules}))")
+    assert got == {"fractions": False}
+
+
 def test_verify_loads_checks():
-    got = _probe(_JOBS.format(jobs=[["verify", "--check", "gf",
-                                     "--max-n", "2"]]))
+    got = _jobs([["verify", "--check", "gf", "--max-n", "2"]])
     assert "eulerlab.checks" in got["loaded"]
 
 
@@ -107,10 +138,11 @@ def test_verify_loads_only_its_suites_modules():
     jobs = [["verify", "--check", name, "--max-n", "3"]
             for name in ("macmahon", "thm01", "fubini", "li-binomial",
                          "counts")]
-    got = _probe(_JOBS.format(jobs=jobs))
+    got = _jobs(jobs)
     assert "eulerlab.symmetry" not in got["loaded"]
     assert "eulerlab.gfengine" not in got["loaded"]
     assert "eulerlab.detformula" in got["loaded"]
+    assert got["lazy"] == []
 
 
 def test_checks_imports_its_suite_modules_eagerly():
@@ -128,7 +160,7 @@ def test_verify_loads_no_dataclasses_or_series_oracle():
     from eulerlab.checks import _RANGES
     jobs = [["verify", "--check", name, "--max-n", str(first)]
             for name, (first, _, _) in _RANGES.items()]
-    got = _probe(_JOBS.format(jobs=jobs))
+    got = _jobs(jobs)
     assert not got["dataclasses"]
     assert "eulerlab.series" not in got["loaded"]
     assert "eulerlab.univariate" not in got["loaded"]

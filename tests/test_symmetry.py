@@ -260,6 +260,13 @@ def test_scan_guards():
         conjecture_scan(14, 2, 1)
 
 
+def test_scan_refuses_inexact_points():
+    # no floats: 1.1 would scan the dyadic 2476979795053773/2251799813685248
+    for p, q in [(1.1, 1), (2, 1.5), (2, 1 + 0j)]:
+        with pytest.raises(ValueError, match="inexact"):
+            conjecture_scan(3, p, q)
+
+
 def _sparse_scan(n, p, q):
     """Gamma vectors, flags and modes of the scan by the MPoly route."""
     f = trivariate(n).subs({"p": p, "q": q})
