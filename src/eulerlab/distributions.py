@@ -10,9 +10,9 @@ refinements and :func:`xi`, and nothing for the excedance counts.  Each
 merged state holds one packed int over the remaining statistics, and
 since a family reads the last value only through the descent test, each
 value is placed once after all the prefixes ending below it and once
-after those ending above it.  So n = 13 takes about a second at most
-(``trivariate(13)`` and the largest ``xi`` slices, 0.5-1.2 s on a
-2-core x86 machine) where listing 13! permutations would take hours.
+after those ending above it.  So n = 13 takes under two seconds
+(``trivariate(13)``, and one ``xi`` fold for all slices, 1.2-1.6 s on
+a 2-core x86 machine) where listing 13! permutations would take hours.
 Each family only supplies the move that reads its statistics off one
 placed value.
 Builders are cached, since several verification suites want the same
@@ -192,26 +192,17 @@ def _trivariate_move(n, derangements):
     return move
 
 
-def _xi_move(n, i):
+def _xi_move(n):
     def move(pos, seen, v, used, descent):
         # rest = 2 * descents so far + (previous position was a descent);
         # code = n * maj(w) + des(w).  w = pi^-1 descends at v when v + 1
-        # is placed before v.
+        # is placed before v.  The descent count picks the slice.
         if descent:
-            if seen & 1 or not 2 <= pos - 1 <= n - 2 or seen >> 1 == i - 1:
+            if seen & 1 or not 2 <= pos - 1 <= n - 2:
                 return None
             seen = (seen | 1) + 2
         else:
             seen &= 14
-        # once i - 1 descents are in, a further one is dropped whatever the
-        # flag, so clearing it merges states; short of that, drop prefixes
-        # that can no longer get there: the positions left are pos..n-2,
-        # minus pos after a descent, and no two may be consecutive
-        need = i - 1 - (seen >> 1)
-        if not need:
-            seen &= 14
-        elif (n - max(pos + (seen & 1), 2)) // 2 < need:
-            return None
         if used >> (v + 1) & 1:
             return 16 * v + seen, n * v + 1
         return 16 * v + seen, 0
@@ -301,20 +292,28 @@ def _check_slice(n: int, i: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _xi_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
+    """``{i: {(1 + des, maj): count}}`` for every slice i, from one fold."""
+    slices: dict[int, dict[tuple[int, int], int]] = {}
+    counts = _transfer(n, _xi_move(n), _width(n - 1))
+    for (rest, code), count in counts.items():
+        maj, des = divmod(code, n)
+        weights = slices.setdefault((rest >> 1) + 1, {})
+        key = (1 + des, maj)
+        weights[key] = weights.get(key, 0) + count
+    return slices
+
+
 def xi(n: int, i: int) -> MPoly:
     """Weight polynomial of the sparse-descent-set slice of S_n, in p, q.
 
     Sums ``p ** (1 + des(w)) * q ** maj(w)`` over the inverses w of the
     permutations whose descent set lies inside [2, n-2], contains no two
-    consecutive positions, and has exactly i - 1 members.
+    consecutive positions, and has exactly i - 1 members.  One fold per n
+    serves every slice, with no per-slice pruning.
     """
     _check_slice(n, i)
-    counts = _transfer(n, _xi_move(n, i), _width(n - 1))
-    terms = []
-    for (_, code), count in counts.items():
-        maj, des = divmod(code, n)
-        terms.append(((1 + des, maj), count))
-    return MPoly(("p", "q"), terms)
+    return MPoly(("p", "q"), _xi_slices(n).get(i, {}))
 
 
 @lru_cache(maxsize=None)

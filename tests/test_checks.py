@@ -1,7 +1,8 @@
 import pytest
 
-from eulerlab import detformula, gfengine, perms
+from eulerlab import checks, detformula, distributions, gfengine, perms
 from eulerlab.checks import _RANGES, CHECKS, run_checks
+from eulerlab.cli import main
 from eulerlab.distributions import eulerian_st
 
 
@@ -44,14 +45,54 @@ def test_thm01_lines_name_the_reading():
                for line in res.lines)
 
 
+def test_thm01_lines_above_the_transposed_top_name_the_literal_reading():
+    (res,) = run_checks("thm01", max_n=10)
+    assert res.passed, res.witness
+    assert res.lines[-2:] == tuple(
+        f"thm01 n={n}: PASS (literal slice filter; transposed filter not "
+        f"run above n=8)" for n in (9, 10))
+    assert all(line.endswith("(literal and transposed slice filters agree)")
+               for line in res.lines[:-2])
+
+
+def test_thm01_transposed_disagreement_fails_its_line(capsys, monkeypatch):
+    # the literal expansion still holds at n = 5; only the transposed
+    # table is skewed, and the line must not read PASS beside it
+    real = distributions._transposed_slices
+
+    def skewed(n):
+        slices = real(n)
+        if n == 5:
+            slices = {i: dict(weights) for i, weights in slices.items()}
+            key = min(slices[2])
+            slices[2][key] += 1
+        return slices
+
+    monkeypatch.setattr(distributions, "_transposed_slices", skewed)
+    (res,) = run_checks("thm01", max_n=6)
+    assert not res.passed
+    assert [line.split(" (")[0] for line in res.lines] == [
+        "thm01 n=2: PASS", "thm01 n=3: PASS", "thm01 n=4: PASS",
+        "thm01 n=5: FAIL", "thm01 n=6: PASS"]
+    assert res.witness == "n=5: transposed filter differs"
+    code = main(["verify", "--check", "thm01", "--max-n", "6"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "thm01 n=5: FAIL (slice filters DISAGREE)" in out
+    assert out[-3:] == ["thm01: FAIL",
+                        "thm01 witness: n=5: transposed filter differs",
+                        "result: FAIL"]
+
+
 def test_each_top_is_the_cap_of_its_route():
     assert set(_RANGES) == set(CHECKS)
-    for name in ("macmahon", "thm20", "eq1", "gf", "fubini", "li-binomial",
-                 "counts"):
+    for name in ("macmahon", "thm01", "thm20", "eq1", "gf", "fubini",
+                 "li-binomial", "counts"):
         assert _RANGES[name][2] == perms.MAX_ENUM_N, name
-    # the two tops the table sets itself stay inside their routes' caps
-    assert _RANGES["thm01"][2] <= perms._MAX_LIST_N
+    # the top the table sets itself, and thm01's transposed stop, stay
+    # inside their routes' caps
     assert _RANGES["thT1"][2] <= perms.MAX_ENUM_N
+    assert checks._THM01_TRANSPOSED_TOP <= perms._MAX_LIST_N
     for first, default, top in _RANGES.values():
         assert first <= default <= top
     # one above a route's cap, the route refuses on its own
@@ -70,8 +111,9 @@ def _labels(name, first, max_n):
     return [f"{name} n={n}: PASS" for n in range(first, max_n + 1)]
 
 
-# macmahon, thm01 and counts take 2 to 6 s at their tops, so they run at
-# a smaller max_n; thm20 at 13 is in test_cli; gf prints no per-n lines
+# thm01, counts and macmahon take about 4, 2.7 and 0.9 s at their tops,
+# so they run at a smaller max_n; thm20 at 13 is in test_cli; gf prints
+# no per-n lines
 @pytest.mark.parametrize("name, max_n", [
     ("fubini", None), ("li-binomial", None), ("eq1", None), ("thT1", None),
     ("macmahon", 8), ("thm01", 6), ("counts", 6)])

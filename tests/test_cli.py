@@ -197,6 +197,11 @@ def test_verify_refuses_range_it_does_not_check(capsys):
                            "--max-n", "14")
     assert code == 2
     assert "'macmahon'" in err and "up to 13" in err
+    code, out, err = run_cli(capsys, "verify", "--check", "thm01",
+                             "--max-n", "14")
+    assert code == 2
+    assert out == ""
+    assert "'thm01'" in err and "from 2 up to 13" in err
     code, out, err = run_cli(capsys, "verify", "--check", "thT1",
                              "--max-n", "8")
     assert code == 2

@@ -99,12 +99,12 @@ def test_top_n_rest_fits_four_bits():
     move = distributions._trivariate_move(n, False)
     tag, _ = move(n, n - 2, 1, (1 << n + 1) - 4, True)
     assert divmod(tag, 16) == (1, n - 1)
-    # xi's rest is 2 * (descents so far) + flag, with at most i - 1
-    # descents and the flag cleared once they are all in.  Its move reads
-    # used and v only for the rise, so walking every rest it can return,
-    # position by position, bounds the rests of the fold at the top i
-    i = n // 2
-    move = distributions._xi_move(n, i)
+    # xi's rest is 2 * (descents so far) + flag.  The descents lie in
+    # [2, n-2] with no two consecutive, so there are at most n // 2 - 1,
+    # and the flag is set after the last.  The move reads used and v only
+    # for the rise, so walking every rest it can return, position by
+    # position, bounds the rests of the fold
+    move = distributions._xi_move(n)
     rests, reached = {0}, set()
     for pos in range(1, n + 1):
         nxt = set()
@@ -115,7 +115,7 @@ def test_top_n_rest_fits_four_bits():
                     nxt.add(moved[0] - 16)
         reached |= nxt
         rests = nxt
-    assert max(reached) == 2 * (i - 1) < 16
+    assert max(reached) == 2 * (n // 2 - 1) + 1 < 16
     assert min(reached) >= 0
 
 
@@ -267,6 +267,25 @@ def test_xi_transposed_enumerates_once_per_n(monkeypatch):
                 assert xi_transposed(n, i) == xi(n, i)
     finally:
         distributions._transposed_slices.cache_clear()
+    assert calls == list(range(2, 8))
+
+
+def test_xi_folds_once_per_n(monkeypatch):
+    calls = []
+    real = distributions._transfer
+
+    def spy(n, move, width):
+        calls.append(n)
+        return real(n, move, width)
+
+    distributions._xi_slices.cache_clear()
+    monkeypatch.setattr(distributions, "_transfer", spy)
+    try:
+        for n in range(2, 8):
+            for i in range(1, n // 2 + 1):
+                assert xi(n, i) == xi_transposed(n, i)
+    finally:
+        distributions._xi_slices.cache_clear()
     assert calls == list(range(2, 8))
 
 
