@@ -3,18 +3,24 @@
 Every builder runs one left-to-right transfer over S_n (:func:`_transfer`)
 and returns a sparse polynomial with integer coefficients.  The transfer
 is an exact reorganisation of enumerating S_n: it merges the prefixes
-that share their set of used values and their tag, which is what the
-family must remember about a prefix: the last value for the families
-that read descents, with the descent count so far for the three-variable
-refinements and :func:`xi`, and nothing for the excedance counts.  Each
-merged state holds one packed int over the remaining statistics, and
-since a family reads the last value only through the descent test, each
-value is placed once after all the prefixes ending below it and once
-after those ending above it.  So n = 13 takes under two seconds
-(``trivariate(13)``, and one ``xi`` fold for all slices, 1.2-1.6 s on
-a 2-core x86 machine) where listing 13! permutations would take hours.
-Each family only supplies the move that reads its statistics off one
-placed value.
+that leave the same state, which is what the family must remember about
+a prefix.  A state keeps exactly only the remaining values that the
+family's move must still see: from the position on for the families
+that read excedances or fixed points, since a smaller value can be
+neither at any later position; all of them for :func:`xi`, which reads
+whether v + 1 is placed; none for the descent count.  The other
+remaining values are inert, kept only as a count; they rank below every
+exact one.  The state also keeps a tag: the rank of the last value among
+the remaining ones for the families that read descents, with the
+descent count so far for the three-variable refinements and :func:`xi`,
+and nothing for the excedance counts.  Each merged state holds one
+packed int over the remaining statistics, and since a family reads the
+last value only through the descent test, each value is placed once
+after all the prefixes ending below it and once after those ending
+above it.  So n = 13 takes well under a second (``trivariate(13)`` 0.1 s,
+and one ``xi`` fold for all slices about 0.9 s, on a 2-core x86 machine)
+where listing 13! permutations would take hours.  Each family only
+supplies the move that reads its statistics off one placed value.
 Builders are cached, since several verification suites want the same
 polynomials.
 
@@ -45,45 +51,62 @@ from .mpoly import MPoly
 from .perms import MAX_ENUM_N, enumerate_perms, stable_subsets, stats
 
 
-def _transfer(n: int, move, width: int) -> dict[tuple[int, int], int]:
+def _transfer(n: int, move, tagged: bool,
+              exact_from) -> dict[tuple[int, int], int]:
     """Fold a statistic over S_n, placing one value per position.
 
-    A prefix (pi(1), ..., pi(pos - 1)) is summarised by its state: the bit
-    set ``used`` of its values (bit v for value v) and a ``tag`` =
-    16 * last + rest, where ``last`` is the last value placed (0 when the
-    family reads nothing off it) and ``rest`` < 16 is whatever else the
-    family must remember to place the next value.  Prefixes with the same
-    state have the same continuations, so a state holds one packed int:
-    digit j, ``width`` bits wide, counts its prefixes whose other tracked
-    statistics encode to j, and raising that code by d is a left shift by
-    d digits.  A layer maps ``used`` to ``{tag: packed}``; a used set
-    enters it only when some move reaches it.
+    Before position pos the prefix (pi(1), ..., pi(pos - 1)) leaves a set
+    of values still to place.  The values from ``exact_from(pos)`` up are
+    the ones the family's move must see exactly; the smaller ones are
+    inert, seen only as a count.  A prefix is summarised by its state:
+    the bit set ``free`` of its exact remaining values (bit v for value
+    v) and a ``tag`` = 16 * t + rest, where t is the rank of the last
+    placed value among the remaining ones (how many of them lie below it;
+    0 when the family is not ``tagged``) and ``rest`` < 16 is whatever
+    else the family must remember.  Placing the remaining value of rank
+    rho puts a descent at pos - 1 exactly when t > rho, and leaves the new
+    last value at rank rho.  An inert value lies below every exact one,
+    and ``exact_from`` never falls, so the inert values hold the lowest
+    ranks and a value that turns inert keeps its rank.  Hence prefixes
+    with the same state have the same continuations, whichever inert
+    values they left, and merge: for the positional families every value
+    below pos is inert, since it can be neither an excedance (v > j) nor
+    a fixed point (v = j) at a later position j >= pos.
 
-    Every family reads the last value only through the descent test
-    ``last > v``.  So for each used set the kernel groups the tags by rest,
-    adds their ints in ascending order of last, and places each free value
-    v at most twice per rest: once after the prefixes whose last value is
-    below v (no descent) and once after those above it (a descent).
-    ``move(pos, rest, v, used, descent)`` returns ``(new_tag, rise)``: the
-    prefixes move to the state (used | 1 << v, new_tag) and their code
-    rises by ``rise``; or None to drop them.
+    A state holds one packed int: digit j, ``width`` bits wide, counts
+    its prefixes whose other tracked statistics encode to j, and raising
+    that code by d is a left shift by d digits.  A layer maps ``free`` to
+    ``{tag: packed}``; a set enters it only when some move reaches it.
+    For each free set the kernel groups the tags by rest, adds their ints
+    in ascending order of t, and places each remaining value at most twice
+    per rest: once after the prefixes with t <= rho (no descent) and once
+    after those with t > rho (a descent).  ``move(pos, rest, v, free,
+    descent)``, with v the exact value or 0 for an inert one, returns
+    ``(new_rest, rise)``: the prefixes move to the state with v out of
+    ``free`` and tag 16 * rho + new_rest, and their code rises by
+    ``rise``; or None to drop them.
 
-    A state that holds the last value stands for at most (n-1)! prefixes,
-    and so does each sum below or above v, which runs over prefixes with
-    one used set of at most n - 1 values; so ``width`` =
-    ``(n-1)!.bit_length()`` keeps digits from carrying.  A tag-free state
-    after pos values stands for all pos! orderings of them, so those folds
-    need ``n!.bit_length()``.  Returns ``{(rest, code): count}`` over S_n.
+    A state after pos values, like each sum below or above rho, covers
+    at most n! / (n - pos)! <= n! prefixes, so ``width`` =
+    ``n!.bit_length()`` keeps digits from carrying.  Returns
+    ``{(rest, code): count}`` over S_n.
     """
+    width = factorial(n).bit_length()
     values = range(1, n + 1)
-    layer = {0: {0: 1}}
+    layer = {(1 << n + 1) - 2 & -(1 << exact_from(1)): {0: 1}}
     for pos in range(1, n + 1):
+        keep = -(1 << exact_from(pos + 1))  # the bits still exact after
+        left = n - pos + 1
         nxt: dict = {}
         while layer:
-            used, tags = layer.popitem()
-            # outs[v]: the state dict of used | 1 << v, fetched or made
-            # by the first move into it, so every state dict is nonempty
-            outs = [None] * (n + 1)
+            free, tags = layer.popitem()
+            # the remaining values by rank: the inert ones, then the rest
+            ranked = [v for v in values if free >> v & 1]
+            ranked[:0] = [0] * (left - len(ranked))
+            # outs[rho]: the state dict reached by placing rank rho,
+            # fetched or made by the first move into it, so every state
+            # dict is nonempty
+            outs = [None] * left
             groups: dict = {}
             for tag in sorted(tags):
                 group = groups.get(tag & 15)
@@ -96,41 +119,39 @@ def _transfer(n: int, move, width: int) -> dict[tuple[int, int], int]:
                 for tag in group:
                     total += tags[tag]
                 m = len(group)
-                k = 0  # the first k tags of the group have last < v
+                k = 0  # the first k tags of the group have t <= rho
                 below = 0
-                for v in values:
-                    if used >> v & 1:
-                        continue
-                    while k < m and group[k] >> 4 < v:
+                for rho, v in enumerate(ranked):
+                    while k < m and group[k] >> 4 <= rho:
                         below += tags[group[k]]
                         k += 1
                     # a shift or subtraction by 0 would copy the int
                     if k:
-                        moved = move(pos, rest, v, used, False)
+                        moved = move(pos, rest, v, free, False)
                         if moved is not None:
-                            new_tag, rise = moved
+                            new_rest, rise = moved
                             packed = below << rise * width if rise else below
-                            out = outs[v]
+                            out = outs[rho]
                             if out is None:
-                                out = outs[v] = nxt.setdefault(used | 1 << v,
-                                                               {})
-                            old = out.get(new_tag)
-                            out[new_tag] = (packed if old is None
-                                            else old + packed)
+                                out = outs[rho] = nxt.setdefault(
+                                    free & ~(1 << v) & keep, {})
+                            tag = 16 * rho + new_rest if tagged else new_rest
+                            old = out.get(tag)
+                            out[tag] = packed if old is None else old + packed
                     if k < m:
-                        moved = move(pos, rest, v, used, True)
+                        moved = move(pos, rest, v, free, True)
                         if moved is not None:
-                            new_tag, rise = moved
+                            new_rest, rise = moved
                             packed = total - below if k else total
                             if rise:
                                 packed <<= rise * width
-                            out = outs[v]
+                            out = outs[rho]
                             if out is None:
-                                out = outs[v] = nxt.setdefault(used | 1 << v,
-                                                               {})
-                            old = out.get(new_tag)
-                            out[new_tag] = (packed if old is None
-                                            else old + packed)
+                                out = outs[rho] = nxt.setdefault(
+                                    free & ~(1 << v) & keep, {})
+                            tag = 16 * rho + new_rest  # t > 0: tagged
+                            old = out.get(tag)
+                            out[tag] = packed if old is None else old + packed
         layer = nxt
     counts: dict[tuple[int, int], int] = {}
     zero = "0" * width
@@ -146,40 +167,40 @@ def _transfer(n: int, move, width: int) -> dict[tuple[int, int], int]:
     return counts
 
 
-def _width(m: int) -> int:
-    """Digit width that holds any count up to m!."""
-    return factorial(m).bit_length()
-
-
 # Moves.  A descent sits at position pos - 1 when the last value exceeds
-# v, v is an excedance when v > pos and a fixed point when v == pos.  The
-# excedance count reads nothing off the prefix, so its move keeps the tag
-# 0 and its fold runs over the 2^n value sets alone.  The other moves put
-# v into the tag as the next last value.
+# v, v is an excedance when v > pos and a fixed point when v == pos; an
+# inert value (v = 0) is neither.  The positional families see exactly
+# the values from pos up, des sees none and xi all.  The excedance counts
+# read nothing off the last value, so their folds are not tagged and run
+# over the free sets alone.
 
-def _des_move(pos, rest, v, used, descent):
+def _positional(pos):
+    return pos
+
+
+def _des_move(pos, rest, v, free, descent):
     # code = des
-    return 16 * v, descent
+    return 0, descent
 
 
-def _exc_move(pos, rest, v, used, descent):
+def _exc_move(pos, rest, v, free, descent):
     # code = exc
     return 0, v > pos
 
 
-def _derangement_move(pos, rest, v, used, descent):
+def _derangement_move(pos, rest, v, free, descent):
     return None if v == pos else (0, v > pos)
 
 
 def _des_exc_move(n):
-    def move(pos, rest, v, used, descent):
+    def move(pos, rest, v, free, descent):
         # code = n * des + exc, as exc < n
-        return 16 * v, n * descent + (v > pos)
+        return 0, n * descent + (v > pos)
     return move
 
 
 def _trivariate_move(n, derangements):
-    def move(pos, des, v, used, descent):
+    def move(pos, des, v, free, descent):
         # rest = des; code = n * (maj - des (des + 1) / 2) + exc.  The des
         # descents sit at distinct positions, so maj >= 1 + ... + des, and
         # measuring maj from that floor keeps the codes of a state close
@@ -187,25 +208,26 @@ def _trivariate_move(n, derangements):
         if v == pos and derangements:
             return None
         if descent:
-            return 16 * v + des + 1, n * (pos - 2 - des) + (v > pos)
-        return 16 * v + des, v > pos
+            return des + 1, n * (pos - 2 - des) + (v > pos)
+        return des, v > pos
     return move
 
 
 def _xi_move(n):
-    def move(pos, seen, v, used, descent):
+    def move(pos, seen, v, free, descent):
         # rest = 2 * descents so far + (previous position was a descent);
         # code = n * maj(w) + des(w).  w = pi^-1 descends at v when v + 1
-        # is placed before v.  The descent count picks the slice.
+        # is placed before v, i.e. no longer free: the xi fold keeps every
+        # value exact.  The descent count picks the slice.
         if descent:
             if seen & 1 or not 2 <= pos - 1 <= n - 2:
                 return None
             seen = (seen | 1) + 2
         else:
             seen &= 14
-        if used >> (v + 1) & 1:
-            return 16 * v + seen, n * v + 1
-        return 16 * v + seen, 0
+        if v < n and not free >> v + 1 & 1:
+            return seen, n * v + 1
+        return seen, 0
     return move
 
 
@@ -218,7 +240,7 @@ def _check_n(n: int, lo: int, hi: int) -> None:
 def eulerian_st(n: int) -> MPoly:
     """Joint distribution of (des, exc) over S_n, as a polynomial in s, t."""
     _check_n(n, 1, MAX_ENUM_N)
-    counts = _transfer(n, _des_exc_move(n), _width(n - 1))
+    counts = _transfer(n, _des_exc_move(n), True, _positional)
     return MPoly(("s", "t"),
                  ((divmod(code, n), c) for (_, code), c in counts.items()))
 
@@ -235,9 +257,9 @@ def _classic_eulerian(n: int, stat: str) -> MPoly:
         raise ValueError(f"stat must be 'des' or 'exc', got {stat!r}")
     _check_n(n, 1, MAX_ENUM_N)
     if stat == "des":
-        counts = _transfer(n, _des_move, _width(n - 1))
+        counts = _transfer(n, _des_move, True, lambda pos: n + 1)
     else:
-        counts = _transfer(n, _exc_move, _width(n))
+        counts = _transfer(n, _exc_move, False, _positional)
     return MPoly(("x",), (((k,), c) for (_, k), c in counts.items()))
 
 
@@ -249,14 +271,14 @@ classic_eulerian.cache_clear = _classic_eulerian.cache_clear
 def derangement_poly(n: int) -> MPoly:
     """Excedance distribution over the derangements of S_n, in x."""
     _check_n(n, 1, MAX_ENUM_N)
-    counts = _transfer(n, _derangement_move, _width(n))
+    counts = _transfer(n, _derangement_move, False, _positional)
     return MPoly(("x",), (((k,), c) for (_, k), c in counts.items()))
 
 
 def _trivariate_poly(n: int, derangements: bool) -> MPoly:
     move = _trivariate_move(n, derangements)
     terms = []
-    for (des, code), count in _transfer(n, move, _width(n - 1)).items():
+    for (des, code), count in _transfer(n, move, True, _positional).items():
         maj, exc = divmod(code, n)
         maj += des * (des + 1) // 2
         if maj < exc:
@@ -295,7 +317,7 @@ def _check_slice(n: int, i: int) -> None:
 def _xi_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
     """``{i: {(1 + des, maj): count}}`` for every slice i, from one fold."""
     slices: dict[int, dict[tuple[int, int], int]] = {}
-    counts = _transfer(n, _xi_move(n), _width(n - 1))
+    counts = _transfer(n, _xi_move(n), True, lambda pos: 1)
     for (rest, code), count in counts.items():
         maj, des = divmod(code, n)
         weights = slices.setdefault((rest >> 1) + 1, {})

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -78,85 +79,115 @@ def test_classic_eulerian_folds_once_per_spelling(monkeypatch):
 
 
 def test_top_n_digits_do_not_carry():
-    # a tag-free state ends up standing for all n! permutations and needs
-    # digits of n! bits; one holding the last value needs (n-1)! bits
+    # every fold packs digits of n!.bit_length() bits, since a state
+    # stands for at most n! prefixes.  The des fold sees no value exactly,
+    # so its last layer is one state holding all of S_n, and its largest
+    # digit, an Eulerian number, needs more than (n-1)!.bit_length() bits
     n = MAX_ENUM_N
-    assert classic_eulerian(n, "exc") == classic_eulerian(n, "des")
+    des = classic_eulerian(n, "des")
+    assert max(des.terms.values()) >= 1 << factorial(n - 1).bit_length()
+    assert classic_eulerian(n, "exc") == des
     assert derangement_poly(n).evaluate({"x": 1}) == subfactorial(n)
     joint = eulerian_st(n)
     assert joint.evaluate({"s": 1, "t": 1}) == factorial(n)
     exc_row = joint.subs({"s": 1}).rename({"t": "x"})
     des_row = joint.subs({"t": 1}).rename({"s": "x"})
     assert exc_row == classic_eulerian(n, "exc")
-    assert des_row == classic_eulerian(n, "des")
+    assert des_row == des
 
 
 def test_top_n_rest_fits_four_bits():
-    # a tag is 16 * last + rest, so every rest must stay below 16 at the
+    # a tag is 16 * t + rest, so every rest must stay below 16 at the
     # top n.  trivariate's rest is the descent count, up to n - 1: a
     # descent at the last position after n - 2 of them must still decode
     n = MAX_ENUM_N
     move = distributions._trivariate_move(n, False)
-    tag, _ = move(n, n - 2, 1, (1 << n + 1) - 4, True)
-    assert divmod(tag, 16) == (1, n - 1)
+    rest, _ = move(n, n - 2, 1, 1 << 1, True)
+    assert rest == n - 1 < 16
     # xi's rest is 2 * (descents so far) + flag.  The descents lie in
     # [2, n-2] with no two consecutive, so there are at most n // 2 - 1,
-    # and the flag is set after the last.  The move reads used and v only
-    # for the rise, so walking every rest it can return, position by
-    # position, bounds the rests of the fold
+    # and the flag is set after the last.  The move reads v and the free
+    # set only for the rise, so walking every rest it can return,
+    # position by position, bounds the rests of the fold
     move = distributions._xi_move(n)
     rests, reached = {0}, set()
     for pos in range(1, n + 1):
         nxt = set()
         for rest in rests:
             for descent in (False, True):
-                moved = move(pos, rest, 1, 0, descent)
+                moved = move(pos, rest, 1, 1 << 1, descent)
                 if moved is not None:
-                    nxt.add(moved[0] - 16)
+                    nxt.add(moved[0])
         reached |= nxt
         rests = nxt
     assert max(reached) == 2 * (n // 2 - 1) + 1 < 16
     assert min(reached) >= 0
 
 
-def test_transfer_calls_move_at_most_twice_per_used_set_and_value():
-    n = 6
-    row = [1, 57, 302, 302, 57, 1]
+def _spy(move, calls):
+    """``move``, recording the arguments of each call in ``calls``."""
+    def spy(*args):
+        calls.append(args)
+        return move(*args)
+    return spy
+
+
+def test_transfer_layers_hold_free_sets_not_used_sets(monkeypatch):
+    # the positional families see exactly the remaining values from pos
+    # up.  If j of the pos - 1 placed values lie at pos or above, j values
+    # below pos remain, inert; so the free sets before position pos are
+    # the subsets of {pos..n} missing j <= min(pos - 1, n - pos + 1)
+    # values.  At n = 10 the widest layer has 64 of them, against the
+    # C(10, 5) = 252 used sets of the middle layer
+    n = 10
+    # built before the spies go in, since a builder may not be cached yet
+    refined, eulerian = trivariate(n), classic_eulerian(n, "exc")
     calls = []
+    real = distributions._trivariate_move
+    monkeypatch.setattr(distributions, "_trivariate_move",
+                        lambda *args: _spy(real(*args), calls))
+    assert distributions._trivariate_poly(n, False) == refined
+    layers: dict = {}
+    seen: dict = {}
+    for pos, rest, v, free, descent in calls:
+        layers.setdefault(pos, set()).add(free)
+        key = pos, rest, v, free, descent
+        seen[key] = seen.get(key, 0) + 1
+    for pos in range(1, n + 1):
+        top = range(pos, n + 1)
+        full = sum(1 << v for v in top)
+        want = {full - sum(1 << v for v in gone)
+                for j in range(min(pos - 1, n - pos + 1) + 1)
+                for gone in combinations(top, j)}
+        assert layers[pos] == want, pos
+    sizes = [len(layers[pos]) for pos in range(1, n + 1)]
+    assert sizes == [1, 10, 37, 64, 57, 32, 16, 8, 4, 2]
+    assert max(sizes) < max(comb(n, k) for k in range(n)) == 252
+    # each remaining value is placed at most twice per rest of a free
+    # set; the inert ones all arrive as v = 0
+    for (pos, rest, v, free, descent), count in seen.items():
+        inert = n - pos + 1 - bin(free).count("1")
+        assert count <= (inert if v == 0 else 1)
 
-    def exc(pos, rest, v, used, descent):
-        calls.append(descent)
-        return 0, v > pos
-
-    # tag-free: one state per value set of size 0..n-1, one call per
-    # value left, so sum C(n, k) (n - k) = n 2^(n-1) calls
-    counts = distributions._transfer(n, exc, distributions._width(n))
-    assert len(calls) == n * 2 ** (n - 1) == 192
-    assert not any(calls)
-    assert counts == {(0, k): c for k, c in enumerate(row)}
-
+    # the excedance fold keeps no tag: one state per free set, so each
+    # value is placed once per free set, never after a descent
     calls.clear()
+    monkeypatch.setattr(distributions, "_exc_move",
+                        _spy(distributions._exc_move, calls))
+    assert distributions._classic_eulerian.__wrapped__(n, "exc") == eulerian
+    assert not any(descent for *_, descent in calls)
+    exact = [(pos, v, free) for pos, _, v, free, _ in calls if v]
+    assert len(exact) == len(set(exact))
 
-    def des(pos, rest, v, used, descent):
-        calls.append((used, v, descent))
-        return 16 * v, descent
-
-    # last value: n calls from the empty prefix; then, for each nonempty
-    # value set and value v left, one call for the prefixes ending below v
-    # when min(used) < v and one for those ending above v when max(used) > v
-    counts = distributions._transfer(n, des, distributions._width(n - 1))
-    want = [(0, v, False) for v in range(1, n + 1)]
-    for used in range(2, (1 << n + 1) - 2, 2):
-        values = [v for v in range(1, n + 1) if used >> v & 1]
-        for v in range(1, n + 1):
-            if not used >> v & 1:
-                if min(values) < v:
-                    want.append((used, v, False))
-                if max(values) > v:
-                    want.append((used, v, True))
-    assert sorted(calls) == sorted(want)
-    assert len(calls) == 264
-    assert counts == {(0, k): c for k, c in enumerate(row)}
+    # des sees no value exactly: every layer is the empty free set, and
+    # the fold is the Eulerian recurrence over the rank of the last value,
+    # with at most two calls per rank left to place
+    calls.clear()
+    monkeypatch.setattr(distributions, "_des_move",
+                        _spy(distributions._des_move, calls))
+    assert distributions._classic_eulerian.__wrapped__(n, "des") == eulerian
+    assert {(v, free) for _, _, v, free, _ in calls} == {(0, 0)}
+    assert len(calls) <= 2 * sum(range(1, n + 1))
 
 
 def test_total_masses():
@@ -274,9 +305,9 @@ def test_xi_folds_once_per_n(monkeypatch):
     calls = []
     real = distributions._transfer
 
-    def spy(n, move, width):
+    def spy(n, *args):
         calls.append(n)
-        return real(n, move, width)
+        return real(n, *args)
 
     distributions._xi_slices.cache_clear()
     monkeypatch.setattr(distributions, "_transfer", spy)
