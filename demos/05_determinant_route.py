@@ -15,14 +15,13 @@ Run:  python3 demos/05_determinant_route.py
 
 import time
 
-from eulerlab import (a_part, build_matrix, det_at, det_bareiss, det_cofactor,
-                      det_Mnr, f_at, reconstruct_a)
+from eulerlab import a_part, det_at, det_bareiss, det_Mnr, f_at, reconstruct_a
 from eulerlab.qanalog import int_trim
 
 
 def at(poly, r):
     """A polynomial in (t, r) at integer r, as int coefficients in t."""
-    return int_trim(int(c) for c in poly.subs({"r": r}).to_dense("t"))
+    return tuple(int_trim(int(c) for c in poly.subs({"r": r}).to_dense("t")))
 
 
 print("determinants (rational coefficients in r, all arithmetic exact):")
@@ -36,17 +35,22 @@ for n in range(8):
     print(f"  n={n}, r=0..{n}: {'ok' if same else 'MISMATCH'}")
 
 print()
-print("integer Bareiss vs cofactor expansion of the (t, r) matrix, at r = 2:")
-for n in range(5):
-    m = build_matrix(n)
-    ints = [[at(e, 2) for e in row] for row in m]
+print("the Newton form through r = 0..n, two points further out:")
+for n in range(8):
+    same = all(at(det_Mnr(n), r) == f_at(n, r) for r in (n + 1, n + 2))
+    print(f"  n={n}, r={n + 1},{n + 2}: {'ok' if same else 'MISMATCH'}")
+
+print()
+print("a zero pivot is swapped away, with the sign flip:")
+print(f"  det [[0, 1], [1, 1 + t]] = {det_bareiss([[[], [1]], [[1], [1, 1]]])}")
+
+print()
+print("one Cramer determinant at r = n + 1 by Bareiss, as n grows:")
+for n in (4, 7, 10, 13):
     t0 = time.perf_counter()
-    fast = det_bareiss(ints)
-    t1 = time.perf_counter()
-    slow = at(det_cofactor(m), 2)
-    t2 = time.perf_counter()
-    print(f"  n={n}: equal={fast == slow}  "
-          f"bareiss {1000 * (t1 - t0):.1f}ms, cofactor {1000 * (t2 - t1):.1f}ms")
+    det = det_at(n, n + 1)
+    ms = 1000 * (time.perf_counter() - t0)
+    print(f"  n={n}: {len(det)} coefficients in t, {ms:.1f}ms")
 
 print()
 print("rebuilding a_n from the determinant alone:")

@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 #: defining module -> the names the package exports from it
 _EXPORTS = {
     "checks": ("CHECKS", "CheckResult", "run_checks"),
-    "detformula": ("alpha", "beta", "build_matrix", "det_at", "det_bareiss",
-                   "det_cofactor", "det_Mnr", "f_at", "reconstruct_a",
-                   "recurrence_f"),
+    "detformula": ("det_at", "det_bareiss", "det_Mnr", "f_at",
+                   "reconstruct_a"),
     "distributions": ("DistributionSpec", "FAMILIES", "build_distribution",
                       "classic_eulerian", "derangement_lhs",
                       "derangement_poly", "eulerian_st", "exc_slice",
@@ -33,7 +32,7 @@ _EXPORTS = {
     "perms": ("MAX_ENUM_N", "PermStats", "enumerate_perms", "inverse",
               "is_derangement", "stable_subsets", "stats"),
     "qanalog": ("binom_poly", "fubini_number", "gen_binomial", "stirling2",
-                "subfactorial", "t_analog"),
+                "subfactorial"),
     "series": ("USeries", "a_series_term", "f_series", "foata_term",
                "lhs_coeff", "lhs_coeff_a"),
     "symmetry": ("GammaExpansion", "RecursionReport", "ScanReport",

@@ -70,10 +70,11 @@ def check_thm01(max_n: int) -> CheckResult:
 
     Compares the derangement-restricted (exc, des, maj-exc) polynomial
     against sum_i xi(n, i) * t**i * (1 + t)**(n - 2i).  The slice filter
-    is applied to the permutation itself (weights on its inverse); up to
-    n = ``_THM01_TRANSPOSED_TOP`` the transposed filter is computed
-    independently and compared as well.  The detail lines say which
-    readings ran, and a line reads PASS only when each of them held.
+    is applied to the permutation itself (weights on its inverse) by the
+    xi fold; the transposed filter, applied to the inverse, is computed
+    independently from MacMahon's formula and compared at every n.  A
+    line reads PASS only when the expansion holds and both readings
+    agree.
     """
     lines, failures = [], []
     vars3 = ("t", "p", "q")
@@ -81,27 +82,20 @@ def check_thm01(max_n: int) -> CheckResult:
     for n in range(2, max_n + 1):
         lhs = derangement_lhs(n)
         rhs = MPoly.zero(vars3)
-        transposed = n <= _THM01_TRANSPOSED_TOP
-        transposed_agree = True
+        agree = True
         for i in range(1, n // 2 + 1):
             term = xi(n, i).with_vars(vars3)
-            if transposed and xi_transposed(n, i).with_vars(vars3) != term:
-                transposed_agree = False
+            if xi_transposed(n, i).with_vars(vars3) != term:
+                agree = False
             rhs = rhs + term * t ** i * (1 + t) ** (n - 2 * i)
         ok = lhs == rhs
-        if not transposed:
-            reading = ("literal slice filter; transposed filter not run "
-                       f"above n={_THM01_TRANSPOSED_TOP}")
-        elif transposed_agree:
-            reading = "literal and transposed slice filters agree"
-        else:
-            reading = "slice filters DISAGREE"
-        lines.append(f"thm01 n={n}: "
-                     f"{'PASS' if ok and transposed_agree else 'FAIL'} "
+        reading = ("literal and transposed slice filters agree" if agree
+                   else "slice filters DISAGREE")
+        lines.append(f"thm01 n={n}: {'PASS' if ok and agree else 'FAIL'} "
                      f"({reading})")
         if not ok:
             failures.append(f"n={n}: lhs={lhs.dumps()} rhs={rhs.dumps()}")
-        if not transposed_agree:
+        if not agree:
             failures.append(f"n={n}: transposed filter differs")
     return _result("thm01", lines, failures)
 
@@ -270,9 +264,10 @@ CHECKS = {
 
 #: token -> (first, default, top) max_n: the first checks a case, the
 #: default runs when none is given, the top is the cap of the route that
-#: bounds the suite.  One top is set here: thT1's, whose halves stop at
-#: n = 6 and 7, the split its detail lines and perfbench's verify labels
-#: record.
+#: bounds the suite.  thm01 runs both its readings, the xi fold and
+#: MacMahon's formula, up to the builders' cap.  One top is set here:
+#: thT1's, whose halves stop at n = 6 and 7, the split its detail lines
+#: and perfbench's verify labels record.
 _RANGES = {
     "macmahon": (1, 9, MAX_ENUM_N),
     "thm01": (2, 7, MAX_ENUM_N),
@@ -284,12 +279,6 @@ _RANGES = {
     "li-binomial": (2, 9, MAX_ENUM_N),
     "counts": (1, 7, MAX_ENUM_N),
 }
-
-#: thm01's transposed reading runs up to this n.  xi_transposed enumerates
-#: S_n, one pass per n for every slice: 0.17 s at n = 8 and 0.94 s at
-#: n = 9 in fresh processes on a 2-core x86 machine, about ten times more
-#: per n above that.  The literal reading runs to thm01's top.
-_THM01_TRANSPOSED_TOP = 8
 
 
 def run_checks(names, max_n: int | None = None) -> list[CheckResult]:

@@ -17,10 +17,10 @@ Binomial coefficients here are polynomials in r, so they do not vanish
 for small integer r; in particular C(r - 1, n) at r = 0 is (-1)**n,
 which is exactly what makes the recurrence hold at r = 0.
 
-The working route evaluates at integer r, on ``int`` coefficient lists
-in t: :func:`f_at` runs the recurrence and :func:`det_at` runs
-fraction-free Bareiss elimination over Z[t] (:func:`det_bareiss`) on the
-Cramer matrix.  Both sides have degree at most n in r, so their values
+The recurrence and the determinant are evaluated at integer r, on
+``int`` coefficient lists in t: :func:`f_at` runs the recurrence and
+:func:`det_at` runs fraction-free Bareiss elimination over Z[t]
+(:func:`det_bareiss`) on the Cramer matrix.  Both sides have degree at most n in r, so their values
 at r = 0..n determine them: :func:`det_Mnr` is the Newton form
 sum_k Delta**k det(0) * C(r, k) of those values.
 
@@ -29,10 +29,6 @@ subtracts the boundary term and divides by t, recovering the palindromic
 part a_n(s, t) of the joint polynomial without touching the symmetric
 group.  The division by t must be exact; if it is not, the identity
 chain upstream is broken and a DivisibilityError says so.
-
-The ``MPoly`` versions in (t, r) -- :func:`alpha`, :func:`beta`,
-:func:`recurrence_f`, :func:`build_matrix` and :func:`det_cofactor` --
-are kept as the test oracle for the integer route.
 """
 
 from __future__ import annotations
@@ -43,62 +39,9 @@ from math import comb
 from .mpoly import DivisibilityError, MPoly
 from .perms import MAX_ENUM_N
 from .qanalog import (binom_poly, gen_binomial, int_add, int_div, int_mul,
-                      int_sub, int_trim, t_analog)
+                      int_sub, int_trim)
 
 _VARS = ("t", "r")
-
-
-@lru_cache(maxsize=None)
-def alpha(j: int) -> MPoly:
-    """Recurrence coefficient C(r, j) * (1 + ... + t**j), in t and r."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    return binom_poly(j, 0).with_vars(_VARS) * t_analog(j + 1).with_vars(_VARS)
-
-
-@lru_cache(maxsize=None)
-def beta(j: int) -> MPoly:
-    """Right-hand side (-1)**j * C(r - 1, j) * (1 + ... + t**(j+1))."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    sign = -1 if j % 2 else 1
-    return (binom_poly(j, -1).with_vars(_VARS)
-            * t_analog(j + 2).with_vars(_VARS) * sign)
-
-
-@lru_cache(maxsize=None)
-def recurrence_f(n: int) -> MPoly:
-    """n-th solution of the recurrence, a polynomial in t and r."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return t_analog(2).with_vars(_VARS)
-    acc = beta(n)
-    for j in range(1, n + 1):
-        term = alpha(j) * recurrence_f(n - j)
-        acc = acc - term if j % 2 == 0 else acc + term
-    return acc
-
-
-def build_matrix(n: int) -> list[list[MPoly]]:
-    """The (n+1) x (n+1) Cramer matrix whose determinant is f_n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    zero = MPoly.zero(_VARS)
-    rows = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n):
-            if i < j:
-                row.append(zero)
-            else:
-                entry = alpha(i - j)
-                if (i - j) % 2:
-                    entry = -entry
-                row.append(entry)
-        row.append(beta(i))
-        rows.append(row)
-    return rows
 
 
 def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
@@ -134,25 +77,6 @@ def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
         prev = m[k][k]
     det = m[size - 1][size - 1]
     return det if sign == 1 else [-c for c in det]
-
-
-def det_cofactor(matrix: list[list[MPoly]]) -> MPoly:
-    """Textbook first-row expansion; exponential, for cross-checks only."""
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("matrix is not square")
-    if size == 1:
-        return matrix[0][0]
-    vars = matrix[0][0].vars
-    acc = MPoly.zero(vars)
-    for j in range(size):
-        c = matrix[0][j]
-        if c.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = c * det_cofactor(minor)
-        acc = acc - term if j % 2 else acc + term
-    return acc
 
 
 def _alpha_at(j: int, r: int) -> list[int]:

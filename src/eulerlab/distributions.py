@@ -24,9 +24,11 @@ supplies the move that reads its statistics off one placed value.
 Builders are cached, since several verification suites want the same
 polynomials.
 
-Enumeration (:func:`perms.enumerate_perms` with :func:`perms.stats`) stays
-as the independent route: :func:`xi_transposed` uses it, and the tests
-compare every family against it byte for byte.
+:func:`xi_transposed` reads the xi slices a second way, with no pass over
+S_n: MacMahon's formula for the (des, maj) distribution of words, with
+Moebius inversion over descent sets of the inverse.  Enumeration
+(:func:`perms.enumerate_perms` with :func:`perms.stats`) is the tests'
+route: they compare every family against it byte for byte at small n.
 
 Variable conventions (fixed package-wide):
 
@@ -45,10 +47,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 from .mpoly import MPoly
-from .perms import MAX_ENUM_N, enumerate_perms, stable_subsets, stats
+from .perms import MAX_ENUM_N, stable_subsets
 
 
 def _transfer(n: int, move, tagged: bool,
@@ -339,47 +342,77 @@ def xi(n: int, i: int) -> MPoly:
 
 
 @lru_cache(maxsize=None)
-def _transposed_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
-    """``{i: {(1 + des, maj): count}}`` for every slice i, in one pass over S_n.
+def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
+    """(des, maj) over the words of the given content: entry d holds, as
+    q-coefficients, the maj distribution of the words with d descents.
 
-    Slice i holds the permutations whose inverse has an allowed descent
-    set with i - 1 members; each contributes the statistics of itself.
-    The inverse is written into one position array reused for every
-    permutation, and its descent set is read off as a bitmask (bit v for
-    descent v), so only the permutations that pass are validated by
-    :func:`perms.stats`.
+    MacMahon: this is prod_{j=0..n} (1 - t q^j) * sum_{k>=0} t^k
+    prod_a [a + k choose a]_q.  A word of length n has at most n - 1
+    descents, so everything is cut after t^(n-1).
+    """
+    from .qanalog import int_mul, int_sub, q_binomial
+
+    n = sum(content)
+    rows = []
+    for k in range(n):
+        row = [1]
+        for a in content:
+            row = int_mul(row, q_binomial(a + k, a))
+        rows.append(row)
+    for j in range(n + 1):
+        # times 1 - t q^j, from the top row down so each reads the old one
+        for d in range(n - 1, 0, -1):
+            rows[d] = int_sub(rows[d], [0] * j + rows[d - 1])
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _macmahon_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
+    """``{i: {(1 + des, maj): count}}`` for every slice i, with no S_n pass.
+
+    Slice i holds the permutations pi whose inverse has an allowed
+    descent set S with i - 1 members, weighted by pi's own statistics.
+    The pi with Des(pi^-1) inside T are the standardisations of the words
+    whose content is the composition of n cut at T, and standardising
+    keeps des and maj; so their distribution is :func:`_word_des_maj`,
+    and Moebius inversion over T inside S leaves Des(pi^-1) = S.  The
+    multiplier of each T sums the signs (-1)^|S - T| over the allowed S
+    containing it, so each content is expanded once per slice.
     """
     # the interval [2, n-2] is empty below n = 4, leaving only the empty set
-    subsets = stable_subsets(2, n - 2) if n >= 4 else [()]
-    allowed = {sum(1 << v for v in sub): len(sub) for sub in subsets}
-    where = [0] * (n + 1)  # where[v] = position of v, i.e. pi^-1(v)
+    multipliers: dict[tuple[int, tuple[int, ...]], int] = {}
+    for sub in stable_subsets(2, n - 2) if n >= 4 else [()]:
+        for size in range(len(sub) + 1):
+            for blocks in combinations(sub, size):
+                # the block sizes of n cut after each member of blocks;
+                # the distribution does not depend on their order
+                cuts = (0, *blocks, n)
+                content = sorted(b - a for a, b in zip(cuts, cuts[1:]))
+                key = len(sub) + 1, tuple(content)
+                multipliers[key] = (multipliers.get(key, 0)
+                                    + (-1) ** (len(sub) - size))
     slices: dict[int, dict[tuple[int, int], int]] = {}
-    for perm in enumerate_perms(n):
-        for pos, v in enumerate(perm, 1):
-            where[v] = pos
-        mask = 0
-        for v in range(1, n):
-            if where[v] > where[v + 1]:
-                mask |= 1 << v
-        size = allowed.get(mask)
-        if size is None:
-            continue
-        w = stats(perm)
-        counts = slices.setdefault(size + 1, {})
-        key = (1 + w.des, w.maj)
-        counts[key] = counts.get(key, 0) + 1
-    return slices
+    for (i, content), multiplier in multipliers.items():
+        counts = slices.setdefault(i, {})
+        for des, majs in enumerate(_word_des_maj(content)):
+            for maj, c in enumerate(majs):
+                key = (1 + des, maj)
+                counts[key] = counts.get(key, 0) + multiplier * c
+    return {i: {key: c for key, c in counts.items() if c}
+            for i, counts in slices.items()}
 
 
 def xi_transposed(n: int, i: int) -> MPoly:
     """Variant of :func:`xi` with the filter applied to the inverse instead.
 
-    Equal to :func:`xi` because inversion is a bijection of S_n; kept as
-    an independently computed route so the equality can be checked rather
-    than assumed.  One enumeration of S_n serves every slice of an n.
+    Equal to :func:`xi` because inversion is a bijection of S_n; computed
+    from MacMahon's formula for the (des, maj) distribution of words
+    (:func:`_macmahon_slices`), so the equality is checked rather than
+    assumed, by a route that shares nothing with the xi fold.  One table
+    per n serves every slice.
     """
     _check_slice(n, i)
-    return MPoly(("p", "q"), _transposed_slices(n).get(i, {}))
+    return MPoly(("p", "q"), _macmahon_slices(n).get(i, {}))
 
 
 def exc_slice(n: int, k: int) -> MPoly:

@@ -24,8 +24,9 @@ from typing import Iterator, Sequence
 MAX_ENUM_N = 13
 
 #: Largest n that :func:`enumerate_perms` lists.  Listing S_11 alone takes
-#: about 6.5 s and each further n multiplies the cost by about n, so
-#: enumeration serves only as the reference route at small n.
+#: about 6.5 s and each further n multiplies the cost by about n.  No
+#: library route enumerates; the tests use it as the reference route at
+#: small n.
 _MAX_LIST_N = 10
 
 

@@ -1,5 +1,5 @@
-"""Binomial polynomials, t-analogs, Stirling numbers, counting sequences,
-and arithmetic on integer coefficient lists in t.
+"""Binomial polynomials, Stirling numbers, counting sequences, arithmetic
+on integer coefficient lists in t, and Gaussian binomials in q.
 
 Everything here returns exact integers, integer lists or
 :class:`~eulerlab.mpoly.MPoly` values.  The binomial helpers follow the
@@ -38,13 +38,6 @@ def binom_poly(j: int, shift: int = 0) -> MPoly:
         prod = prod * (r + (shift - m))
     from fractions import Fraction
     return prod * Fraction(1, factorial(j))
-
-
-def t_analog(m: int) -> MPoly:
-    """The polynomial ``1 + t + ... + t**(m-1)``; zero when ``m == 0``."""
-    if m < 0:
-        raise ValueError("t-analog of a negative integer")
-    return MPoly(("t",), {(i,): 1 for i in range(m)})
 
 
 @lru_cache(maxsize=None)
@@ -136,3 +129,12 @@ def int_div(a, b) -> list[int]:
     if any(rem):
         raise DivisibilityError(f"{b} does not divide {a} in Z[t]")
     return int_trim(quot)
+
+
+@lru_cache(maxsize=None)
+def q_binomial(a: int, b: int) -> tuple[int, ...]:
+    """The Gaussian binomial ``[a choose b]_q`` as q-coefficients, 0 <= b <= a."""
+    if b == 0 or b == a:
+        return (1,)
+    return tuple(int_add(q_binomial(a - 1, b - 1),
+                         [0] * b + list(q_binomial(a - 1, b))))

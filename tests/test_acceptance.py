@@ -15,13 +15,12 @@ from math import comb, factorial
 import pytest
 
 from eulerlab.checks import run_checks
-from eulerlab.detformula import det_Mnr, recurrence_f, reconstruct_a
+from eulerlab.detformula import det_Mnr, f_at, reconstruct_a
 from eulerlab.distributions import (classic_eulerian, derangement_lhs,
                                     eulerian_st, exc_slice, trivariate, xi,
                                     xi_transposed)
 from eulerlab.gfengine import f_nkr, f_nkr_closed, verify_foata
 from eulerlab.mpoly import MPoly, exact_divide, variables
-from eulerlab.qanalog import t_analog
 from eulerlab.symmetry import (a_part, conjecture_scan, gamma_expand,
                                gamma_expand_coeffs, is_palindromic,
                                sym_decompose, verify_thm20)
@@ -161,12 +160,12 @@ def test_c07_determinant_formula(acceptance_log):
     with criterion(acceptance_log, "c07 determinant formula", 20):
         half, sixth = F(1, 2), F(1, 6)
         assert det_Mnr(0) == 1 + TR
-        assert det_Mnr(1) == t_analog(3).with_vars(("t", "r")) + TR * R
-        assert det_Mnr(2) == (t_analog(4).with_vars(("t", "r"))
+        assert det_Mnr(1) == 1 + TR + TR ** 2 + TR * R
+        assert det_Mnr(2) == (1 + TR + TR ** 2 + TR ** 3
                               + 3 * half * TR * (1 + TR) * R
                               + half * TR * (1 + TR) * R ** 2)
         assert det_Mnr(3) == (
-            t_analog(5).with_vars(("t", "r"))
+            1 + TR + TR ** 2 + TR ** 3 + TR ** 4
             + (F(11, 6) * (TR + TR ** 3) + F(7, 3) * TR ** 2) * R
             + TR * (1 + TR) ** 2 * R ** 2
             + sixth * (TR + 4 * TR ** 2 + TR ** 3) * R ** 3)
@@ -174,10 +173,14 @@ def test_c07_determinant_formula(acceptance_log):
         assert d4.terms[(1, 1)] == F(25, 12)
         assert d4.terms[(2, 1)] == F(35, 12)
         assert d4.terms[(1, 4)] == F(1, 24)
-        assert d4.subs({"r": 0}) == t_analog(6)
+        assert d4.subs({"r": 0}) == MPoly(("t",),
+                                          {(k,): 1 for k in range(6)})
 
+        # det_Mnr interpolates r = 0..n; the points past n check its degree
         for n in range(0, 7):
-            assert det_Mnr(n) == recurrence_f(n), n
+            for r in range(n + 3):
+                at_r = det_Mnr(n).subs({"r": r}).to_dense("t")
+                assert tuple(at_r) == f_at(n, r), (n, r)
         for n in range(1, 8):
             assert reconstruct_a(n) == a_part(n), n
         assert reconstruct_a(3) == S ** 2 * T + 2 * S * T + T ** 2 + T + 1

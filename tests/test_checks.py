@@ -1,6 +1,6 @@
 import pytest
 
-from eulerlab import checks, detformula, distributions, gfengine, perms
+from eulerlab import detformula, distributions, gfengine, perms
 from eulerlab.checks import _RANGES, CHECKS, run_checks
 from eulerlab.cli import main
 from eulerlab.distributions import eulerian_st
@@ -45,20 +45,18 @@ def test_thm01_lines_name_the_reading():
                for line in res.lines)
 
 
-def test_thm01_lines_above_the_transposed_top_name_the_literal_reading():
-    (res,) = run_checks("thm01", max_n=10)
+def test_thm01_lines_up_to_the_top_name_both_readings():
+    (res,) = run_checks("thm01", max_n=13)
     assert res.passed, res.witness
-    assert res.lines[-2:] == tuple(
-        f"thm01 n={n}: PASS (literal slice filter; transposed filter not "
-        f"run above n=8)" for n in (9, 10))
-    assert all(line.endswith("(literal and transposed slice filters agree)")
-               for line in res.lines[:-2])
+    assert res.lines == tuple(
+        f"thm01 n={n}: PASS (literal and transposed slice filters agree)"
+        for n in range(2, 14))
 
 
 def test_thm01_transposed_disagreement_fails_its_line(capsys, monkeypatch):
     # the literal expansion still holds at n = 5; only the transposed
     # table is skewed, and the line must not read PASS beside it
-    real = distributions._transposed_slices
+    real = distributions._macmahon_slices
 
     def skewed(n):
         slices = real(n)
@@ -68,7 +66,7 @@ def test_thm01_transposed_disagreement_fails_its_line(capsys, monkeypatch):
             slices[2][key] += 1
         return slices
 
-    monkeypatch.setattr(distributions, "_transposed_slices", skewed)
+    monkeypatch.setattr(distributions, "_macmahon_slices", skewed)
     (res,) = run_checks("thm01", max_n=6)
     assert not res.passed
     assert [line.split(" (")[0] for line in res.lines] == [
@@ -89,10 +87,8 @@ def test_each_top_is_the_cap_of_its_route():
     for name in ("macmahon", "thm01", "thm20", "eq1", "gf", "fubini",
                  "li-binomial", "counts"):
         assert _RANGES[name][2] == perms.MAX_ENUM_N, name
-    # the top the table sets itself, and thm01's transposed stop, stay
-    # inside their routes' caps
+    # the top the table sets itself stays inside its route's cap
     assert _RANGES["thT1"][2] <= perms.MAX_ENUM_N
-    assert checks._THM01_TRANSPOSED_TOP <= perms._MAX_LIST_N
     for first, default, top in _RANGES.values():
         assert first <= default <= top
     # one above a route's cap, the route refuses on its own

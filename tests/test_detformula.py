@@ -1,14 +1,15 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from eulerlab import detformula
-from eulerlab.detformula import (alpha, beta, build_matrix, det_at, det_Mnr,
-                                 det_bareiss, det_cofactor, f_at,
-                                 reconstruct_a, recurrence_f)
+from eulerlab.detformula import (det_at, det_Mnr, det_bareiss, f_at,
+                                 reconstruct_a)
 from eulerlab.mpoly import DivisibilityError, MPoly, variables
 from eulerlab.perms import MAX_ENUM_N
-from eulerlab.qanalog import int_div, int_trim, t_analog
+from eulerlab.qanalog import (gen_binomial, int_add, int_div, int_mul,
+                              int_sub, int_trim)
 from eulerlab.series import f_series
 from eulerlab.symmetry import a_part
 
@@ -16,72 +17,64 @@ T, R = variables(("t", "r"))
 
 
 def test_alpha_beta_small():
-    assert alpha(0) == MPoly.const(("t", "r"), 1)
-    assert alpha(1) == R * (1 + T)
-    assert beta(0) == 1 + T
-    assert beta(1) == -(R - 1) * (1 + T + T ** 2)
+    for r in range(6):
+        # alpha_j = C(r, j) (1 + ... + t^j)
+        assert detformula._alpha_at(0, r) == [1]
+        assert detformula._alpha_at(1, r) == [r, r]
+        # beta_j = (-1)^j C(r - 1, j) (1 + ... + t^(j+1))
+        assert detformula._beta_at(0, r) == [1, 1]
+        assert detformula._beta_at(1, r) == [1 - r] * 3
     # the shifted binomial does not vanish at r = 0: C(-1, 2) = 1
-    assert beta(2).subs({"r": 0}) == t_analog(4)
-    with pytest.raises(ValueError):
-        alpha(-1)
-    with pytest.raises(ValueError):
-        beta(-1)
+    assert detformula._beta_at(2, 0) == [1, 1, 1, 1]
 
 
 def test_recurrence_first_values():
-    assert recurrence_f(0) == (1 + T)
-    assert recurrence_f(1) == 1 + T + T ** 2 + T * R
-    half = F(1, 2)
-    expected_f2 = (t_analog(4).with_vars(("t", "r"))
-                   + 3 * half * T * (1 + T) * R
-                   + half * T * (1 + T) * R ** 2)
-    assert recurrence_f(2) == expected_f2
+    for r in range(6):
+        assert f_at(0, r) == (1, 1)
+        assert f_at(1, r) == (1, 1 + r, 1)
+        # f_2 = 1 + t + t^2 + t^3 + (3r + r^2) / 2 * t (1 + t)
+        mid = 1 + (3 * r + r * r) // 2
+        assert f_at(2, r) == (1, mid, mid, 1)
     with pytest.raises(ValueError):
-        recurrence_f(-1)
+        f_at(-1, 0)
 
 
-def _unsigned(n):
-    """The Cramer layout with plain alpha_(i-j) entries, signs dropped."""
-    zero = MPoly.zero(("t", "r"))
-    return [[alpha(i - j) if i >= j else zero for j in range(n)] + [beta(i)]
-            for i in range(n + 1)]
+def _matrix(n, r, signed=True):
+    """The Cramer matrix at integer r, entries int coefficient lists in t;
+    ``signed=False`` drops its alternating signs."""
+    def alpha(j):
+        sign = (-1) ** j if signed else 1
+        return [sign * comb(r, j)] * (j + 1)
+
+    rows = []
+    for i in range(n + 1):
+        row = [alpha(i - j) if i >= j else [] for j in range(n)]
+        rows.append(row + [[(-1) ** i * gen_binomial(r - 1, i)] * (i + 2)])
+    return rows
+
+
+def _cofactor(matrix):
+    """Textbook first-row expansion over Z[t]; exponential, for checks."""
+    if len(matrix) == 1:
+        return int_trim(matrix[0][0])
+    acc = []
+    for j, c in enumerate(matrix[0]):
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        term = int_mul(c, _cofactor(minor))
+        acc = int_sub(acc, term) if j % 2 else int_add(acc, term)
+    return acc
 
 
 def test_matrix_structure():
-    m = build_matrix(3)
+    m = _matrix(3, 5)
     assert len(m) == 4 and all(len(row) == 4 for row in m)
     for i in range(4):
         for j in range(3):
             if i < j:
-                assert m[i][j].is_zero()
-    assert m[3][3] == beta(3)
-    assert m[2][1] == -alpha(1)
-    assert _unsigned(3)[2][1] == alpha(1)
-
-
-def test_determinant_equals_recurrence():
-    for n in range(6):
-        assert det_Mnr(n) == recurrence_f(n), n
-
-
-def test_determinant_display_n2():
-    half = F(1, 2)
-    expected = (t_analog(4).with_vars(("t", "r"))
-                + 3 * half * T * (1 + T) * R
-                + half * T * (1 + T) * R ** 2)
-    assert det_Mnr(2) == expected
-
-
-def test_determinant_at_r0_collapses():
-    for n in range(7):
-        assert det_Mnr(n).subs({"r": 0}) == t_analog(n + 2)
-
-
-def test_unsigned_layout_differs():
-    # dropping the Cramer signs changes the answer already at n = 1
-    wrong = det_cofactor(_unsigned(1))
-    assert wrong == (1 + T + T ** 2) - R * (2 + 3 * T + 2 * T ** 2)
-    assert wrong != recurrence_f(1)
+                assert m[i][j] == []
+    assert m[3][3] == [-comb(4, 3)] * 5      # beta_3 at r = 5
+    assert m[2][1] == [-5, -5]               # -alpha_1 at r = 5
+    assert _matrix(3, 5, signed=False)[2][1] == [5, 5]
 
 
 def _at(poly, r):
@@ -89,14 +82,42 @@ def _at(poly, r):
     return int_trim(int(c) for c in poly.subs({"r": r}).to_dense("t"))
 
 
+def test_determinant_equals_recurrence():
+    # det_Mnr interpolates r = 0..n; the points past n check its r-degree
+    for n in range(7):
+        for r in range(n + 3):
+            assert _at(det_Mnr(n), r) == list(f_at(n, r)), (n, r)
+
+
+def test_determinant_display_n2():
+    half = F(1, 2)
+    expected = (1 + T + T ** 2 + T ** 3
+                + 3 * half * T * (1 + T) * R
+                + half * T * (1 + T) * R ** 2)
+    assert det_Mnr(2) == expected
+
+
+def test_determinant_at_r0_collapses():
+    for n in range(7):
+        assert det_Mnr(n).subs({"r": 0}) == MPoly(
+            ("t",), {(k,): 1 for k in range(n + 2)})
+
+
+def test_unsigned_layout_differs():
+    # dropping the Cramer signs changes the answer already at n = 1
+    for r in range(1, 4):
+        wrong = _cofactor(_matrix(1, r, signed=False))
+        assert wrong == [1 - 2 * r, 1 - 3 * r, 1 - 2 * r]
+        assert wrong != list(f_at(1, r))
+
+
 def test_bareiss_matches_cofactor():
     for n in range(5):
-        m = build_matrix(n)
-        want = det_cofactor(m)
         for r in range(n + 1):
-            ints = [[_at(e, r) for e in row] for row in m]
-            assert det_bareiss(ints) == _at(want, r), (n, r)
-            assert list(det_at(n, r)) == _at(want, r), (n, r)
+            m = _matrix(n, r)
+            want = _cofactor(m)
+            assert det_bareiss(m) == want, (n, r)
+            assert list(det_at(n, r)) == want, (n, r)
 
 
 def test_bareiss_edge_cases():
@@ -130,7 +151,6 @@ def test_recurrence_matches_series():
         fs = f_series(r, order)
         for n in range(order + 1):
             want = [int(c) for c in fs.coeff(n).as_upoly().coeffs]
-            assert _at(recurrence_f(n), r) == want, (n, r)
             assert list(f_at(n, r)) == want, (n, r)
 
 

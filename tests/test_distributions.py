@@ -251,13 +251,18 @@ def test_xi_guards():
         xi(5, 0)
     with pytest.raises(ValueError):
         xi(MAX_ENUM_N + 1, 1)
-    # xi(11, 1) builds by transfer; the enumerating route stops at n = 10
-    with pytest.raises(ValueError, match="between 1 and 10"):
-        xi_transposed(11, 1)
+    # both routes share the builders' cap
+    with pytest.raises(ValueError, match=f"between 2 and {MAX_ENUM_N}"):
+        xi_transposed(MAX_ENUM_N + 1, 1)
+    with pytest.raises(ValueError):
+        xi_transposed(4, 3)
 
 
 def test_xi_transposed_agrees():
-    for n in range(2, 9):
+    # MacMahon's formula against the xi fold, slice by slice, up to the cap
+    for n in range(2, MAX_ENUM_N + 1):
+        assert distributions._macmahon_slices(n) == \
+            distributions._xi_slices(n), n
         for i in range(1, n // 2 + 1):
             assert xi(n, i) == xi_transposed(n, i)
 
@@ -278,27 +283,23 @@ def _reference_transposed_slices(n):
 
 
 def test_transposed_mask_matches_reference_filter():
-    for n in range(2, 8):
-        assert (distributions._transposed_slices(n)
+    # MacMahon's formula against enumeration, slice by slice
+    for n in range(2, 9):
+        assert (distributions._macmahon_slices(n)
                 == _reference_transposed_slices(n)), n
 
 
-def test_xi_transposed_enumerates_once_per_n(monkeypatch):
-    calls = []
-
-    def spy(n):
-        calls.append(n)
-        return enumerate_perms(n)
-
-    distributions._transposed_slices.cache_clear()
-    monkeypatch.setattr(distributions, "enumerate_perms", spy)
+def test_xi_transposed_builds_once_per_n():
+    # one table per n serves every slice: 12 slices at n = 2..7
+    distributions._macmahon_slices.cache_clear()
     try:
         for n in range(2, 8):
             for i in range(1, n // 2 + 1):
                 assert xi_transposed(n, i) == xi(n, i)
+        info = distributions._macmahon_slices.cache_info()
     finally:
-        distributions._transposed_slices.cache_clear()
-    assert calls == list(range(2, 8))
+        distributions._macmahon_slices.cache_clear()
+    assert (info.misses, info.hits) == (6, 6)
 
 
 def test_xi_folds_once_per_n(monkeypatch):

@@ -1,14 +1,14 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from eulerlab.mpoly import MPoly
 from eulerlab.qanalog import (binom_poly, fubini_number, gen_binomial,
-                              stirling2, subfactorial, t_analog)
+                              q_binomial, stirling2, subfactorial)
 
 
 def test_gen_binomial_extends_comb():
-    from math import comb
     for a in range(8):
         for j in range(8):
             assert gen_binomial(a, j) == comb(a, j)
@@ -40,13 +40,18 @@ def test_binom_poly_shapes():
     assert shifted.evaluate({"r": 0}) == -1
 
 
-def test_t_analog():
-    t = MPoly.variable("t")
-    assert t_analog(0).is_zero()
-    assert t_analog(1) == 1
-    assert t_analog(4) == 1 + t + t ** 2 + t ** 3
-    with pytest.raises(ValueError):
-        t_analog(-1)
+def test_q_binomial():
+    assert q_binomial(0, 0) == (1,)
+    assert q_binomial(4, 0) == q_binomial(4, 4) == (1,)
+    assert q_binomial(3, 1) == (1, 1, 1)
+    assert q_binomial(4, 2) == (1, 1, 2, 1, 1)
+    for a in range(9):
+        for b in range(a + 1):
+            cs = q_binomial(a, b)
+            # at q = 1 the binomial, of degree b (a - b), palindromic
+            assert sum(cs) == comb(a, b)
+            assert len(cs) == b * (a - b) + 1
+            assert cs == cs[::-1]
 
 
 def test_stirling2_table():
