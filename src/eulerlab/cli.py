@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 from .distributions import (FAMILIES, DistributionSpec, build_distribution,
                             classic_eulerian)
 from .mpoly import MPoly
+from .perms import check_n
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -52,17 +53,16 @@ def _render(poly: MPoly, fmt: str) -> str:
 def _cmd_table(args) -> int:
     from .qanalog import fubini_number, subfactorial
 
-    # the top n first, so an n out of range is refused before any build
-    top = classic_eulerian(args.max_n)
-    eulerian = [classic_eulerian(n) for n in range(1, args.max_n)] + [top]
+    check_n(args.max_n, 1)  # before any build
     rows = []
-    for n, eul in enumerate(eulerian, 1):
+    for n in range(1, args.max_n + 1):
         rows.append({
             "n": n,
             "permutations": factorial(n),
             "derangements": subfactorial(n),
             "ordered_set_partitions": fubini_number(n),
-            "eulerian": [str(int(c)) for c in eul.to_dense("x")],
+            "eulerian": [str(int(c))
+                         for c in classic_eulerian(n).to_dense("x")],
         })
     if args.format == "json":
         import json
@@ -197,11 +197,9 @@ def _cmd_verify(args) -> int:
 def _scan_rows(args):
     from .symmetry import conjecture_scan
 
-    # the top n first, so an n out of range is refused before any build
-    top = conjecture_scan(args.max_n, args.p, args.q, force=args.force)
-    reports = [conjecture_scan(n, args.p, args.q, force=args.force)
-               for n in range(1, args.max_n)] + [top]
-    for rep in reports:
+    check_n(args.max_n, 1)  # before any build
+    for n in range(1, args.max_n + 1):
+        rep = conjecture_scan(n, args.p, args.q, force=args.force)
         yield {
             "n": rep.n,
             "p": str(rep.p),

@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import comb
 
 from .mpoly import DivisibilityError, MPoly
-from .perms import MAX_ENUM_N
+from .perms import check_n
 from .qanalog import (binom_poly, gen_binomial, int_add, int_div, int_mul,
                       int_sub, int_trim)
 
@@ -127,21 +127,17 @@ def _differences(n: int) -> list[list[int]]:
     return out
 
 
-def _check_n(n: int, lo: int) -> None:
-    if not lo <= n <= MAX_ENUM_N:
-        raise ValueError(f"n must be in {lo}..{MAX_ENUM_N}, got {n}")
-
-
 @lru_cache(maxsize=None)
 def det_Mnr(n: int) -> MPoly:
     """Determinant of the Cramer matrix, as a polynomial in t and r.
 
     The determinant has degree at most n in r, so it equals its Newton
     form sum_k Delta**k det(0) * C(r, k) over the values r = 0..n.
-    n runs up to ``MAX_ENUM_N``, the largest n whose a_n the
-    reconstruction can be checked against.
+    n runs from 0 up to ``MAX_ENUM_N``, the largest n whose a_n the
+    reconstruction can be checked against; ``perms.check_n`` refuses
+    the rest.
     """
-    _check_n(n, 0)
+    check_n(n, 0)
     acc = MPoly.zero(_VARS)
     for k, diff in enumerate(_differences(n)):
         if diff:
@@ -157,7 +153,7 @@ def reconstruct_a(n: int) -> MPoly:
     (1 - s)**(n+1) is sum_k c_k s**k (1 - s)**(n-k).  Strip the boundary
     term (1 + t**(n+1)) * (1 - s)**n from it and divide by t.
     """
-    _check_n(n, 1)
+    check_n(n, 1)
     terms = list(enumerate(_differences(n)))
     terms.append((0, [-1] + [0] * n + [-1]))   # minus the boundary term
     total: dict[tuple[int, int], int] = {}

@@ -51,7 +51,7 @@ from itertools import combinations
 from math import factorial
 
 from .mpoly import MPoly
-from .perms import MAX_ENUM_N, stable_subsets
+from .perms import check_n, stable_subsets
 
 
 def _transfer(n: int, move, tagged: bool,
@@ -234,15 +234,10 @@ def _xi_move(n):
     return move
 
 
-def _check_n(n: int, lo: int, hi: int) -> None:
-    if not lo <= n <= hi:
-        raise ValueError(f"n must be between {lo} and {hi}, got {n}")
-
-
 @lru_cache(maxsize=None)
 def eulerian_st(n: int) -> MPoly:
     """Joint distribution of (des, exc) over S_n, as a polynomial in s, t."""
-    _check_n(n, 1, MAX_ENUM_N)
+    check_n(n, 1)
     counts = _transfer(n, _des_exc_move(n), True, _positional)
     return MPoly(("s", "t"),
                  ((divmod(code, n), c) for (_, code), c in counts.items()))
@@ -258,7 +253,7 @@ def classic_eulerian(n: int, stat: str = "des") -> MPoly:
 def _classic_eulerian(n: int, stat: str) -> MPoly:
     if stat not in ("des", "exc"):
         raise ValueError(f"stat must be 'des' or 'exc', got {stat!r}")
-    _check_n(n, 1, MAX_ENUM_N)
+    check_n(n, 1)
     if stat == "des":
         counts = _transfer(n, _des_move, True, lambda pos: n + 1)
     else:
@@ -273,7 +268,7 @@ classic_eulerian.cache_clear = _classic_eulerian.cache_clear
 @lru_cache(maxsize=None)
 def derangement_poly(n: int) -> MPoly:
     """Excedance distribution over the derangements of S_n, in x."""
-    _check_n(n, 1, MAX_ENUM_N)
+    check_n(n, 1)
     counts = _transfer(n, _derangement_move, False, _positional)
     return MPoly(("x",), (((k,), c) for (_, k), c in counts.items()))
 
@@ -299,19 +294,19 @@ def trivariate(n: int) -> MPoly:
     The exponent of t is the excedance count, p marks descents and q
     carries the gap between major index and excedance count.
     """
-    _check_n(n, 1, MAX_ENUM_N)
+    check_n(n, 1)
     return _trivariate_poly(n, False)
 
 
 @lru_cache(maxsize=None)
 def derangement_lhs(n: int) -> MPoly:
     """Same refinement as :func:`trivariate`, restricted to derangements."""
-    _check_n(n, 2, MAX_ENUM_N)
+    check_n(n, 2)
     return _trivariate_poly(n, True)
 
 
 def _check_slice(n: int, i: int) -> None:
-    _check_n(n, 2, MAX_ENUM_N)
+    check_n(n, 2)
     if not 1 <= i <= n // 2:
         raise ValueError(f"i must lie in 1..{n // 2} for n={n}, got {i}")
 
@@ -417,7 +412,7 @@ def xi_transposed(n: int, i: int) -> MPoly:
 
 def exc_slice(n: int, k: int) -> MPoly:
     """Descent distribution over the excedance-k slice of S_n, in s."""
-    _check_n(n, 1, MAX_ENUM_N)
+    check_n(n, 1)
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must lie in 0..{n - 1} for n={n}, got {k}")
     return eulerian_st(n).coeff_of("t", k)

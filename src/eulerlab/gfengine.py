@@ -30,7 +30,7 @@ from math import comb, factorial
 
 from .distributions import eulerian_st
 from .mpoly import MPoly
-from .perms import MAX_ENUM_N
+from .perms import MAX_ENUM_N, check_n
 from .qanalog import int_add, int_mul, int_sub, int_trim, stirling2
 from .symmetry import a_part
 
@@ -134,17 +134,15 @@ def verify_foata(max_order: int, max_r: int) -> FoataReport:
     the third is the telescope g_r - (1 - u*t) w_r == 1 through u**K.
 
     One failure is recorded per (statement, r), naming the lowest
-    u-degree n where the two sides differ.  The order is bounded by the
-    distribution builder, which refuses n above ``MAX_ENUM_N``; the top
-    n is built first, so a refused order costs nothing.  r runs up to
-    the same cap.
+    u-degree n where the two sides differ.  The order runs from 0 up to
+    ``MAX_ENUM_N``, the builders' cap; ``perms.check_n`` refuses the rest
+    before any build.  r runs up to the same cap.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
+    check_n(max_order, 0)
     if not 0 <= max_r <= MAX_ENUM_N:
         raise ValueError(f"max_r must be in 0..{MAX_ENUM_N}")
     orders = range(max_order + 1)
-    joint = [_joint(n) for n in reversed(orders)][::-1]
+    joint = [_joint(n) for n in orders]
     parts = [a_part(n) for n in orders]
     failures: list[str] = []
     failed: set[str] = set()

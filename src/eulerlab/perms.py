@@ -23,6 +23,12 @@ from typing import Iterator, Sequence
 #: processes, 2-core x86, Python 3.11).
 MAX_ENUM_N = 13
 
+
+def check_n(n: int, lo: int) -> None:
+    """Refuse an n outside lo..MAX_ENUM_N; every S_n route checks here."""
+    if not lo <= n <= MAX_ENUM_N:
+        raise ValueError(f"n must be between {lo} and {MAX_ENUM_N}, got {n}")
+
 #: Largest n that :func:`enumerate_perms` lists.  Listing S_11 alone takes
 #: about 6.5 s and each further n multiplies the cost by about n.  No
 #: library route enumerates; the tests use it as the reference route at

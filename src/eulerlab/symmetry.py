@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .distributions import eulerian_st, trivariate
 from .mpoly import DivisibilityError, MPoly, _coefficient
-from .perms import MAX_ENUM_N
+from .perms import check_n
 
 
 class SymDecomp(namedtuple("SymDecomp", "a b var ambient_degree")):
@@ -92,8 +92,7 @@ def sym_decompose(f: MPoly, var: str, d: int) -> SymDecomp:
 @lru_cache(maxsize=None)
 def a_part(n: int) -> MPoly:
     """Palindromic part of the joint (des, exc) polynomial; zero at n = 0."""
-    if n < 0:
-        raise ValueError("negative n")
+    check_n(n, 0)
     if n == 0:
         return MPoly.zero(("s", "t"))
     return sym_decompose(eulerian_st(n), "t", n - 1).a
@@ -113,8 +112,7 @@ def verify_thm20(n: int) -> RecursionReport:
     (s - 1) times the previous palindromic part, and that the recombined
     identity A_n = a_n + (s - 1) * t * a_{n-1} holds exactly.
     """
-    if not 2 <= n <= MAX_ENUM_N:
-        raise ValueError(f"n must be between 2 and {MAX_ENUM_N}, got {n}")
+    check_n(n, 2)
     joint = eulerian_st(n)
     dec = sym_decompose(joint, "t", n - 1)
     a, b = dec.a, dec.b
@@ -176,7 +174,8 @@ def gamma_expand_coeffs(coeffs: Sequence[Fraction | int]) -> tuple[Fraction, ...
     The list fixes the ambient degree: its length is d + 1, trailing
     zeros included.  An empty or all-zero list has an empty gamma vector.
     The list is scaled by the lcm of its denominators and expanded by
-    :func:`_gamma_ints`.
+    :func:`_gamma_ints`.  Entries are exact: a float or complex raises
+    ValueError.
     """
     ints, scale = _scaled_ints(coeffs)
     return tuple(Fraction(g, scale) for g in _gamma_ints(ints))
@@ -193,8 +192,10 @@ def gamma_expand_coeffs(coeffs: Sequence[Fraction | int]) -> tuple[Fraction, ...
 
 def _scaled_ints(coeffs: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The list times the lcm of its denominators, and that lcm."""
-    # ints and Fractions carry numerator and denominator already
-    cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+    # ints and Fractions carry numerator and denominator already; any
+    # other value is coerced as MPoly coerces it, so a float is refused
+    cs = [c if isinstance(c, (int, Fraction)) else _coefficient(c)
+          for c in coeffs]
     scale = lcm(*(c.denominator for c in cs))
     return [c.numerator * (scale // c.denominator) for c in cs], scale
 

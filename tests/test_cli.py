@@ -6,7 +6,7 @@ from eulerlab import cli, detformula
 from eulerlab.checks import CHECKS, CheckResult
 from eulerlab.cli import main
 from eulerlab.detformula import det_Mnr
-from eulerlab.distributions import classic_eulerian, eulerian_st
+from eulerlab.distributions import eulerian_st
 from eulerlab.mpoly import DivisibilityError, MPoly
 
 
@@ -91,11 +91,25 @@ def test_table_formats(capsys):
     assert code == 0 and "eulerian" in out.splitlines()[0]
 
 
-def test_table_refuses_before_any_build(capsys):
-    classic_eulerian.cache_clear()
-    code, out, err = run_cli(capsys, "table", "--max-n", "14")
-    assert code == 2 and out == "" and "error:" in err
-    assert classic_eulerian.cache_info().currsize == 0
+def test_table_refuses_before_any_build(capsys, cache_sizes, tmp_path):
+    out_file = str(tmp_path / "p.json")
+    requests = [(1, "table", "--max-n", "14"),
+                (1, "scan", "--max-n", "14"),
+                (1, "poly", "--family", "des_exc", "--n", "14"),
+                (1, "export", "--family", "des_exc", "--n", "14",
+                 "--out", out_file),
+                (0, "export", "--family", "det", "--n", "14",
+                 "--out", out_file),
+                (1, "decompose", "--n", "14"),
+                (1, "gamma", "--n", "14"),
+                (0, "det", "--n", "14")]
+    for lo, *argv in requests:
+        before = cache_sizes()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: n must be between {lo} and 13, got 14\n"
+        assert cache_sizes() == before, argv
+    assert not (tmp_path / "p.json").exists()
     for max_n in ("0", "-2"):
         code, out, err = run_cli(capsys, "table", "--max-n", max_n,
                                  "--format", "json")

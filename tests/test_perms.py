@@ -1,9 +1,11 @@
 import doctest
+import re
 from math import factorial
 
 import pytest
 
 import eulerlab.perms
+from eulerlab import detformula, distributions, gfengine, symmetry
 from eulerlab.perms import (MAX_ENUM_N, enumerate_perms, inverse,
                             is_derangement, stable_subsets, stats)
 
@@ -32,6 +34,39 @@ def test_enumeration_guards():
     for n in (11, MAX_ENUM_N):
         with pytest.raises(ValueError, match="between 1 and 10"):
             enumerate_perms(n)
+
+
+#: every library entry point that takes an n, as (name, lowest n, call)
+_N_ENTRY_POINTS = [
+    ("eulerian_st", 1, distributions.eulerian_st),
+    ("classic_eulerian-des", 1,
+     lambda n: distributions.classic_eulerian(n, "des")),
+    ("classic_eulerian-exc", 1,
+     lambda n: distributions.classic_eulerian(n, "exc")),
+    ("derangement_poly", 1, distributions.derangement_poly),
+    ("trivariate", 1, distributions.trivariate),
+    ("derangement_lhs", 2, distributions.derangement_lhs),
+    ("xi", 2, lambda n: distributions.xi(n, 1)),
+    ("xi_transposed", 2, lambda n: distributions.xi_transposed(n, 1)),
+    ("exc_slice", 1, lambda n: distributions.exc_slice(n, 0)),
+    ("det_Mnr", 0, detformula.det_Mnr),
+    ("reconstruct_a", 1, detformula.reconstruct_a),
+    ("a_part", 0, symmetry.a_part),
+    ("verify_thm20", 2, symmetry.verify_thm20),
+    ("verify_foata", 0, lambda n: gfengine.verify_foata(n, 0)),
+    ("conjecture_scan", 1, lambda n: symmetry.conjecture_scan(n, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("lo, call", [e[1:] for e in _N_ENTRY_POINTS],
+                         ids=[e[0] for e in _N_ENTRY_POINTS])
+def test_n_refused_by_check_n_before_any_build(lo, call, cache_sizes):
+    before = cache_sizes()
+    for n in (lo - 1, MAX_ENUM_N + 1):
+        message = f"n must be between {lo} and {MAX_ENUM_N}, got {n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(n)
+    assert cache_sizes() == before
 
 
 def test_stats_examples():

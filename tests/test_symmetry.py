@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -252,12 +253,13 @@ def test_scan_small_cases():
 
 
 def test_scan_guards():
-    with pytest.raises(ValueError):
-        conjecture_scan(3, 1, 1)
-    with pytest.raises(ValueError):
-        conjecture_scan(0, 2, 1)
-    with pytest.raises(ValueError):
-        conjecture_scan(14, 2, 1)
+    # a point outside the zone is refused before any table is built; the
+    # n range is covered with every other entry point in test_perms
+    symmetry._scan_table.cache_clear()
+    for n in (3, 5):
+        with pytest.raises(ValueError, match="outside p > 1"):
+            conjecture_scan(n, 1, 1)
+    assert symmetry._scan_table.cache_info().currsize == 0
 
 
 def test_scan_refuses_inexact_points():
@@ -265,6 +267,17 @@ def test_scan_refuses_inexact_points():
     for p, q in [(1.1, 1), (2, 1.5), (2, 1 + 0j)]:
         with pytest.raises(ValueError, match="inexact"):
             conjecture_scan(3, p, q)
+
+
+def test_coefficient_lists_refuse_inexact_values():
+    # 0.1 would expand the dyadic 3602879701896397/36028797018963968
+    for x in (0.1, 2.5, 1 + 0j):
+        for fn in (gamma_expand_coeffs, shape_checks):
+            with pytest.raises(ValueError, match="inexact"):
+                fn([1, x, 1])
+    # a Decimal is exact, and taken at its exact value
+    assert gamma_expand_coeffs([1, Decimal("0.1"), 1]) == (1, F(-19, 10))
+    assert shape_checks([1, Decimal("0.1"), 1]).palindromic
 
 
 def _sparse_scan(n, p, q):
@@ -321,14 +334,6 @@ def test_scan_table_built_once_per_n():
         conjecture_scan(6, p, q, force=True)
     info = symmetry._scan_table.cache_info()
     assert (info.misses, info.hits) == (1, 3)
-
-
-def test_scan_refusals_leave_no_table():
-    symmetry._scan_table.cache_clear()
-    for args in [(0, 2, 1), (14, 2, 1), (5, 1, 1)]:
-        with pytest.raises(ValueError):
-            conjecture_scan(*args)
-    assert symmetry._scan_table.cache_info().currsize == 0
 
 
 def test_scan_table_refuses_a_fractional_count(monkeypatch):
