@@ -19,7 +19,7 @@ for r in range(4):
              for n in range(ORDER + 1))
     print(f"  r={r}: {'ok' if ok else 'MISMATCH'}")
 
-report = verify_foata(7, 7)
+report = verify_foata(7)
 print(f"full check through u^7, s^7: joint={report.joint_ok} "
       f"a-part={report.a_ok} telescope={report.telescope_ok}")
 

@@ -21,10 +21,9 @@ _EXPORTS = {
     "checks": ("CHECKS", "CheckResult", "run_checks"),
     "detformula": ("det_at", "det_bareiss", "det_Mnr", "f_at",
                    "reconstruct_a"),
-    "distributions": ("DistributionSpec", "FAMILIES", "build_distribution",
-                      "classic_eulerian", "derangement_lhs",
-                      "derangement_poly", "eulerian_st", "exc_slice",
-                      "trivariate", "xi", "xi_transposed"),
+    "distributions": ("FAMILIES", "build_distribution", "classic_eulerian",
+                      "derangement_lhs", "derangement_poly", "eulerian_st",
+                      "exc_slice", "trivariate", "xi", "xi_transposed"),
     "gfengine": ("FoataReport", "binom_resum", "f_nkr", "f_nkr_closed",
                  "verify_foata"),
     "mpoly": ("DivisibilityError", "MPoly", "VAR_ORDER", "canonical_vars",

@@ -143,7 +143,7 @@ def check_gf(max_n: int) -> CheckResult:
     """
     from . import gfengine
 
-    report = gfengine.verify_foata(max_n, max_n)
+    report = gfengine.verify_foata(max_n)
     lines = [
         f"gf joint coefficients n<={max_n} r<={max_n}: "
         f"{'PASS' if report.joint_ok else 'FAIL'}",

@@ -14,8 +14,7 @@ import sys
 from math import factorial
 from typing import TYPE_CHECKING
 
-from .distributions import (FAMILIES, DistributionSpec, build_distribution,
-                            classic_eulerian)
+from .distributions import FAMILIES, build_distribution, classic_eulerian
 from .mpoly import MPoly
 from .perms import check_n
 
@@ -88,14 +87,8 @@ def _cmd_table(args) -> int:
 # ----------------------------------------------------------------------
 # poly
 
-def _spec_from_args(args) -> DistributionSpec:
-    return DistributionSpec(family=args.family, n=args.n,
-                            i=getattr(args, "i", None),
-                            k=getattr(args, "k", None))
-
-
 def _cmd_poly(args) -> int:
-    poly = build_distribution(_spec_from_args(args))
+    poly = build_distribution(args.family, args.n, args.i, args.k)
     print(_render(poly, args.format))
     return 0
 
@@ -109,8 +102,7 @@ _DECOMP_VAR = {"des_exc": "t", "trivariate": "t",
 
 def _specialized(args) -> tuple[MPoly, str]:
     family = args.family
-    spec = DistributionSpec(family=family, n=args.n)
-    poly = build_distribution(spec)
+    poly = build_distribution(family, args.n)
     var = _DECOMP_VAR[family]
     assignments = {}
     for name in ("s", "p", "q"):
@@ -253,7 +245,7 @@ def _cmd_export(args) -> int:
         from .detformula import reconstruct_a
         poly = reconstruct_a(args.n)
     else:
-        poly = build_distribution(_spec_from_args(args))
+        poly = build_distribution(args.family, args.n, args.i, args.k)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(poly.dumps())
         fh.write("\n")

@@ -127,7 +127,6 @@ def _differences(n: int) -> list[list[int]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def det_Mnr(n: int) -> MPoly:
     """Determinant of the Cramer matrix, as a polynomial in t and r.
 
@@ -142,7 +141,7 @@ def det_Mnr(n: int) -> MPoly:
     for k, diff in enumerate(_differences(n)):
         if diff:
             coeff = MPoly(_VARS, {(e, 0): c for e, c in enumerate(diff)})
-            acc = acc + coeff * binom_poly(k, 0).with_vars(_VARS)
+            acc = acc + coeff * binom_poly(k).with_vars(_VARS)
     return acc
 
 

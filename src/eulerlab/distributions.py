@@ -21,8 +21,9 @@ above it.  So n = 13 takes well under a second (``trivariate(13)`` 0.1 s,
 and one ``xi`` fold for all slices about 0.9 s, on a 2-core x86 machine)
 where listing 13! permutations would take hours.  Each family only
 supplies the move that reads its statistics off one placed value.
-Builders are cached, since several verification suites want the same
-polynomials.
+The builders that several consumers read within one command are cached;
+:func:`classic_eulerian` and :func:`derangement_poly` are not, since no
+command asks either of them for the same arguments twice.
 
 :func:`xi_transposed` reads the xi slices a second way, with no pass over
 S_n: MacMahon's formula for the (des, maj) distribution of words, with
@@ -45,7 +46,6 @@ offending statistics in the message.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
@@ -245,12 +245,6 @@ def eulerian_st(n: int) -> MPoly:
 
 def classic_eulerian(n: int, stat: str = "des") -> MPoly:
     """Single-statistic distribution over S_n in the variable x."""
-    # one cache entry per (n, stat), however the arguments are spelled
-    return _classic_eulerian(n, stat)
-
-
-@lru_cache(maxsize=None)
-def _classic_eulerian(n: int, stat: str) -> MPoly:
     if stat not in ("des", "exc"):
         raise ValueError(f"stat must be 'des' or 'exc', got {stat!r}")
     check_n(n, 1)
@@ -261,11 +255,6 @@ def _classic_eulerian(n: int, stat: str) -> MPoly:
     return MPoly(("x",), (((k,), c) for (_, k), c in counts.items()))
 
 
-classic_eulerian.cache_info = _classic_eulerian.cache_info
-classic_eulerian.cache_clear = _classic_eulerian.cache_clear
-
-
-@lru_cache(maxsize=None)
 def derangement_poly(n: int) -> MPoly:
     """Excedance distribution over the derangements of S_n, in x."""
     check_n(n, 1)
@@ -425,35 +414,32 @@ FAMILIES = ("des_exc", "classic_eulerian", "derangement", "trivariate",
             "derangement_refined", "xi", "exc_slice")
 
 
-#: A family name plus the integers needed to pin down one member: the
-#: slice index i of xi and the excedance level k of exc_slice.
-DistributionSpec = namedtuple("DistributionSpec", "family n i k",
-                              defaults=(None, None))
-
-
-def build_distribution(spec: DistributionSpec) -> MPoly:
-    if spec.family not in FAMILIES:
-        raise ValueError(f"unknown family {spec.family!r}; "
+def build_distribution(family: str, n: int, i: int | None = None,
+                       k: int | None = None) -> MPoly:
+    """The member of ``family`` at n; i is the slice index of xi and k
+    the excedance level of exc_slice, and no other family takes either."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; "
                          f"expected one of {', '.join(FAMILIES)}")
-    if spec.family == "xi":
-        if spec.i is None:
+    if family == "xi":
+        if i is None:
             raise ValueError("family 'xi' needs --i")
-        if spec.k is not None:
+        if k is not None:
             raise ValueError("family 'xi' takes no --k")
-        return xi(spec.n, spec.i)
-    if spec.family == "exc_slice":
-        if spec.k is None:
+        return xi(n, i)
+    if family == "exc_slice":
+        if k is None:
             raise ValueError("family 'exc_slice' needs --k")
-        if spec.i is not None:
+        if i is not None:
             raise ValueError("family 'exc_slice' takes no --i")
-        return exc_slice(spec.n, spec.k)
-    if spec.i is not None or spec.k is not None:
-        raise ValueError(f"family {spec.family!r} takes no --i/--k")
+        return exc_slice(n, k)
+    if i is not None or k is not None:
+        raise ValueError(f"family {family!r} takes no --i/--k")
     builder = {
         "des_exc": eulerian_st,
         "classic_eulerian": classic_eulerian,
         "derangement": derangement_poly,
         "trivariate": trivariate,
         "derangement_refined": derangement_lhs,
-    }[spec.family]
-    return builder(spec.n)
+    }[family]
+    return builder(n)

@@ -30,9 +30,8 @@ from math import comb, factorial
 
 from .distributions import eulerian_st
 from .mpoly import MPoly
-from .perms import MAX_ENUM_N, check_n
+from .perms import check_n
 from .qanalog import int_add, int_mul, int_sub, int_trim, stirling2
-from .symmetry import a_part
 
 
 def _joint(n: int) -> MPoly:
@@ -109,16 +108,16 @@ def _statements(L, W, r: int, order: int):
     )
 
 
-#: the checked order and r, one flag per statement, the overall verdict
-#: and the tuple of failure messages
-FoataReport = namedtuple("FoataReport", "max_order max_r joint_ok a_ok "
-                         "telescope_ok passed failures")
+#: one flag per statement, the overall verdict and the tuple of failure
+#: messages
+FoataReport = namedtuple("FoataReport",
+                         "joint_ok a_ok telescope_ok passed failures")
 
 
-def verify_foata(max_order: int, max_r: int) -> FoataReport:
-    """Check the three series statements for all n <= max_order, r <= max_r.
+def verify_foata(max_n: int) -> FoataReport:
+    """Check the three series statements for all n <= max_n and r <= max_n.
 
-    With K = max_order and L_r, W_r the series whose u**n coefficients
+    With K = max_n and L_r, W_r the series whose u**n coefficients
     are the counting sides ``_resummed(A_n, n, r)`` and
     ``_resummed(a_n, n, r)``, the statements are checked as
 
@@ -134,22 +133,24 @@ def verify_foata(max_order: int, max_r: int) -> FoataReport:
     the third is the telescope g_r - (1 - u*t) w_r == 1 through u**K.
 
     One failure is recorded per (statement, r), naming the lowest
-    u-degree n where the two sides differ.  The order runs from 0 up to
+    u-degree n where the two sides differ.  max_n runs from 0 up to
     ``MAX_ENUM_N``, the builders' cap; ``perms.check_n`` refuses the rest
-    before any build.  r runs up to the same cap.
+    before any build.
     """
-    check_n(max_order, 0)
-    if not 0 <= max_r <= MAX_ENUM_N:
-        raise ValueError(f"max_r must be in 0..{MAX_ENUM_N}")
-    orders = range(max_order + 1)
+    # imported here, so the eq1 suite, which needs only f_nkr, does not
+    # load symmetry
+    from .symmetry import a_part
+
+    check_n(max_n, 0)
+    orders = range(max_n + 1)
     joint = [_joint(n) for n in orders]
     parts = [a_part(n) for n in orders]
     failures: list[str] = []
     failed: set[str] = set()
-    for r in range(max_r + 1):
+    for r in orders:
         L = [_resummed(joint[n], n, r) for n in orders]
         W = [_resummed(parts[n], n, r) for n in orders]
-        for label, lhs, rhs in _statements(L, W, r, max_order):
+        for label, lhs, rhs in _statements(L, W, r, max_n):
             for n in orders:
                 if lhs[n] != rhs[n]:
                     failed.add(label)
@@ -160,8 +161,7 @@ def verify_foata(max_order: int, max_r: int) -> FoataReport:
     joint_ok = "joint" not in failed
     a_ok = "a-part" not in failed
     telescope_ok = "telescope" not in failed
-    return FoataReport(max_order=max_order, max_r=max_r, joint_ok=joint_ok,
-                       a_ok=a_ok, telescope_ok=telescope_ok,
+    return FoataReport(joint_ok=joint_ok, a_ok=a_ok, telescope_ok=telescope_ok,
                        passed=joint_ok and a_ok and telescope_ok,
                        failures=tuple(failures))
 

@@ -321,28 +321,24 @@ class MPoly:
     # ------------------------------------------------------------------
     # serialization
 
-    def terms_sorted(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        return sorted(self.terms.items())
-
-    def to_json_dict(self) -> dict:
-        return {
+    def dumps(self) -> str:
+        """Canonical JSON text: fixed key order, sorted terms, no whitespace."""
+        import json
+        return json.dumps({
             "vars": list(self.vars),
             "terms": [
                 {"e": list(exp),
                  "n": str(c.numerator),
                  "d": str(c.denominator)}
-                for exp, c in self.terms_sorted()
+                for exp, c in sorted(self.terms.items())
             ],
-        }
-
-    def dumps(self) -> str:
-        """Canonical JSON text: fixed key order, sorted terms, no whitespace."""
-        import json
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        }, separators=(",", ":"))
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "MPoly":
+    def loads(cls, text: str) -> "MPoly":
+        import json
         try:
+            data = json.loads(text)
             vars = data["vars"]
             if not isinstance(vars, list):
                 raise TypeError(f"vars must be a list, got {vars!r}")
@@ -362,15 +358,6 @@ class MPoly:
             return cls(vars, terms)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
-
-    @classmethod
-    def loads(cls, text: str) -> "MPoly":
-        import json
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed polynomial JSON: {exc}") from exc
-        return cls.from_json_dict(data)
 
     # ------------------------------------------------------------------
     # rendering

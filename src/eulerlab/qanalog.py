@@ -4,10 +4,11 @@ on integer coefficient lists in t, and Gaussian binomials in q.
 Everything here returns exact integers, integer lists or
 :class:`~eulerlab.mpoly.MPoly` values.  The binomial helpers follow the
 falling-factorial definition, so a negative upper argument is
-meaningful: for example the value of ``binom_poly(j, shift=-1)`` at 0
-is ``(-1)**j``, not 0.  That sign is load-bearing for the determinant
-recurrences in this package, which are polynomial identities in the
-shifted argument and must hold at 0 too.
+meaningful: ``gen_binomial(-1, j) == (-1)**j``, not 0.  That sign is
+load-bearing for the determinant recurrence: its beta_j carries
+C(r - 1, j), which ``detformula`` evaluates as ``gen_binomial(r - 1, j)``,
+and the recurrence is a polynomial identity in r that must hold at
+r = 0 too.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ def gen_binomial(a: int, j: int) -> int:
     return num // factorial(j)
 
 
-def binom_poly(j: int, shift: int = 0) -> MPoly:
-    """``C(r + shift, j)`` as a polynomial in ``r`` with rational coefficients."""
+def binom_poly(j: int) -> MPoly:
+    """``C(r, j)`` as a polynomial in ``r`` with rational coefficients."""
     if j < 0:
         raise ValueError("lower index must be nonnegative")
     r = MPoly.variable("r")
     prod = MPoly.const(("r",), 1)
     for m in range(j):
-        prod = prod * (r + (shift - m))
+        prod = prod * (r - m)
     from fractions import Fraction
     return prod * Fraction(1, factorial(j))
 

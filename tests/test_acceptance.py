@@ -150,7 +150,7 @@ def test_c05_coefficient_closed_form(acceptance_log):
 
 def test_c06_generating_function_proof(acceptance_log):
     with criterion(acceptance_log, "c06 series regrouping order 7", 30):
-        report = verify_foata(7, 7)
+        report = verify_foata(7)
         assert report.passed, report.failures
         assert report.joint_ok and report.a_ok and report.telescope_ok
         assert report.failures == ()

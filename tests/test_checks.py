@@ -95,7 +95,7 @@ def test_each_top_is_the_cap_of_its_route():
     with pytest.raises(ValueError):
         eulerian_st(perms.MAX_ENUM_N + 1)
     with pytest.raises(ValueError):
-        gfengine.verify_foata(perms.MAX_ENUM_N + 1, 0)
+        gfengine.verify_foata(perms.MAX_ENUM_N + 1)
 
 
 def _labels(name, first, max_n):

@@ -5,10 +5,10 @@ from math import comb, factorial
 import pytest
 
 from eulerlab import distributions
-from eulerlab.distributions import (DistributionSpec, build_distribution,
-                                    classic_eulerian, derangement_lhs,
-                                    derangement_poly, eulerian_st, exc_slice,
-                                    trivariate, xi, xi_transposed)
+from eulerlab.distributions import (build_distribution, classic_eulerian,
+                                    derangement_lhs, derangement_poly,
+                                    eulerian_st, exc_slice, trivariate, xi,
+                                    xi_transposed)
 from eulerlab.mpoly import MPoly, variables
 from eulerlab.perms import (MAX_ENUM_N, enumerate_perms, inverse,
                             stable_subsets, stats)
@@ -57,25 +57,6 @@ def test_classic_eulerian_rows():
     assert classic_eulerian(5).to_dense("x") == [1, 26, 66, 26, 1]
     with pytest.raises(ValueError):
         classic_eulerian(3, "maj")
-
-
-def test_classic_eulerian_folds_once_per_spelling(monkeypatch):
-    folds = []
-    transfer = distributions._transfer
-
-    def spy(n, *args):
-        folds.append(n)
-        return transfer(n, *args)
-
-    classic_eulerian.cache_clear()
-    monkeypatch.setattr(distributions, "_transfer", spy)
-    rows = [classic_eulerian(5), classic_eulerian(5, "des"),
-            classic_eulerian(5, stat="des"), classic_eulerian(n=5)]
-    assert all(row == rows[0] for row in rows)
-    assert folds == [5]
-    assert classic_eulerian.cache_info().misses == 1
-    classic_eulerian.cache_clear()
-    assert classic_eulerian.cache_info().currsize == 0
 
 
 def test_top_n_digits_do_not_carry():
@@ -174,7 +155,7 @@ def test_transfer_layers_hold_free_sets_not_used_sets(monkeypatch):
     calls.clear()
     monkeypatch.setattr(distributions, "_exc_move",
                         _spy(distributions._exc_move, calls))
-    assert distributions._classic_eulerian.__wrapped__(n, "exc") == eulerian
+    assert classic_eulerian(n, "exc") == eulerian
     assert not any(descent for *_, descent in calls)
     exact = [(pos, v, free) for pos, _, v, free, _ in calls if v]
     assert len(exact) == len(set(exact))
@@ -185,7 +166,7 @@ def test_transfer_layers_hold_free_sets_not_used_sets(monkeypatch):
     calls.clear()
     monkeypatch.setattr(distributions, "_des_move",
                         _spy(distributions._des_move, calls))
-    assert distributions._classic_eulerian.__wrapped__(n, "des") == eulerian
+    assert classic_eulerian(n, "des") == eulerian
     assert {(v, free) for _, _, v, free, _ in calls} == {(0, 0)}
     assert len(calls) <= 2 * sum(range(1, n + 1))
 
@@ -349,24 +330,21 @@ def test_slice_sum_reassembles_joint():
 
 
 def test_build_distribution_dispatch():
-    assert build_distribution(
-        DistributionSpec("des_exc", 3)) == eulerian_st(3)
-    assert build_distribution(
-        DistributionSpec("xi", 4, i=2)) == xi(4, 2)
-    assert build_distribution(
-        DistributionSpec("exc_slice", 4, k=1)) == exc_slice(4, 1)
+    assert build_distribution("des_exc", 3) == eulerian_st(3)
+    assert build_distribution("xi", 4, i=2) == xi(4, 2)
+    assert build_distribution("exc_slice", 4, k=1) == exc_slice(4, 1)
     with pytest.raises(ValueError):
-        build_distribution(DistributionSpec("xi", 4))
+        build_distribution("xi", 4)
     with pytest.raises(ValueError):
-        build_distribution(DistributionSpec("exc_slice", 4))
+        build_distribution("exc_slice", 4)
     with pytest.raises(ValueError):
-        build_distribution(DistributionSpec("des_exc", 4, i=1))
+        build_distribution("des_exc", 4, i=1)
     with pytest.raises(ValueError, match="family 'xi' takes no --k"):
-        build_distribution(DistributionSpec("xi", 4, i=1, k=9))
+        build_distribution("xi", 4, i=1, k=9)
     with pytest.raises(ValueError, match="family 'exc_slice' takes no --i"):
-        build_distribution(DistributionSpec("exc_slice", 4, i=1, k=1))
+        build_distribution("exc_slice", 4, i=1, k=1)
     with pytest.raises(ValueError):
-        build_distribution(DistributionSpec("nope", 3))
+        build_distribution("nope", 3)
 
 
 def test_derangement_poly_values():

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from eulerlab import gfengine
+from eulerlab import gfengine, symmetry
 from eulerlab.gfengine import (_joint, _resummed, _statements, binom_resum,
                                f_nkr, f_nkr_closed, verify_foata)
 from eulerlab.mpoly import MPoly, variables
@@ -70,7 +70,7 @@ def test_telescoping_identity():
 
 
 def test_verify_foata():
-    report = verify_foata(4, 4)
+    report = verify_foata(4)
     assert report.passed
     assert report.joint_ok and report.a_ok and report.telescope_ok
     assert report.failures == ()
@@ -99,30 +99,26 @@ def test_int_route_equals_closed_forms():
 
 def test_verify_foata_compares_both_statements_at_every_n(monkeypatch):
     # corrupt the counting side: A_2 and a_1 each gain a t**5 term
-    joint, part = gfengine._joint, gfengine.a_part
+    joint, part = gfengine._joint, symmetry.a_part
     bump = MPoly(("s", "t"), {(0, 5): 1})
     monkeypatch.setattr(gfengine, "_joint",
                         lambda n: joint(n) + bump if n == 2 else joint(n))
-    monkeypatch.setattr(gfengine, "a_part",
+    monkeypatch.setattr(symmetry, "a_part",
                         lambda n: part(n) + bump if n == 1 else part(n))
-    report = verify_foata(3, 1)
+    report = verify_foata(3)
     assert not report.joint_ok and not report.a_ok
     assert not report.telescope_ok and not report.passed
     # one failure per (statement, r), at the lowest differing u-degree
     assert [f.split(":")[0] for f in report.failures] == [
-        "joint r=0 n=2", "a-part r=0 n=1", "telescope r=0 n=1",
-        "joint r=1 n=2", "a-part r=1 n=1", "telescope r=1 n=1"]
+        f"{label} r={r} n={n}" for r in range(4)
+        for label, n in (("joint", 2), ("a-part", 1), ("telescope", 1))]
 
 
 def test_verify_foata_guards():
     with pytest.raises(ValueError):
-        verify_foata(MAX_ENUM_N + 1, 1)
+        verify_foata(MAX_ENUM_N + 1)
     with pytest.raises(ValueError):
-        verify_foata(1, MAX_ENUM_N + 1)
-    with pytest.raises(ValueError):
-        verify_foata(-1, 0)
-    with pytest.raises(ValueError):
-        verify_foata(0, -1)
+        verify_foata(-1)
 
 
 def test_f_nkr_frozen_values():

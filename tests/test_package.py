@@ -145,6 +145,15 @@ def test_verify_loads_only_its_suites_modules():
     assert got["lazy"] == []
 
 
+def test_verify_eq1_loads_no_symmetry_or_fractions():
+    # eq1 reads only f_nkr and its closed form; verify_foata imports the
+    # a-parts itself
+    got = _jobs([["verify", "--check", "eq1"]])
+    assert "eulerlab.gfengine" in got["loaded"]
+    assert "eulerlab.symmetry" not in got["loaded"]
+    assert "fractions" not in got["lazy"]
+
+
 def test_checks_imports_its_suite_modules_eagerly():
     # perfbench's tracer imports eulerlab.checks and eulerlab.series, then
     # wraps functions of these modules, reached as attributes of the package;

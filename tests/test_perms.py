@@ -53,7 +53,7 @@ _N_ENTRY_POINTS = [
     ("reconstruct_a", 1, detformula.reconstruct_a),
     ("a_part", 0, symmetry.a_part),
     ("verify_thm20", 2, symmetry.verify_thm20),
-    ("verify_foata", 0, lambda n: gfengine.verify_foata(n, 0)),
+    ("verify_foata", 0, gfengine.verify_foata),
     ("conjecture_scan", 1, lambda n: symmetry.conjecture_scan(n, 2, 1)),
 ]
 

@@ -21,10 +21,9 @@ def test_gen_binomial_extends_comb():
 
 def test_binom_poly_matches_integer_values():
     for j in range(6):
-        for shift in (-1, 0, 2):
-            poly = binom_poly(j, shift)
-            for r in range(8):
-                assert poly.evaluate({"r": r}) == gen_binomial(r + shift, j)
+        poly = binom_poly(j)
+        for r in range(-3, 8):
+            assert poly.evaluate({"r": r}) == gen_binomial(r, j)
 
 
 def test_binom_poly_shapes():
@@ -32,12 +31,12 @@ def test_binom_poly_shapes():
     assert binom_poly(0) == 1
     assert binom_poly(1) == r
     assert binom_poly(2) == (r ** 2 - r) * F(1, 2)
-    # the shifted polynomial vanishes at 1 <= r <= j but not at r = 0
-    shifted = binom_poly(3, -1)
-    assert shifted.evaluate({"r": 1}) == 0
-    assert shifted.evaluate({"r": 2}) == 0
-    assert shifted.evaluate({"r": 3}) == 0
-    assert shifted.evaluate({"r": 0}) == -1
+    # the polynomial vanishes at 0 <= r < j but not at r = -1
+    cubic = binom_poly(3)
+    assert cubic.evaluate({"r": 0}) == 0
+    assert cubic.evaluate({"r": 1}) == 0
+    assert cubic.evaluate({"r": 2}) == 0
+    assert cubic.evaluate({"r": -1}) == -1
 
 
 def test_q_binomial():
