@@ -285,9 +285,9 @@ def run_checks(names, max_n: int | None = None) -> list[CheckResult]:
     """Run the named suites; ``all`` expands to every registered suite.
 
     With ``max_n`` given, the same cap applies to each suite; a
-    ``max_n`` outside a requested suite's range (below its first n or
-    above its top) raises ``ValueError``, so no report claims a range it
-    did not check.
+    ``max_n`` that is not an int, or lies outside a requested suite's
+    range (below its first n or above its top), raises ``ValueError``,
+    so no report claims a range it did not check.
     Otherwise per-suite defaults chosen to finish in well under a minute
     are used.
     """
@@ -304,6 +304,8 @@ def run_checks(names, max_n: int | None = None) -> list[CheckResult]:
                 f"unknown check {name!r}; expected one of "
                 f"{', '.join(list(CHECKS) + ['all'])}")
     if max_n is not None:
+        if type(max_n) is not int:
+            raise ValueError(f"max_n must be an int, got {max_n!r}")
         for name in resolved:
             first, _, top = _RANGES[name]
             if not first <= max_n <= top:

@@ -234,7 +234,7 @@ def _xi_move(n):
     return move
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def eulerian_st(n: int) -> MPoly:
     """Joint distribution of (des, exc) over S_n, as a polynomial in s, t."""
     check_n(n, 1)
@@ -276,7 +276,7 @@ def _trivariate_poly(n: int, derangements: bool) -> MPoly:
     return MPoly(("t", "p", "q"), terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def trivariate(n: int) -> MPoly:
     """Distribution of (exc, des, maj - exc) over S_n, in t, p, q.
 
@@ -287,7 +287,7 @@ def trivariate(n: int) -> MPoly:
     return _trivariate_poly(n, False)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def derangement_lhs(n: int) -> MPoly:
     """Same refinement as :func:`trivariate`, restricted to derangements."""
     check_n(n, 2)

@@ -18,12 +18,17 @@ alignment hides bugs where a coefficient ring was mixed up.
 
 All arithmetic is exact.  There are no floats anywhere in this package:
 a float or complex coefficient or value is refused with ValueError.
-``fractions`` and ``json`` are imported on first need.
+``fractions`` is imported on first need: the integer-first modules
+(this one, ``qanalog`` and ``symmetry``) get the class from
+:func:`_fraction`.  :meth:`MPoly.dumps` writes its canonical JSON text
+directly, term by term, and imports ``json`` only to escape the
+variable names.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
@@ -322,17 +327,22 @@ class MPoly:
     # serialization
 
     def dumps(self) -> str:
-        """Canonical JSON text: fixed key order, sorted terms, no whitespace."""
+        """Canonical JSON text: fixed key order, sorted terms, no whitespace.
+
+        The text is written directly, one ``{"e":[..],"n":"..","d":".."}``
+        string per term in sorted exponent order; only the variable names
+        go through ``json``, which escapes them.  The bytes are those of
+        ``json.dumps({"vars": [...], "terms": [...]}, separators=(",",
+        ":"))`` without building that list of term dicts.
+        """
         import json
-        return json.dumps({
-            "vars": list(self.vars),
-            "terms": [
-                {"e": list(exp),
-                 "n": str(c.numerator),
-                 "d": str(c.denominator)}
-                for exp, c in sorted(self.terms.items())
-            ],
-        }, separators=(",", ":"))
+        terms = self.terms
+        body = ",".join(
+            f'{{"e":[{",".join(map(str, exp))}],'
+            f'"n":"{terms[exp].numerator}","d":"{terms[exp].denominator}"}}'
+            for exp in sorted(terms))
+        names = json.dumps(list(self.vars), separators=(",", ":"))
+        return f'{{"vars":{names},"terms":[{body}]}}'
 
     @classmethod
     def loads(cls, text: str) -> "MPoly":
@@ -350,11 +360,7 @@ class MPoly:
                 num, den = _decimal(item["n"]), _decimal(item["d"])
                 if den <= 0:
                     raise ValueError(f"denominator {den} is not positive")
-                if den == 1:
-                    terms[exp] = num
-                else:
-                    from fractions import Fraction
-                    terms[exp] = Fraction(num, den)
+                terms[exp] = num if den == 1 else _fraction()(num, den)
             return cls(vars, terms)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
@@ -422,13 +428,25 @@ def _coefficient(value) -> Scalar:
         return value
     fractions = sys.modules.get("fractions")
     if fractions is None or not isinstance(value, fractions.Fraction):
-        from fractions import Fraction
         from numbers import Complex, Rational
         if isinstance(value, Complex) and not isinstance(value, Rational):
             raise ValueError(
                 f"inexact value {value!r}: give an int, a Fraction or 'a/b'")
-        value = Fraction(value)
+        value = _fraction()(value)
     return value.numerator if value.denominator == 1 else value
+
+
+@lru_cache(maxsize=None)
+def _fraction() -> type:
+    """The ``Fraction`` class, imported on the first call.
+
+    The integer-first modules make every Fraction through it, so
+    integer-only work never loads ``fractions`` (nor ``decimal`` and
+    ``numbers``, which it imports), and a hot caller pays a cache lookup
+    instead of an import statement.
+    """
+    from fractions import Fraction
+    return Fraction
 
 
 def _quotient(a: Scalar, b: Scalar) -> Scalar:
@@ -437,8 +455,7 @@ def _quotient(a: Scalar, b: Scalar) -> Scalar:
         q, r = divmod(a, b)
         if not r:
             return q
-        from fractions import Fraction
-        return Fraction(a, b)
+        return _fraction()(a, b)
     return a / b
 
 

@@ -25,7 +25,12 @@ MAX_ENUM_N = 13
 
 
 def check_n(n: int, lo: int) -> None:
-    """Refuse an n outside lo..MAX_ENUM_N; every S_n route checks here."""
+    """Refuse an n that is not an int in lo..MAX_ENUM_N; every S_n route
+    checks here.  The cached builders use ``lru_cache(typed=True)``, so
+    a float n never hits the entry of the equal int and always reaches
+    this check."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if not lo <= n <= MAX_ENUM_N:
         raise ValueError(f"n must be between {lo} and {MAX_ENUM_N}, got {n}")
 

@@ -2,13 +2,15 @@
 on integer coefficient lists in t, and Gaussian binomials in q.
 
 Everything here returns exact integers, integer lists or
-:class:`~eulerlab.mpoly.MPoly` values.  The binomial helpers follow the
-falling-factorial definition, so a negative upper argument is
-meaningful: ``gen_binomial(-1, j) == (-1)**j``, not 0.  That sign is
-load-bearing for the determinant recurrence: its beta_j carries
-C(r - 1, j), which ``detformula`` evaluates as ``gen_binomial(r - 1, j)``,
-and the recurrence is a polynomial identity in r that must hold at
-r = 0 too.
+:class:`~eulerlab.mpoly.MPoly` values, and the integer functions refuse
+an argument that is not an ``int`` with ValueError rather than carry a
+float through.  Their caches are typed, so ``4.0`` never hits the entry
+of ``4``.  The binomial helpers follow the falling-factorial
+definition, so a negative upper argument is meaningful:
+``gen_binomial(-1, j) == (-1)**j``, not 0.  That sign is load-bearing
+for the determinant recurrence: its beta_j carries C(r - 1, j), which
+``detformula`` evaluates as ``gen_binomial(r - 1, j)``, and the
+recurrence is a polynomial identity in r that must hold at r = 0 too.
 """
 
 from __future__ import annotations
@@ -16,11 +18,18 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .mpoly import DivisibilityError, MPoly
+from .mpoly import DivisibilityError, MPoly, _fraction
+
+
+def _check_ints(*args) -> None:
+    for value in args:
+        if type(value) is not int:
+            raise ValueError(f"expected an int, got {value!r}")
 
 
 def gen_binomial(a: int, j: int) -> int:
     """Binomial coefficient ``C(a, j)`` for any integer ``a``, ``j >= 0``."""
+    _check_ints(a, j)
     if j < 0:
         raise ValueError("lower index must be nonnegative")
     num = 1
@@ -37,13 +46,13 @@ def binom_poly(j: int) -> MPoly:
     prod = MPoly.const(("r",), 1)
     for m in range(j):
         prod = prod * (r - m)
-    from fractions import Fraction
-    return prod * Fraction(1, factorial(j))
+    return prod * _fraction()(1, factorial(j))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def stirling2(m: int, k: int) -> int:
     """Stirling number of the second kind: partitions of an m-set into k blocks."""
+    _check_ints(m, k)
     if m < 0 or k < 0:
         raise ValueError("negative argument")
     if m == 0:
@@ -53,9 +62,10 @@ def stirling2(m: int, k: int) -> int:
     return k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def subfactorial(n: int) -> int:
     """Number of derangements of n letters."""
+    _check_ints(n)
     if n < 0:
         raise ValueError("negative argument")
     if n == 0:
@@ -67,6 +77,7 @@ def subfactorial(n: int) -> int:
 
 def fubini_number(n: int) -> int:
     """Number of ordered set partitions of an n-set."""
+    _check_ints(n)
     if n < 0:
         raise ValueError("negative argument")
     return sum(factorial(k) * stirling2(n, k) for k in range(n + 1))
@@ -132,9 +143,10 @@ def int_div(a, b) -> list[int]:
     return int_trim(quot)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def q_binomial(a: int, b: int) -> tuple[int, ...]:
     """The Gaussian binomial ``[a choose b]_q`` as q-coefficients, 0 <= b <= a."""
+    _check_ints(a, b)
     if b == 0 or b == a:
         return (1,)
     return tuple(int_add(q_binomial(a - 1, b - 1),

@@ -28,14 +28,16 @@ that recursion at n = 0 is the zero polynomial by convention.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .distributions import eulerian_st, trivariate
-from .mpoly import DivisibilityError, MPoly, _coefficient
+from .mpoly import DivisibilityError, MPoly, _coefficient, _fraction
 from .perms import check_n
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SymDecomp(namedtuple("SymDecomp", "a b var ambient_degree")):
@@ -74,7 +76,7 @@ def _by_rows(f: MPoly, var: str, d: int, kernel, parts: int) -> list[MPoly]:
             for k, c in enumerate(cs):
                 if c:
                     terms[head + (k,) + tail] = (
-                        c if scale == 1 else Fraction(c, scale))
+                        c if scale == 1 else _fraction()(c, scale))
     return [MPoly(f.vars, terms) for terms in out]
 
 
@@ -89,7 +91,7 @@ def sym_decompose(f: MPoly, var: str, d: int) -> SymDecomp:
     return SymDecomp(a=a, b=b, var=var, ambient_degree=d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def a_part(n: int) -> MPoly:
     """Palindromic part of the joint (des, exc) polynomial; zero at n = 0."""
     check_n(n, 0)
@@ -178,6 +180,7 @@ def gamma_expand_coeffs(coeffs: Sequence[Fraction | int]) -> tuple[Fraction, ...
     ValueError.
     """
     ints, scale = _scaled_ints(coeffs)
+    Fraction = _fraction()
     return tuple(Fraction(g, scale) for g in _gamma_ints(ints))
 
 
@@ -191,11 +194,14 @@ def gamma_expand_coeffs(coeffs: Sequence[Fraction | int]) -> tuple[Fraction, ...
 # unchanged by a positive scale.
 
 def _scaled_ints(coeffs: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """The list times the lcm of its denominators, and that lcm."""
-    # ints and Fractions carry numerator and denominator already; any
-    # other value is coerced as MPoly coerces it, so a float is refused
-    cs = [c if isinstance(c, (int, Fraction)) else _coefficient(c)
-          for c in coeffs]
+    """The list times the lcm of its denominators, and that lcm.
+
+    An ``int`` is kept as it is; any other entry is coerced as MPoly
+    coerces a coefficient (:func:`~eulerlab.mpoly._coefficient`), so a
+    Fraction passes, a float is refused with ValueError, and a list of
+    ints never loads ``fractions``.
+    """
+    cs = [c if type(c) is int else _coefficient(c) for c in coeffs]
     scale = lcm(*(c.denominator for c in cs))
     return [c.numerator * (scale // c.denominator) for c in cs], scale
 
@@ -304,7 +310,7 @@ ScanReport = namedtuple(
 ScanTable = namedtuple("ScanTable", "top_des top_gap terms")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _scan_table(n: int) -> ScanTable:
     """``trivariate(n)`` as plain ints, built once per n for every point.
 
@@ -343,6 +349,7 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     divided by M.  Once the tables are built, a point over n = 1..9
     takes about 0.55 ms (2-core x86, Python 3.11).
     """
+    Fraction = _fraction()
     p, q = Fraction(_coefficient(p)), Fraction(_coefficient(q))
     a, b, c, e = p.numerator, p.denominator, q.numerator, q.denominator
     in_hyp = a > b and c >= e  # p > 1 and q >= 1, as b, e > 0

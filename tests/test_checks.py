@@ -32,6 +32,13 @@ def test_run_checks_unknown_name():
         run_checks("nope")
 
 
+def test_run_checks_refuses_a_non_int_max_n():
+    # 3.0 passes the range check, then would fail inside the suite
+    for bad in (3.0, "3"):
+        with pytest.raises(ValueError, match="^max_n must be an int, got "):
+            run_checks("counts", max_n=bad)
+
+
 def test_eq1_lines_document_the_rejected_readings():
     (res,) = run_checks("eq1", max_n=3)
     note = res.lines[-1]

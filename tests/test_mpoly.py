@@ -1,10 +1,14 @@
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+from eulerlab.detformula import det_Mnr, reconstruct_a
+from eulerlab.distributions import FAMILIES, build_distribution, trivariate
 from eulerlab.mpoly import (DivisibilityError, MPoly, canonical_vars,
                             exact_divide, variables)
+from eulerlab.symmetry import a_part
 
 
 def test_canonical_vars_ordering():
@@ -182,6 +186,67 @@ def test_json_zero_and_fractions():
     assert g == MPoly(("t",), {(2,): F(5, 2)})
     assert json.loads(g.dumps())["terms"][0] == {"e": [2], "n": "5", "d": "2"}
     assert type(MPoly.loads(MPoly.const(("t",), 7).dumps()).constant()) is int
+
+
+def _dumps_oracle(f: MPoly) -> str:
+    """The canonical JSON as ``json`` writes it from a list of term dicts,
+    the form the direct writer must reproduce byte for byte."""
+    return json.dumps({
+        "vars": list(f.vars),
+        "terms": [{"e": list(exp), "n": str(c.numerator),
+                   "d": str(c.denominator)}
+                  for exp, c in sorted(f.terms.items())],
+    }, separators=(",", ":"))
+
+
+def _export_polys():
+    """Every family ``export`` writes, at n = 1..9, each slice included."""
+    for n in range(1, 10):
+        for family in FAMILIES:
+            if family == "xi":
+                for i in range(1, n // 2 + 1):
+                    yield build_distribution(family, n, i=i)
+            elif family == "exc_slice":
+                for k in range(n):
+                    yield build_distribution(family, n, k=k)
+            elif family != "derangement_refined" or n >= 2:
+                yield build_distribution(family, n)
+        yield det_Mnr(n)
+        yield a_part(n)
+        yield reconstruct_a(n)
+
+
+def test_dumps_matches_the_json_oracle_byte_for_byte():
+    s, t = variables(("s", "t"))
+    edge = [
+        MPoly.zero(("s", "t")),
+        MPoly.zero(()),
+        MPoly.const(("t",), -7),
+        (s - 2 * t) * F(-3, 4) + t ** 12 * 10 ** 40,
+        MPoly(("\u03bb", "t"), {(2, 1): F(1, 3), (0, 0): -1}),
+        MPoly(('a"b', "c\\d"), {(1, 0): 1, (0, 3): F(-5, 2)}),
+    ]
+    for f in edge:
+        assert f.dumps() == _dumps_oracle(f), f
+        assert MPoly.loads(f.dumps()) == f
+    count = 0
+    for f in _export_polys():
+        assert f.dumps() == _dumps_oracle(f), f
+        count += 1
+    assert count > 9 * len(FAMILIES)
+
+
+def test_dumps_peak_memory_is_a_small_multiple_of_its_text():
+    # building a list of term dicts first peaked at about 30x the text
+    f = trivariate(10)
+    text = f.dumps()
+    tracemalloc.start()
+    try:
+        f.dumps()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(text), (peak, len(text))
 
 
 def test_json_malformed():

@@ -154,6 +154,35 @@ def test_verify_eq1_loads_no_symmetry_or_fractions():
     assert "fractions" not in got["lazy"]
 
 
+# the a-parts, gamma vectors and their checks are integer work: none of
+# these loads fractions (nor decimal, which fractions imports)
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "thm20"],
+    ["verify", "--check", "gf"],
+    ["verify", "--check", "thT1"],
+    ["verify", "--check", "all"],
+    ["decompose", "--family", "des_exc", "--n", "6"],
+    ["gamma", "--family", "trivariate", "--n", "5"],
+    ["export", "--family", "a_part", "--n", "6"],
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_integer_commands_load_no_fractions(argv, tmp_path):
+    if argv[0] == "export":
+        argv = [*argv, "--out", str(tmp_path / "a.json")]
+    got = _jobs([argv])
+    assert "fractions" not in got["lazy"]
+    assert "decimal" not in got["lazy"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--max-n", "4"],
+    ["decompose", "--n", "5", "--s", "2"],
+], ids=["scan", "decompose-s"])
+def test_rational_commands_load_fractions(argv):
+    got = _jobs([argv])
+    assert "fractions" in got["lazy"]
+    assert "decimal" in got["lazy"]
+
+
 def test_checks_imports_its_suite_modules_eagerly():
     # perfbench's tracer imports eulerlab.checks and eulerlab.series, then
     # wraps functions of these modules, reached as attributes of the package;

@@ -1,5 +1,6 @@
 import doctest
 import re
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -66,6 +67,20 @@ def test_n_refused_by_check_n_before_any_build(lo, call, cache_sizes):
         message = f"n must be between {lo} and {MAX_ENUM_N}, got {n}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(n)
+    assert cache_sizes() == before
+
+
+@pytest.mark.parametrize("lo, call", [e[1:] for e in _N_ENTRY_POINTS],
+                         ids=[e[0] for e in _N_ENTRY_POINTS])
+def test_non_int_n_refused_even_when_the_int_is_cached(lo, call, cache_sizes):
+    # 4.0 == 4 and hashes alike, so an untyped cache would hand back the
+    # int's entry; the float must still reach check_n and be refused
+    n = max(lo, 4)
+    call(n)
+    before = cache_sizes()
+    for bad in (float(n), Fraction(n), str(n)):
+        with pytest.raises(ValueError, match="^n must be an int, got "):
+            call(bad)
     assert cache_sizes() == before
 
 

@@ -67,3 +67,25 @@ def test_stirling2_table():
 def test_subfactorial_and_fubini():
     assert [subfactorial(n) for n in range(7)] == [1, 0, 1, 2, 9, 44, 265]
     assert [fubini_number(n) for n in range(6)] == [1, 1, 3, 13, 75, 541]
+
+
+@pytest.mark.parametrize("fn, args", [
+    (gen_binomial, (4, 2)), (stirling2, (4, 2)), (subfactorial, (4,)),
+    (fubini_number, (4,)), (q_binomial, (4, 2))],
+    ids=["gen_binomial", "stirling2", "subfactorial", "fubini_number",
+         "q_binomial"])
+def test_non_int_arguments_are_refused(fn, args):
+    # each returns ints only: unchecked, 4.0 gave 9.0 or 6.0, a tuple, or
+    # a hit on the cache entry of 4
+    def cache_size():
+        return fn.cache_info().currsize if hasattr(fn, "cache_info") else 0
+
+    fn(*args)
+    before = cache_size()
+    for k in range(len(args)):
+        for bad in (float(args[k]), F(args[k]), str(args[k])):
+            wrong = args[:k] + (bad,) + args[k + 1:]
+            with pytest.raises(ValueError, match="^expected an int, got "):
+                fn(*wrong)
+    # a refusal stores nothing, so no entry has a non-int key
+    assert cache_size() == before
