@@ -168,14 +168,15 @@ def check_thT1(max_n: int) -> CheckResult:
     Two polynomials of degree at most n that agree at n + 1 points are
     equal.
 
-    The determinant half stops at n = 6, one below the reconstruction
-    half's top.  A division that the kernels find inexact means the
+    The reconstruction half reaches max_n; the determinant half stops
+    one below the top of thT1's range in ``_RANGES`` when max_n is that
+    top.  A division that the kernels find inexact means the
     identity is broken: it fails that n, with the error as the witness.
     """
     from .symmetry import a_part
 
     lines, failures = [], []
-    for n in range(0, min(max_n, 6) + 1):
+    for n in range(0, min(max_n, _RANGES["thT1"][2] - 1) + 1):
         try:
             bad = [f"n={n} r={r}: det={list(detformula.det_at(n, r))} "
                    f"rec={list(detformula.f_at(n, r))}"
@@ -266,8 +267,9 @@ CHECKS = {
 #: default runs when none is given, the top is the cap of the route that
 #: bounds the suite.  thm01 runs both its readings, the xi fold and
 #: MacMahon's formula, up to the builders' cap.  One top is set here:
-#: thT1's, whose halves stop at n = 6 and 7, the split its detail lines
-#: and perfbench's verify labels record.
+#: thT1's, whose reconstruction half reaches the top and whose
+#: determinant half stops one below it, the split its detail lines and
+#: perfbench's verify labels record.
 _RANGES = {
     "macmahon": (1, 9, MAX_ENUM_N),
     "thm01": (2, 7, MAX_ENUM_N),

@@ -9,7 +9,6 @@ floating point.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from math import factorial
 from typing import TYPE_CHECKING
@@ -20,6 +19,8 @@ from .perms import check_n
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .symmetry import SymDecomp
 
 # Each command imports the modules it runs, so building the parser loads
 # only what poly and export need.  verify's choices are therefore spelled
@@ -49,38 +50,32 @@ def _render(poly: MPoly, fmt: str) -> str:
 # ----------------------------------------------------------------------
 # table
 
+_TABLE_FIELDS = ("n", "permutations", "derangements",
+                 "ordered_set_partitions", "eulerian")
+
+
 def _cmd_table(args) -> int:
     from .qanalog import fubini_number, subfactorial
 
     check_n(args.max_n, 1)  # before any build
-    rows = []
-    for n in range(1, args.max_n + 1):
-        rows.append({
-            "n": n,
-            "permutations": factorial(n),
-            "derangements": subfactorial(n),
-            "ordered_set_partitions": fubini_number(n),
-            "eulerian": [str(int(c))
-                         for c in classic_eulerian(n).to_dense("x")],
-        })
+    rows = [(n, factorial(n), subfactorial(n), fubini_number(n),
+             [str(int(c)) for c in classic_eulerian(n).to_dense("x")])
+            for n in range(1, args.max_n + 1)]
     if args.format == "json":
         import json
-        print(json.dumps(rows, separators=(",", ":")))
+        print(json.dumps([dict(zip(_TABLE_FIELDS, r)) for r in rows],
+                         separators=(",", ":")))
     elif args.format == "csv":
         import csv
         writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "permutations", "derangements",
-                         "ordered_set_partitions", "eulerian"])
-        for r in rows:
-            writer.writerow([r["n"], r["permutations"], r["derangements"],
-                             r["ordered_set_partitions"],
-                             ";".join(r["eulerian"])])
+        writer.writerow(_TABLE_FIELDS)
+        for *counts, eulerian in rows:
+            writer.writerow([*counts, ";".join(eulerian)])
     else:
-        header = f"{'n':>2} {'perms':>9} {'derange':>9} {'ordered':>9}  eulerian"
-        print(header)
-        for r in rows:
-            print(f"{r['n']:>2} {r['permutations']:>9} {r['derangements']:>9} "
-                  f"{r['ordered_set_partitions']:>9}  {' '.join(r['eulerian'])}")
+        print(f"{'n':>2} {'perms':>9} {'derange':>9} {'ordered':>9}  eulerian")
+        for n, perms, derange, ordered, eulerian in rows:
+            print(f"{n:>2} {perms:>9} {derange:>9} {ordered:>9}  "
+                  f"{' '.join(eulerian)}")
     return 0
 
 
@@ -100,10 +95,11 @@ _DECOMP_VAR = {"des_exc": "t", "trivariate": "t",
                "classic_eulerian": "x", "derangement": "x"}
 
 
-def _specialized(args) -> tuple[MPoly, str]:
-    family = args.family
-    poly = build_distribution(family, args.n)
-    var = _DECOMP_VAR[family]
+def _split(args) -> SymDecomp:
+    """The family at --n, specialized at --s/--p/--q, split at --d or n-1."""
+    from .symmetry import sym_decompose
+
+    poly = build_distribution(args.family, args.n)
     assignments = {}
     for name in ("s", "p", "q"):
         value = getattr(args, name)
@@ -111,33 +107,28 @@ def _specialized(args) -> tuple[MPoly, str]:
             continue
         if name not in poly.vars:
             raise ValueError(
-                f"--{name} does not apply to family {family!r}")
+                f"--{name} does not apply to family {args.family!r}")
         assignments[name] = value
     if assignments:
         poly = poly.subs(assignments)
-    return poly, var
+    d = args.d if args.d is not None else args.n - 1
+    return sym_decompose(poly, _DECOMP_VAR[args.family], d)
 
 
 def _cmd_decompose(args) -> int:
-    from .symmetry import sym_decompose
-
-    poly, var = _specialized(args)
-    d = args.d if args.d is not None else args.n - 1
-    dec = sym_decompose(poly, var, d)
+    a, b, var, d = _split(args)
     print(f"a ({var}-palindromic, ambient degree {d}): "
-          f"{_render(dec.a, args.format)}")
+          f"{_render(a, args.format)}")
     print(f"b ({var}-palindromic, ambient degree {d - 1}): "
-          f"{_render(dec.b, args.format)}")
+          f"{_render(b, args.format)}")
     return 0
 
 
 def _cmd_gamma(args) -> int:
-    from .symmetry import gamma_expand, sym_decompose
+    from .symmetry import gamma_expand
 
-    poly, var = _specialized(args)
-    d = args.d if args.d is not None else args.n - 1
-    dec = sym_decompose(poly, var, d)
-    for label, part, amb in (("a", dec.a, d), ("b", dec.b, d - 1)):
+    a, b, var, d = _split(args)
+    for label, part, amb in (("a", a, d), ("b", b, d - 1)):
         if part.is_zero():
             print(f"gamma[{label}]: zero polynomial, empty expansion")
             continue
@@ -186,30 +177,26 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 # scan
 
+_SCAN_FIELDS = ("n", "p", "q", "gamma_a", "gamma_b", "gamma_a_nonneg",
+                "gamma_b_nonneg", "alternatingly_increasing", "unimodal",
+                "mode_indices", "in_hypothesis")
+
+
+def _cell(value):
+    """A scan value as a row shows it: a tuple joined by ';', a bool or
+    int as it is, a rational as its a/b string."""
+    if type(value) is tuple:
+        return ";".join(map(str, value))
+    return value if isinstance(value, int) else str(value)
+
+
 def _scan_rows(args):
     from .symmetry import conjecture_scan
 
     check_n(args.max_n, 1)  # before any build
     for n in range(1, args.max_n + 1):
-        rep = conjecture_scan(n, args.p, args.q, force=args.force)
-        yield {
-            "n": rep.n,
-            "p": str(rep.p),
-            "q": str(rep.q),
-            "gamma_a": ";".join(str(g) for g in rep.gamma_a),
-            "gamma_b": ";".join(str(g) for g in rep.gamma_b),
-            "gamma_a_nonneg": rep.gamma_a_nonneg,
-            "gamma_b_nonneg": rep.gamma_b_nonneg,
-            "alternatingly_increasing": rep.alternatingly_increasing,
-            "unimodal": rep.unimodal,
-            "mode_indices": ";".join(str(i) for i in rep.mode_indices),
-            "in_hypothesis": rep.in_hypothesis,
-        }
-
-
-_SCAN_FIELDS = ["n", "p", "q", "gamma_a", "gamma_b", "gamma_a_nonneg",
-                "gamma_b_nonneg", "alternatingly_increasing", "unimodal",
-                "mode_indices", "in_hypothesis"]
+        rep = conjecture_scan(n, args.p, args.q, force=args.force)._asdict()
+        yield {k: _cell(rep[k]) for k in _SCAN_FIELDS}
 
 
 def _cmd_scan(args) -> int:
@@ -219,12 +206,10 @@ def _cmd_scan(args) -> int:
         print(json.dumps(rows, separators=(",", ":")))
     else:
         import csv
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_SCAN_FIELDS,
+        writer = csv.DictWriter(sys.stdout, fieldnames=_SCAN_FIELDS,
                                 lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
     return 0
 
 
@@ -284,31 +269,22 @@ def build_parser() -> argparse.ArgumentParser:
                    "single-statistic families) at ambient degree n-1 "
                    "unless --d overrides it.  The recursion this feeds "
                    "seeds with the zero polynomial at n = 0.")
-    p = sub.add_parser("decompose", help="palindromic decomposition",
-                       epilog=decomp_help)
-    p.add_argument("--family", choices=tuple(_DECOMP_VAR), default="des_exc")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=_rational, default=None,
-                   help="specialize the descent variable, as a/b")
-    p.add_argument("--p", type=_rational, default=None)
-    p.add_argument("--q", type=_rational, default=None)
-    p.add_argument("--d", type=int, default=None,
-                   help="ambient degree (default n-1)")
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default="text")
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("gamma", help="gamma vectors of both parts",
-                       epilog=decomp_help)
-    p.add_argument("--family", choices=tuple(_DECOMP_VAR), default="des_exc")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=_rational, default=None)
-    p.add_argument("--p", type=_rational, default=None)
-    p.add_argument("--q", type=_rational, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default="text")
-    p.set_defaults(fn=_cmd_gamma)
+    for name, help_, fn in (
+            ("decompose", "palindromic decomposition", _cmd_decompose),
+            ("gamma", "gamma vectors of both parts", _cmd_gamma)):
+        p = sub.add_parser(name, help=help_, epilog=decomp_help)
+        p.add_argument("--family", choices=tuple(_DECOMP_VAR),
+                       default="des_exc")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--s", type=_rational, default=None,
+                       help="specialize the descent variable, as a/b")
+        p.add_argument("--p", type=_rational, default=None)
+        p.add_argument("--q", type=_rational, default=None)
+        p.add_argument("--d", type=int, default=None,
+                       help="ambient degree (default n-1)")
+        p.add_argument("--format", choices=("text", "json", "latex"),
+                       default="text")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("det", help="determinant and the rebuilt a-part")
     p.add_argument("--n", type=int, required=True)

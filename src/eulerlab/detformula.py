@@ -38,8 +38,8 @@ from math import comb
 
 from .mpoly import DivisibilityError, MPoly
 from .perms import check_n
-from .qanalog import (binom_poly, gen_binomial, int_add, int_div, int_mul,
-                      int_sub, int_trim)
+from .qanalog import (_check_ints, binom_poly, gen_binomial, int_add, int_div,
+                      int_mul, int_sub, int_trim)
 
 _VARS = ("t", "r")
 
@@ -88,11 +88,12 @@ def _beta_at(j: int, r: int) -> list[int]:
 
 
 def _check_at(n: int, r: int) -> None:
+    _check_ints(n, r)
     if n < 0 or r < 0:
         raise ValueError("n and r must be nonnegative")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def f_at(n: int, r: int) -> tuple[int, ...]:
     """f_n(t, r) at integer r >= 0 from the recurrence, as t-coefficients."""
     _check_at(n, r)
@@ -103,7 +104,7 @@ def f_at(n: int, r: int) -> tuple[int, ...]:
     return tuple(int_trim(acc))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def det_at(n: int, r: int) -> tuple[int, ...]:
     """The Cramer determinant at integer r >= 0, by Bareiss over Z[t]."""
     _check_at(n, r)

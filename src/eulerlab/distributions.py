@@ -296,7 +296,7 @@ def derangement_lhs(n: int) -> MPoly:
 
 def _check_slice(n: int, i: int) -> None:
     check_n(n, 2)
-    if not 1 <= i <= n // 2:
+    if type(i) is not int or not 1 <= i <= n // 2:
         raise ValueError(f"i must lie in 1..{n // 2} for n={n}, got {i}")
 
 
@@ -402,7 +402,7 @@ def xi_transposed(n: int, i: int) -> MPoly:
 def exc_slice(n: int, k: int) -> MPoly:
     """Descent distribution over the excedance-k slice of S_n, in s."""
     check_n(n, 1)
-    if not 0 <= k <= n - 1:
+    if type(k) is not int or not 0 <= k <= n - 1:
         raise ValueError(f"k must lie in 0..{n - 1} for n={n}, got {k}")
     return eulerian_st(n).coeff_of("t", k)
 

@@ -31,7 +31,8 @@ from math import comb, factorial
 from .distributions import eulerian_st
 from .mpoly import MPoly
 from .perms import check_n
-from .qanalog import int_add, int_mul, int_sub, int_trim, stirling2
+from .qanalog import (_check_ints, int_add, int_mul, int_sub, int_trim,
+                      stirling2)
 
 
 def _joint(n: int) -> MPoly:
@@ -171,6 +172,7 @@ def verify_foata(max_n: int) -> FoataReport:
 
 def f_nkr(n: int, k: int, r: int) -> int:
     """[s**r t**k u**n] of the joint generating function, by direct expansion."""
+    _check_ints(n, k, r)
     if n < 0 or k < 0 or r < 0:
         raise ValueError("all indices must be nonnegative")
     coeffs = _resummed(_joint(n), n, r)
@@ -193,6 +195,7 @@ def f_nkr_closed(n: int, k: int, r: int, literal: bool = False) -> int:
     not agree with :func:`f_nkr`; it is kept so the disagreement can be
     demonstrated rather than asserted.
     """
+    _check_ints(n, k, r)
     if n < 0 or k < 0 or r < 0:
         raise ValueError("all indices must be nonnegative")
     if literal:

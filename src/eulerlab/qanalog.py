@@ -40,6 +40,7 @@ def gen_binomial(a: int, j: int) -> int:
 
 def binom_poly(j: int) -> MPoly:
     """``C(r, j)`` as a polynomial in ``r`` with rational coefficients."""
+    _check_ints(j)
     if j < 0:
         raise ValueError("lower index must be nonnegative")
     r = MPoly.variable("r")

@@ -158,13 +158,12 @@ def gamma_expand(f: MPoly, var: str, d: int) -> GammaExpansion:
 
     Gamma i is a polynomial in the other variables: each row of f is
     expanded by :func:`_gamma_ints`.  Raises ValueError when f is not
-    palindromic at ambient degree d (the basis only spans those).
+    palindromic at ambient degree d (the basis only spans those): a
+    degree above d is refused by :func:`_rows`, a row that is not its
+    own reverse by :func:`_gamma_ints`.
     """
     if f.is_zero():
         return GammaExpansion(var=var, ambient_degree=d, gammas=())
-    if not is_palindromic(f, var, d):
-        raise ValueError(
-            f"not palindromic at ambient degree {d} in {var!r}: {f}")
     gammas = _by_rows(f, var, d, lambda cs: [[g] for g in _gamma_ints(cs)],
                       d // 2 + 1)
     return GammaExpansion(var=var, ambient_degree=d, gammas=tuple(gammas))

@@ -8,6 +8,7 @@ from eulerlab.cli import main
 from eulerlab.detformula import det_Mnr
 from eulerlab.distributions import eulerian_st
 from eulerlab.mpoly import DivisibilityError, MPoly
+from eulerlab.symmetry import gamma_expand
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +164,50 @@ def test_gamma_zero_part(capsys):
     assert lines[0] == "gamma[a][0] = 1"
     assert lines[1] == "gamma[a][1] = 2"
     assert lines[2] == "gamma[b]: zero polynomial, empty expansion"
+
+
+def test_split_at_a_given_ambient_degree(capsys):
+    # the derangement polynomial is palindromic at degree n, so at --d n
+    # the whole of it is the a part
+    argv = ("--family", "derangement", "--n", "6", "--d", "6")
+    code, out, _ = run_cli(capsys, "decompose", *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "a (x-palindromic, ambient degree 6): "
+        "x + 51*x^2 + 161*x^3 + 51*x^4 + x^5",
+        "b (x-palindromic, ambient degree 5): 0",
+    ]
+    code, out, _ = run_cli(capsys, "gamma", *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "gamma[a][0] = 0", "gamma[a][1] = 1", "gamma[a][2] = 47",
+        "gamma[a][3] = 61", "gamma[b]: zero polynomial, empty expansion",
+    ]
+
+
+def test_gamma_expands_the_parts_decompose_prints(capsys):
+    argv = ("--family", "des_exc", "--n", "5", "--s", "2", "--format", "json")
+    code, out, _ = run_cli(capsys, "decompose", *argv)
+    assert code == 0
+    parts = [MPoly.loads(line.split(": ", 1)[1]) for line in out.splitlines()]
+    want = []
+    for label, part, amb in zip("ab", parts, (4, 3)):
+        want += [f"gamma[{label}][{i}] = {g.dumps()}"
+                 for i, g in enumerate(gamma_expand(part, "t", amb).gammas)]
+    code, out, _ = run_cli(capsys, "gamma", *argv)
+    assert code == 0 and out.splitlines() == want
+
+
+@pytest.mark.parametrize("command", ["decompose", "gamma"])
+def test_split_commands_document_their_arguments(capsys, monkeypatch,
+                                                 command):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "specialize the descent variable, as a/b" in out
+    assert "ambient degree (default n-1)" in out
 
 
 def test_det_command(capsys):

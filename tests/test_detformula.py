@@ -182,6 +182,17 @@ def test_det_guards():
         reconstruct_a(0)
     with pytest.raises(ValueError):
         reconstruct_a(14)
+    # on a cold cache a float r reached the kernels and raised TypeError;
+    # on a warm one it hit the entry of the equal int and returned it
+    det_at.cache_clear()
+    f_at.cache_clear()
+    with pytest.raises(ValueError, match="^expected an int, got 2.0$"):
+        det_at(3, 2.0)
+    assert det_at(3, 2) == f_at(3, 2) == (1, 10, 19, 10, 1)
+    for fn, args in ((f_at, (3.0, 2)), (det_at, (3.0, 2)), (det_at, (3, 2.0)),
+                     (f_at, (3, 2.0))):
+        with pytest.raises(ValueError, match="^expected an int, got "):
+            fn(*args)
 
 
 def test_reconstruct_small_values():

@@ -230,6 +230,9 @@ def test_xi_guards():
         xi(4, 3)
     with pytest.raises(ValueError):
         xi(5, 0)
+    # a float index in range was accepted silently
+    with pytest.raises(ValueError, match="^i must lie in 1..3 for n=6, got 2.0$"):
+        xi(6, 2.0)
     with pytest.raises(ValueError):
         xi(MAX_ENUM_N + 1, 1)
     # both routes share the builders' cap
@@ -308,6 +311,8 @@ def test_exc_slice():
     assert exc_slice(4, 3) == MPoly(("s",), {(1,): 1})
     with pytest.raises(ValueError):
         exc_slice(4, 4)
+    with pytest.raises(ValueError, match="^k must lie in 0..4 for n=5, got 1.0$"):
+        exc_slice(5, 1.0)
     # n is checked before k, so the message names n's range
     with pytest.raises(ValueError, match="n must be between 1 and 13, got 0"):
         exc_slice(0, 0)

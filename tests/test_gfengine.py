@@ -142,6 +142,11 @@ def test_f_nkr_guards():
         f_nkr(14, 0, 0)
     with pytest.raises(ValueError):
         f_nkr_closed(0, -1, 0)
+    # a float index raised TypeError deep in the expansion
+    for fn, args in ((f_nkr, (3, 1, 2.0)), (f_nkr, (3, 1.0, 2)),
+                     (f_nkr_closed, (3.0, 1, 2))):
+        with pytest.raises(ValueError, match="^expected an int, got "):
+            fn(*args)
 
 
 def test_closed_form_agrees_with_direct():

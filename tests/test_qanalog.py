@@ -71,9 +71,9 @@ def test_subfactorial_and_fubini():
 
 @pytest.mark.parametrize("fn, args", [
     (gen_binomial, (4, 2)), (stirling2, (4, 2)), (subfactorial, (4,)),
-    (fubini_number, (4,)), (q_binomial, (4, 2))],
+    (fubini_number, (4,)), (q_binomial, (4, 2)), (binom_poly, (2,))],
     ids=["gen_binomial", "stirling2", "subfactorial", "fubini_number",
-         "q_binomial"])
+         "q_binomial", "binom_poly"])
 def test_non_int_arguments_are_refused(fn, args):
     # each returns ints only: unchecked, 4.0 gave 9.0 or 6.0, a tuple, or
     # a hit on the cache entry of 4

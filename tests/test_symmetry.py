@@ -180,10 +180,15 @@ def test_gamma_expand_rejects_non_palindromic():
     # the sparse route and the integer kernel refuse the same lists
     for cs in ([1, 2], [1, 2, 0, 3], [F(1, 2), 1]):
         f = MPoly(("t",), {(i,): c for i, c in enumerate(cs)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coefficient list is not "
+                                             "palindromic at ambient degree"):
             gamma_expand(f, "t", len(cs) - 1)
         with pytest.raises(ValueError):
             gamma_expand_coeffs(cs)
+    # a degree above d is refused before any row is expanded
+    with pytest.raises(ValueError, match="^degree 2 in 't' exceeds ambient "
+                                         "degree 1$"):
+        gamma_expand(MPoly(("t",), {(2,): 1}), "t", 1)
 
 
 def test_gamma_expansion_misc():
