@@ -13,13 +13,16 @@ remaining values are inert, kept only as a count; they rank below every
 exact one.  The state also keeps a tag: the rank of the last value among
 the remaining ones for the families that read descents, with the
 descent count so far for the three-variable refinements and :func:`xi`,
-and nothing for the excedance counts.  Each merged state holds one
-packed int over the remaining statistics, and since a family reads the
-last value only through the descent test, each value is placed once
-after all the prefixes ending below it and once after those ending
-above it.  So n = 13 takes well under a second (``trivariate(13)`` 0.1 s,
-and one ``xi`` fold for all slices about 0.9 s, on a 2-core x86 machine)
-where listing 13! permutations would take hours.  Each family only
+and nothing for the excedance counts.  The fold alone lays out the tag,
+with a field for the descent count sized from n, so it is exact at
+every n and ``perms.MAX_ENUM_N`` caps n for cost alone.  Each merged
+state holds one packed int over the remaining statistics, and since a
+family reads the last value only through the descent test, each value
+is placed once after all the prefixes ending below it and once after
+those ending above it.  So n = 13 takes well under a second
+(``trivariate(13)`` 0.1 s, and one ``xi`` fold for all slices about
+0.9 s, on a 2-core x86 machine) where listing 13! permutations would
+take hours.  Each family only
 supplies the move that reads its statistics off one placed value.
 The builders that several consumers read within one command are cached;
 :func:`classic_eulerian` and :func:`derangement_poly` are not, since no
@@ -63,14 +66,16 @@ def _transfer(n: int, move, tagged: bool,
     the ones the family's move must see exactly; the smaller ones are
     inert, seen only as a count.  A prefix is summarised by its state:
     the bit set ``free`` of its exact remaining values (bit v for value
-    v) and a ``tag`` = 16 * t + rest, where t is the rank of the last
+    v) and a ``tag`` = t << bits | rest, where t is the rank of the last
     placed value among the remaining ones (how many of them lie below it;
-    0 when the family is not ``tagged``) and ``rest`` < 16 is whatever
-    else the family must remember.  Placing the remaining value of rank
-    rho puts a descent at pos - 1 exactly when t > rho, and leaves the new
-    last value at rank rho.  An inert value lies below every exact one,
-    and ``exact_from`` never falls, so the inert values hold the lowest
-    ranks and a value that turns inert keeps its rank.  Hence prefixes
+    0 when the family is not ``tagged``) and ``rest`` is whatever else
+    the family must remember.  Every move keeps its rest below n, so
+    ``bits`` = ``n.bit_length()`` holds it at every n.  Placing the
+    remaining value of rank rho puts a descent at pos - 1 exactly when
+    t > rho, and leaves the new last value at rank rho.  An inert value
+    lies below every exact one, and ``exact_from`` never falls, so the
+    inert values hold the lowest ranks and a value that turns inert
+    keeps its rank.  Hence prefixes
     with the same state have the same continuations, whichever inert
     values they left, and merge: for the positional families every value
     below pos is inert, since it can be neither an excedance (v > j) nor
@@ -86,7 +91,7 @@ def _transfer(n: int, move, tagged: bool,
     after those with t > rho (a descent).  ``move(pos, rest, v, free,
     descent)``, with v the exact value or 0 for an inert one, returns
     ``(new_rest, rise)``: the prefixes move to the state with v out of
-    ``free`` and tag 16 * rho + new_rest, and their code rises by
+    ``free`` and tag rho << bits | new_rest, and their code rises by
     ``rise``; or None to drop them.
 
     A state after pos values, like each sum below or above rho, covers
@@ -95,6 +100,8 @@ def _transfer(n: int, move, tagged: bool,
     ``{(rest, code): count}`` over S_n.
     """
     width = factorial(n).bit_length()
+    bits = n.bit_length()
+    mask = (1 << bits) - 1
     values = range(1, n + 1)
     layer = {(1 << n + 1) - 2 & -(1 << exact_from(1)): {0: 1}}
     for pos in range(1, n + 1):
@@ -112,9 +119,9 @@ def _transfer(n: int, move, tagged: bool,
             outs = [None] * left
             groups: dict = {}
             for tag in sorted(tags):
-                group = groups.get(tag & 15)
+                group = groups.get(tag & mask)
                 if group is None:
-                    groups[tag & 15] = [tag]
+                    groups[tag & mask] = [tag]
                 else:
                     group.append(tag)
             for rest, group in groups.items():
@@ -125,7 +132,7 @@ def _transfer(n: int, move, tagged: bool,
                 k = 0  # the first k tags of the group have t <= rho
                 below = 0
                 for rho, v in enumerate(ranked):
-                    while k < m and group[k] >> 4 <= rho:
+                    while k < m and group[k] >> bits <= rho:
                         below += tags[group[k]]
                         k += 1
                     # a shift or subtraction by 0 would copy the int
@@ -138,7 +145,7 @@ def _transfer(n: int, move, tagged: bool,
                             if out is None:
                                 out = outs[rho] = nxt.setdefault(
                                     free & ~(1 << v) & keep, {})
-                            tag = 16 * rho + new_rest if tagged else new_rest
+                            tag = rho << bits | new_rest if tagged else new_rest
                             old = out.get(tag)
                             out[tag] = packed if old is None else old + packed
                     if k < m:
@@ -152,7 +159,7 @@ def _transfer(n: int, move, tagged: bool,
                             if out is None:
                                 out = outs[rho] = nxt.setdefault(
                                     free & ~(1 << v) & keep, {})
-                            tag = 16 * rho + new_rest  # t > 0: tagged
+                            tag = rho << bits | new_rest  # t > 0: tagged
                             old = out.get(tag)
                             out[tag] = packed if old is None else old + packed
         layer = nxt
@@ -165,7 +172,7 @@ def _transfer(n: int, move, tagged: bool,
             for code, top in enumerate(range(len(bits), 0, -width)):
                 digit = bits[top - width:top]
                 if digit != zero:
-                    key = tag & 15, code
+                    key = tag & mask, code
                     counts[key] = counts.get(key, 0) + int(digit, 2)
     return counts
 
@@ -227,7 +234,7 @@ def _xi_move(n):
                 return None
             seen = (seen | 1) + 2
         else:
-            seen &= 14
+            seen &= ~1
         if v < n and not free >> v + 1 & 1:
             return seen, n * v + 1
         return seen, 0
@@ -410,8 +417,18 @@ def exc_slice(n: int, k: int) -> MPoly:
 # ----------------------------------------------------------------------
 # declarative construction, used by the command line
 
-FAMILIES = ("des_exc", "classic_eulerian", "derangement", "trivariate",
-            "derangement_refined", "xi", "exc_slice")
+#: each family's builder and the index it takes beside n, if any: the
+#: slice i of xi or the excedance level k of exc_slice
+_BUILDERS = {
+    "des_exc": (eulerian_st, None),
+    "classic_eulerian": (classic_eulerian, None),
+    "derangement": (derangement_poly, None),
+    "trivariate": (trivariate, None),
+    "derangement_refined": (derangement_lhs, None),
+    "xi": (xi, "i"),
+    "exc_slice": (exc_slice, "k"),
+}
+FAMILIES = tuple(_BUILDERS)
 
 
 def build_distribution(family: str, n: int, i: int | None = None,
@@ -421,25 +438,14 @@ def build_distribution(family: str, n: int, i: int | None = None,
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
                          f"expected one of {', '.join(FAMILIES)}")
-    if family == "xi":
-        if i is None:
-            raise ValueError("family 'xi' needs --i")
-        if k is not None:
-            raise ValueError("family 'xi' takes no --k")
-        return xi(n, i)
-    if family == "exc_slice":
-        if k is None:
-            raise ValueError("family 'exc_slice' needs --k")
-        if i is not None:
-            raise ValueError("family 'exc_slice' takes no --i")
-        return exc_slice(n, k)
-    if i is not None or k is not None:
-        raise ValueError(f"family {family!r} takes no --i/--k")
-    builder = {
-        "des_exc": eulerian_st,
-        "classic_eulerian": classic_eulerian,
-        "derangement": derangement_poly,
-        "trivariate": trivariate,
-        "derangement_refined": derangement_lhs,
-    }[family]
-    return builder(n)
+    builder, index = _BUILDERS[family]
+    if index is None:
+        if i is not None or k is not None:
+            raise ValueError(f"family {family!r} takes no --i/--k")
+        return builder(n)
+    value, other, extra = (i, "k", k) if index == "i" else (k, "i", i)
+    if value is None:
+        raise ValueError(f"family {family!r} needs --{index}")
+    if extra is not None:
+        raise ValueError(f"family {family!r} takes no --{other}")
+    return builder(n, value)

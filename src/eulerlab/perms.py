@@ -16,11 +16,13 @@ from collections import namedtuple
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
-#: Largest n of the S_n distribution builders.  The transfer kernel in
-#: ``distributions`` builds eulerian_st(13) in about 0.02 s and
-#: trivariate(13) in about 0.1 s with a 16 MB peak; the slowest family,
-#: xi, folds all slices at n = 13 in about 0.9 s with a 44 MB peak (fresh
-#: processes, 2-core x86, Python 3.11).
+#: Largest n of the S_n distribution builders, and the library's one size
+#: limit.  It is set by cost alone: the transfer kernel in
+#: ``distributions`` sizes its state from n and is exact at every n.  It
+#: builds eulerian_st(13) in about 0.02 s and trivariate(13) in about
+#: 0.1 s with a 16 MB peak; the slowest family, xi, folds all slices at
+#: n = 13 in about 0.9 s with a 44 MB peak (fresh processes, 2-core x86,
+#: Python 3.11).
 MAX_ENUM_N = 13
 
 

@@ -77,32 +77,34 @@ def test_top_n_digits_do_not_carry():
     assert des_row == des
 
 
-def test_top_n_rest_fits_four_bits():
-    # a tag is 16 * t + rest, so every rest must stay below 16 at the
-    # top n.  trivariate's rest is the descent count, up to n - 1: a
-    # descent at the last position after n - 2 of them must still decode
-    n = MAX_ENUM_N
-    move = distributions._trivariate_move(n, False)
-    rest, _ = move(n, n - 2, 1, 1 << 1, True)
-    assert rest == n - 1 < 16
-    # xi's rest is 2 * (descents so far) + flag.  The descents lie in
-    # [2, n-2] with no two consecutive, so there are at most n // 2 - 1,
-    # and the flag is set after the last.  The move reads v and the free
-    # set only for the rise, so walking every rest it can return,
-    # position by position, bounds the rests of the fold
-    move = distributions._xi_move(n)
-    rests, reached = {0}, set()
-    for pos in range(1, n + 1):
-        nxt = set()
-        for rest in rests:
-            for descent in (False, True):
-                moved = move(pos, rest, 1, 1 << 1, descent)
-                if moved is not None:
-                    nxt.add(moved[0])
-        reached |= nxt
-        rests = nxt
-    assert max(reached) == 2 * (n // 2 - 1) + 1 < 16
-    assert min(reached) >= 0
+def test_rests_fit_the_tag_field():
+    # _transfer packs a tag as t << n.bit_length() | rest, so every rest
+    # must stay below 2 ** n.bit_length().  The tagged moves read v and
+    # the free set only for the rise and the fixed-point drop, so walking
+    # every rest a move can return, position by position, bounds the
+    # rests of its fold.  A descent sits at pos - 1 >= 1.  trivariate's
+    # rest is the descent count, up to n - 1.  xi's is 2 * (descents so
+    # far) + flag; its descents lie in [2, n-2] with no two consecutive,
+    # so there are at most n // 2 - 1, and the flag is set after the last
+    for n in range(4, 25):
+        moves = {
+            distributions._trivariate_move(n, False): n - 1,
+            distributions._trivariate_move(n, True): n - 1,
+            distributions._xi_move(n): 2 * (n // 2 - 1) + 1,
+        }
+        for move, bound in moves.items():
+            rests, reached = {0}, set()
+            for pos in range(1, n + 1):
+                nxt = set()
+                for rest in rests:
+                    for descent in (False, True) if pos > 1 else (False,):
+                        moved = move(pos, rest, 0, 0, descent)
+                        if moved is not None:
+                            nxt.add(moved[0])
+                reached |= nxt
+                rests = nxt
+            assert min(reached) >= 0
+            assert max(reached) == bound < 2 ** n.bit_length(), n
 
 
 def _spy(move, calls):
@@ -335,7 +337,12 @@ def test_slice_sum_reassembles_joint():
 
 
 def test_build_distribution_dispatch():
-    assert build_distribution("des_exc", 3) == eulerian_st(3)
+    builders = {"des_exc": eulerian_st, "classic_eulerian": classic_eulerian,
+                "derangement": derangement_poly, "trivariate": trivariate,
+                "derangement_refined": derangement_lhs}
+    assert {*builders, "xi", "exc_slice"} == set(distributions.FAMILIES)
+    for family, builder in builders.items():
+        assert build_distribution(family, 4) == builder(4), family
     assert build_distribution("xi", 4, i=2) == xi(4, 2)
     assert build_distribution("exc_slice", 4, k=1) == exc_slice(4, 1)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from math import factorial
 
 import pytest
 
+from eulerlab import distributions
 from eulerlab.distributions import (classic_eulerian, derangement_lhs,
                                     derangement_poly, eulerian_st, trivariate,
                                     xi)
@@ -131,3 +132,14 @@ def test_folds_against_fold_free_oracles(n):
     assert derangement_lhs(n).evaluate(ones) == subfactorial(n)
     assert sum(eulerian) == factorial(n)
     assert refined.evaluate(ones) == factorial(n)
+
+
+def test_fold_is_exact_above_the_cap():
+    # the fold sizes its tag from n, so past MAX_ENUM_N it still counts
+    # right.  n = 17 is the first n whose descent count, up to 16, needs
+    # a fifth bit.  About 1 s and 60 MB
+    n = 17
+    refined = distributions._trivariate_poly(n, False)
+    assert _marginal(refined, ("p",)) == _eulerian_row(n)
+    assert _marginal(refined, ("t", "q")) == _mahonian_row(n)
+    assert refined.evaluate({"t": 1, "p": 1, "q": 1}) == factorial(n)
