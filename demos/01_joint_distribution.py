@@ -5,7 +5,8 @@ Run:  python3 demos/01_joint_distribution.py
 
 from math import factorial
 
-from eulerlab import classic_eulerian, eulerian_st, fubini_number, stats
+from eulerlab import classic_eulerian, eulerian_st, fubini_number
+from eulerlab.perms import stats
 
 print("joint polynomials A_n(s, t), s marks descents, t marks excedances")
 for n in range(1, 6):

@@ -24,21 +24,15 @@ _EXPORTS = {
     "distributions": ("FAMILIES", "build_distribution", "classic_eulerian",
                       "derangement_lhs", "derangement_poly", "eulerian_st",
                       "exc_slice", "trivariate", "xi", "xi_transposed"),
-    "gfengine": ("FoataReport", "binom_resum", "f_nkr", "f_nkr_closed",
-                 "verify_foata"),
-    "mpoly": ("DivisibilityError", "MPoly", "VAR_ORDER", "canonical_vars",
-              "exact_divide", "variables"),
-    "perms": ("MAX_ENUM_N", "PermStats", "enumerate_perms", "inverse",
-              "is_derangement", "stable_subsets", "stats"),
+    "gfengine": ("FoataReport", "f_nkr", "f_nkr_closed", "verify_foata"),
+    "mpoly": ("DivisibilityError", "MPoly", "VAR_ORDER"),
+    "perms": ("MAX_ENUM_N", "stable_subsets"),
     "qanalog": ("binom_poly", "fubini_number", "gen_binomial", "stirling2",
                 "subfactorial"),
-    "series": ("USeries", "a_series_term", "f_series", "foata_term",
-               "lhs_coeff", "lhs_coeff_a"),
     "symmetry": ("GammaExpansion", "RecursionReport", "ScanReport",
                  "ShapeFlags", "SymDecomp", "a_part", "conjecture_scan",
                  "gamma_expand", "gamma_expand_coeffs", "is_palindromic",
                  "shape_checks", "sym_decompose", "verify_thm20"),
-    "univariate": ("RatFunc", "UPoly", "poly_gcd"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

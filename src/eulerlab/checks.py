@@ -108,9 +108,10 @@ def check_eq1(max_n: int) -> CheckResult:
     record the two readings it replaces.  The verbatim swapped-window
     form is off by one on the k = 0 boundary (n=3, k=0, r=1 gives 3
     against the direct 4), and the unswapped literal reading fails
-    outright (n=3, k=1, r=2 gives 1 against the direct 13); both are
-    reproducible via f_nkr_closed(..., literal=True) and the window
-    notes in its docstring.
+    outright (n=3, k=1, r=2 gives 1 against the direct 13).  The literal
+    reading is the closed form with k and r swapped, so the note line
+    computes it as f_nkr_closed(3, 2, 1); the window notes are in that
+    function's docstring.
     """
     from . import gfengine
 
@@ -126,7 +127,7 @@ def check_eq1(max_n: int) -> CheckResult:
                                f"direct={direct} closed={closed}")
         lines.append(f"eq1 n={n}: {'PASS' if not bad else 'FAIL'}")
         failures.extend(bad)
-    literal_demo = gfengine.f_nkr_closed(3, 1, 2, literal=True)
+    literal_demo = gfengine.f_nkr_closed(3, 2, 1)
     lines.append(
         f"eq1 note: literal index reading gives {literal_demo} at "
         f"(n=3,k=1,r=2), direct gives {gfengine.f_nkr(3, 1, 2)}; "

@@ -19,8 +19,10 @@ forms themselves, over ``USeries``, live in :mod:`eulerlab.series`; they
 are the oracle the tests hold the integer route against, and nothing
 here imports them.
 
-Integer coefficient extraction (:func:`f_nkr` and its closed form) and
-the binomial resummation of a polynomial in r live here too.
+Integer coefficient extraction (:func:`f_nkr` and its lattice closed
+form :func:`f_nkr_closed`) serves the eq1 suite.  :func:`binom_resum`,
+the binomial resummation of a polynomial in r over ``MPoly``, is run by
+no command: it is a test reference, and the package does not export it.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def f_nkr(n: int, k: int, r: int) -> int:
     return coeffs[k] if k < len(coeffs) else 0
 
 
-def f_nkr_closed(n: int, k: int, r: int, literal: bool = False) -> int:
+def f_nkr_closed(n: int, k: int, r: int) -> int:
     """Closed-form lattice count matching :func:`f_nkr`.
 
     Counts integer points y in the box [0, r]**n whose coordinate sum
@@ -189,34 +191,27 @@ def f_nkr_closed(n: int, k: int, r: int, literal: bool = False) -> int:
     x**(k*r + r) in (1 - x**r) * (1 - x**(r+1))**n / (1 - x)**(n+1),
     with the first factor dropped when k = 0.
 
-    With ``literal=True`` the roles of k and r in the extraction are
-    swapped: coefficient of x**(k*r + k) in
-    (1 - x**k) * (1 - x**(k+1))**n / (1 - x)**(n+1).  That reading does
-    not agree with :func:`f_nkr`; it is kept so the disagreement can be
-    demonstrated rather than asserted.
+    The literal reading of the formula swaps the roles of k and r: the
+    coefficient of x**(k*r + k) in (1 - x**k) * (1 - x**(k+1))**n /
+    (1 - x)**(n+1).  For r >= 1 that is ``f_nkr_closed(n, r, k)``, and it
+    does not agree with :func:`f_nkr`; ``check_eq1`` prints one such
+    point.
     """
     _check_ints(n, k, r)
     if n < 0 or k < 0 or r < 0:
         raise ValueError("all indices must be nonnegative")
-    if literal:
-        target = k * r + k
-        window, bracket = k, k + 1
-    else:
-        target = k * r + r
-        window, bracket = (r if k >= 1 else 0), r + 1
-    # numerator (1 - x**window) * (1 - x**bracket)**n, sparse in x;
-    # window == 0 with k == 0 means the factor is absent (closed window),
-    # while a genuine 1 - x**0 factor is identically zero.
-    numer: dict[int, int] = {}
-    for i in range(n + 1):
-        numer[i * bracket] = numer.get(i * bracket, 0) + (-1) ** i * comb(n, i)
-    if window == 0 and (literal or k >= 1):
-        return 0
-    if window > 0:
-        shifted = {}
+    target = k * r + r
+    # numerator (1 - x**r) * (1 - x**(r+1))**n, sparse in x; the window
+    # factor 1 - x**r is absent at k = 0 (closed window) and identically
+    # zero at r = 0
+    numer = {i * (r + 1): (-1) ** i * comb(n, i) for i in range(n + 1)}
+    if k >= 1:
+        if r == 0:
+            return 0
+        shifted: dict[int, int] = {}
         for m, c in numer.items():
             shifted[m] = shifted.get(m, 0) + c
-            shifted[m + window] = shifted.get(m + window, 0) - c
+            shifted[m + r] = shifted.get(m + r, 0) - c
         numer = shifted
     return sum(c * comb(target - m + n, n)
                for m, c in numer.items() if m <= target)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -126,14 +126,11 @@ class MPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
-
     def constant(self) -> Scalar:
         """The value of a polynomial with no effective variables."""
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
         zero_exp = (0,) * len(self.vars)
+        if self.terms.keys() - {zero_exp}:
+            raise ValueError(f"not a constant polynomial: {self}")
         return self.terms.get(zero_exp, 0)
 
     def _coerce(self, other) -> "MPoly | None":
@@ -217,7 +214,7 @@ class MPoly:
         if isinstance(other, MPoly):
             return self.vars == other.vars and self.terms == other.terms
         if _is_scalar(other):
-            return self.is_constant() and self.constant() == other
+            return self.terms == MPoly.const(self.vars, other).terms
         return NotImplemented
 
     def __hash__(self):
@@ -278,16 +275,6 @@ class MPoly:
         if missing:
             raise ValueError(f"no value given for {missing}")
         return self.subs(assignments).constant()
-
-    def rename(self, mapping: Mapping[str, str]) -> "MPoly":
-        """Rename variables; target names must not collide."""
-        new = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new)) != len(new):
-            raise ValueError(f"renaming collides: {new}")
-        order = canonical_vars(new)
-        perm = tuple(new.index(v) for v in order)
-        return _raw(order, {tuple(e[i] for i in perm): c
-                            for e, c in self.terms.items()})
 
     def with_vars(self, vars: Iterable[str]) -> "MPoly":
         """Reinterpret over another variable tuple.
@@ -472,16 +459,6 @@ def _raw(vars: tuple[str, ...], terms: dict) -> MPoly:
     object.__setattr__(obj, "vars", vars)
     object.__setattr__(obj, "terms", terms)
     return obj
-
-
-def variables(names: Sequence[str]) -> tuple[MPoly, ...]:
-    """Generators of a common polynomial ring, in the caller's order.
-
-    ``s, t = variables(("s", "t"))`` gives two polynomials over the same
-    variable tuple, so they can be combined freely.
-    """
-    vars = canonical_vars(names)
-    return tuple(MPoly.variable(name, vars) for name in names)
 
 
 def exact_divide(f: MPoly, g: MPoly) -> MPoly:

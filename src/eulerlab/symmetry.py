@@ -149,9 +149,6 @@ class GammaExpansion(namedtuple("GammaExpansion",
             acc = acc + g * x ** i * (1 + x) ** (d - 2 * i)
         return acc
 
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for g in self.gammas for c in g.terms.values())
-
 
 def gamma_expand(f: MPoly, var: str, d: int) -> GammaExpansion:
     """Expand a palindromic f in the gamma basis at ambient degree d.

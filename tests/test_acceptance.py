@@ -20,14 +20,14 @@ from eulerlab.distributions import (classic_eulerian, derangement_lhs,
                                     eulerian_st, exc_slice, trivariate, xi,
                                     xi_transposed)
 from eulerlab.gfengine import f_nkr, f_nkr_closed, verify_foata
-from eulerlab.mpoly import MPoly, exact_divide, variables
+from eulerlab.mpoly import MPoly, exact_divide
 from eulerlab.symmetry import (a_part, conjecture_scan, gamma_expand,
                                gamma_expand_coeffs, is_palindromic,
                                sym_decompose, verify_thm20)
 
-S, T = variables(("s", "t"))
-TT, P, Q = variables(("t", "p", "q"))
-TR, R = variables(("t", "r"))
+S, T = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
+TT, P, Q = (MPoly.variable(v, ("t", "p", "q")) for v in ("t", "p", "q"))
+TR, R = (MPoly.variable(v, ("t", "r")) for v in ("t", "r"))
 
 
 @contextmanager

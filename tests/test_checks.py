@@ -41,9 +41,9 @@ def test_run_checks_refuses_a_non_int_max_n():
 
 def test_eq1_lines_document_the_rejected_readings():
     (res,) = run_checks("eq1", max_n=3)
-    note = res.lines[-1]
-    assert "literal index reading gives 1" in note
-    assert "direct gives 13" in note
+    assert res.lines[-1] == ("eq1 note: literal index reading gives 1 at "
+                             "(n=3,k=1,r=2), direct gives 13; corrected "
+                             "roles are used")
 
 
 def test_thm01_lines_name_the_reading():

@@ -6,14 +6,14 @@ import pytest
 from eulerlab import detformula
 from eulerlab.detformula import (det_at, det_Mnr, det_bareiss, f_at,
                                  reconstruct_a)
-from eulerlab.mpoly import DivisibilityError, MPoly, variables
+from eulerlab.mpoly import DivisibilityError, MPoly
 from eulerlab.perms import MAX_ENUM_N
 from eulerlab.qanalog import (gen_binomial, int_add, int_div, int_mul,
                               int_sub, int_trim)
 from eulerlab.series import f_series
 from eulerlab.symmetry import a_part
 
-T, R = variables(("t", "r"))
+T, R = (MPoly.variable(v, ("t", "r")) for v in ("t", "r"))
 
 
 def test_alpha_beta_small():
@@ -196,7 +196,7 @@ def test_det_guards():
 
 
 def test_reconstruct_small_values():
-    S2, T2 = variables(("s", "t"))
+    S2, T2 = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
     assert reconstruct_a(1) == MPoly.const(("s", "t"), 1)
     assert reconstruct_a(2) == 1 + T2
     assert reconstruct_a(3) == 1 + (1 + S2) ** 2 * T2 + T2 ** 2

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from eulerlab import gfengine, symmetry
 from eulerlab.gfengine import (_joint, _resummed, _statements, binom_resum,
                                f_nkr, f_nkr_closed, verify_foata)
-from eulerlab.mpoly import MPoly, variables
+from eulerlab.mpoly import MPoly
 from eulerlab.perms import MAX_ENUM_N
 from eulerlab.series import (USeries, a_series_term, f_series, foata_term,
                              lhs_coeff, lhs_coeff_a)
@@ -156,11 +157,29 @@ def test_closed_form_agrees_with_direct():
                 assert f_nkr_closed(n, k, r) == f_nkr(n, k, r), (n, k, r)
 
 
-def test_literal_reading_disagrees():
-    # the swapped-index extraction is kept only to exhibit the mismatch
-    assert f_nkr_closed(3, 1, 2, literal=True) == 1
+def _literal_reading(n, k, r):
+    """[x**(k*r + k)] of (1 - x**k) * (1 - x**(k+1))**n / (1 - x)**(n+1),
+    expanded on an int list truncated after that power."""
+    top = k * r + k
+    f = [1] + [0] * top
+    for step in [k] + [k + 1] * n:  # times 1 - x**step
+        f = [c - (f[i - step] if i >= step else 0) for i, c in enumerate(f)]
+    for _ in range(n + 1):  # divided by 1 - x
+        f = list(accumulate(f))
+    return f[top]
+
+
+def test_literal_reading_is_the_swapped_closed_form():
+    # check_eq1's note reads the literal index roles as f_nkr_closed with
+    # k and r swapped; the expansion above does not rely on that swap
+    for n in range(7):
+        for k in range(7):
+            for r in range(1, 7):
+                assert _literal_reading(n, k, r) == f_nkr_closed(n, r, k), (
+                    n, k, r)
+    assert _literal_reading(3, 1, 2) == 1
     assert f_nkr(3, 1, 2) == 13
-    assert f_nkr_closed(3, 0, 2, literal=True) == 0
+    assert _literal_reading(3, 0, 2) == 0
     assert f_nkr(3, 0, 2) == comb(5, 3)
 
 
@@ -172,7 +191,7 @@ def test_f_series_r0_gives_t_analogs():
 
 
 def test_binom_resum_fixtures():
-    t, r = variables(("t", "r"))
+    t, r = (MPoly.variable(v, ("t", "r")) for v in ("t", "r"))
     one = MPoly.const(("t", "r"), 1)
     s_poly = binom_resum(one, 0)
     assert s_poly == MPoly.const(("s", "t"), 1)
@@ -189,5 +208,5 @@ def test_binom_resum_fixtures():
 def test_binom_resum_geometric_consistency():
     # sum_r C(r + 1, 1) s^r = 1 / (1 - s)^2, so the resummation of r + 1
     # against weight (1 - s)^(n+1) with n = 1 must be exactly 1
-    _, r = variables(("t", "r"))
+    r = MPoly.variable("r", ("t", "r"))
     assert binom_resum(r + 1, 1) == MPoly.const(("s", "t"), 1)

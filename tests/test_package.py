@@ -32,6 +32,34 @@ def test_star_import_binds_every_export():
     assert set(eulerlab.__all__) <= namespace.keys()
 
 
+#: names that no command runs; the tests and perfbench's tracer import
+#: them from their modules
+UNEXPORTED = ("exact_divide", "canonical_vars", "binom_resum", "PermStats",
+              "enumerate_perms", "stats", "inverse", "is_derangement")
+
+
+def test_test_oracles_are_not_exported():
+    from eulerlab import series, univariate
+    oracle = {name for module in (series, univariate)
+              for name, obj in vars(module).items()
+              if getattr(obj, "__module__", None) == module.__name__}
+    assert {"USeries", "f_series", "RatFunc", "poly_gcd"} <= oracle
+    assert not oracle & set(eulerlab.__all__)
+    assert not set(UNEXPORTED) & set(eulerlab.__all__)
+    for name in UNEXPORTED:
+        assert not hasattr(eulerlab, name), name
+
+
+def test_names_the_tracer_wraps_still_resolve():
+    from eulerlab import gfengine, mpoly, perms, series, univariate
+    for fn in (series.USeries.__mul__, series.USeries.inverse,
+               univariate.poly_gcd, mpoly.exact_divide, mpoly.MPoly.__mul__,
+               mpoly.MPoly.__rmul__, mpoly.MPoly.subs, mpoly.MPoly.dumps,
+               mpoly.MPoly.text, mpoly.MPoly.latex, gfengine.binom_resum,
+               perms.stats, perms.inverse):
+        assert callable(fn)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         eulerlab.nope
