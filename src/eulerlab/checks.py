@@ -1,9 +1,14 @@
 """Machine verification suites over the identities this package implements.
 
 Each suite returns a :class:`CheckResult` with one detail line per case.
-Suites never stop at the first failure; they collect every mismatch,
-with both sides serialized so a failure is reproducible from the report
-alone.  The names are short stable tokens used by ``eulerlab verify``.
+A suite states only its check: it hands its cases to one runner,
+:func:`_run`, which writes every detail line with its verdict and joins
+the witnesses.  The per-n suites go through :func:`_per_n`, which reads
+each suite's first n from ``_RANGES``; only gf, whose witnesses come per
+statement and r, writes its own three lines.  Suites never stop at the
+first failure; they collect every mismatch, with both sides serialized
+so a failure is reproducible from the report alone.  The names are short
+stable tokens used by ``eulerlab verify``.
 """
 
 from __future__ import annotations
@@ -29,40 +34,53 @@ CheckResult = namedtuple("CheckResult", "name passed lines witness",
                          defaults=(None,))
 
 
-def _result(name: str, lines: list[str], failures: list[str]) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=not failures,
-        lines=tuple(lines),
-        witness="; ".join(failures) if failures else None,
-    )
+def _run(name: str, cases) -> CheckResult:
+    """The suite's result from its ``(label, witnesses, tail)`` cases.
+
+    Each case is one detail line, ``label: PASS`` when it has no
+    witnesses and ``label: FAIL`` when it has some, then the tail if
+    any.  A case whose witnesses are None is a note: its line is
+    ``label: tail``, with no verdict.  The witnesses are joined in case
+    order.
+    """
+    lines, failures = [], []
+    for label, witnesses, tail in cases:
+        if witnesses is not None:
+            failures.extend(witnesses)
+            verdict = "FAIL" if witnesses else "PASS"
+            tail = verdict if tail is None else f"{verdict} {tail}"
+        lines.append(f"{label}: {tail}")
+    return CheckResult(name, not failures, tuple(lines),
+                       "; ".join(failures) or None)
+
+
+def _per_n(name: str, max_n: int, case, *after) -> CheckResult:
+    """Run ``case(n) -> (witnesses, tail)`` as the line ``name n={n}``
+    for each n from the suite's first n in ``_RANGES`` up to ``max_n``,
+    then the ``after`` cases."""
+    first = _RANGES[name][0]
+    cases = [(f"{name} n={n}", *case(n)) for n in range(first, max_n + 1)]
+    return _run(name, cases + list(after))
 
 
 def check_macmahon(max_n: int) -> CheckResult:
     """Descent and excedance counts are equidistributed over S_n."""
-    lines, failures = [], []
-    for n in range(1, max_n + 1):
+    def case(n):
         des = classic_eulerian(n, "des")
         exc = classic_eulerian(n, "exc")
-        ok = des == exc
-        lines.append(f"macmahon n={n}: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures.append(
-                f"n={n}: des={des.dumps()} exc={exc.dumps()}")
-    return _result("macmahon", lines, failures)
+        return ([] if des == exc else
+                [f"n={n}: des={des.dumps()} exc={exc.dumps()}"]), None
+    return _per_n("macmahon", max_n, case)
 
 
 def check_thm20(max_n: int) -> CheckResult:
     """Two-term recursion of the palindromic decomposition parts."""
     from .symmetry import verify_thm20
 
-    lines, failures = [], []
-    for n in range(2, max_n + 1):
+    def case(n):
         report = verify_thm20(n)
-        lines.append(f"thm20 n={n}: {'PASS' if report.passed else 'FAIL'}")
-        if not report.passed:
-            failures.append(f"n={n}: {report.witness}")
-    return _result("thm20", lines, failures)
+        return ([] if report.passed else [f"n={n}: {report.witness}"]), None
+    return _per_n("thm20", max_n, case)
 
 
 def check_thm01(max_n: int) -> CheckResult:
@@ -76,10 +94,10 @@ def check_thm01(max_n: int) -> CheckResult:
     line reads PASS only when the expansion holds and both readings
     agree.
     """
-    lines, failures = [], []
     vars3 = ("t", "p", "q")
     t = MPoly.variable("t", vars3)
-    for n in range(2, max_n + 1):
+
+    def case(n):
         lhs = derangement_lhs(n)
         rhs = MPoly.zero(vars3)
         agree = True
@@ -88,16 +106,13 @@ def check_thm01(max_n: int) -> CheckResult:
             if xi_transposed(n, i).with_vars(vars3) != term:
                 agree = False
             rhs = rhs + term * t ** i * (1 + t) ** (n - 2 * i)
-        ok = lhs == rhs
-        reading = ("literal and transposed slice filters agree" if agree
-                   else "slice filters DISAGREE")
-        lines.append(f"thm01 n={n}: {'PASS' if ok and agree else 'FAIL'} "
-                     f"({reading})")
-        if not ok:
-            failures.append(f"n={n}: lhs={lhs.dumps()} rhs={rhs.dumps()}")
+        witnesses = ([] if lhs == rhs else
+                     [f"n={n}: lhs={lhs.dumps()} rhs={rhs.dumps()}"])
         if not agree:
-            failures.append(f"n={n}: transposed filter differs")
-    return _result("thm01", lines, failures)
+            witnesses.append(f"n={n}: transposed filter differs")
+        return witnesses, ("(literal and transposed slice filters agree)"
+                           if agree else "(slice filters DISAGREE)")
+    return _per_n("thm01", max_n, case)
 
 
 def check_eq1(max_n: int) -> CheckResult:
@@ -115,8 +130,7 @@ def check_eq1(max_n: int) -> CheckResult:
     """
     from . import gfengine
 
-    lines, failures = [], []
-    for n in range(1, max_n + 1):
+    def case(n):
         bad = []
         for k in range(0, n):
             for r in range(0, 7):
@@ -125,14 +139,11 @@ def check_eq1(max_n: int) -> CheckResult:
                 if direct != closed:
                     bad.append(f"(n={n},k={k},r={r}): "
                                f"direct={direct} closed={closed}")
-        lines.append(f"eq1 n={n}: {'PASS' if not bad else 'FAIL'}")
-        failures.extend(bad)
-    literal_demo = gfengine.f_nkr_closed(3, 2, 1)
-    lines.append(
-        f"eq1 note: literal index reading gives {literal_demo} at "
-        f"(n=3,k=1,r=2), direct gives {gfengine.f_nkr(3, 1, 2)}; "
-        f"corrected roles are used")
-    return _result("eq1", lines, failures)
+        return bad, None
+    note = (f"literal index reading gives {gfengine.f_nkr_closed(3, 2, 1)} "
+            f"at (n=3,k=1,r=2), direct gives {gfengine.f_nkr(3, 1, 2)}; "
+            f"corrected roles are used")
+    return _per_n("eq1", max_n, case, ("eq1 note", None, note))
 
 
 def check_gf(max_n: int) -> CheckResult:
@@ -140,19 +151,22 @@ def check_gf(max_n: int) -> CheckResult:
 
     ``max_n`` caps both the series order and r.  The statements are
     checked multiplied through by their denominators, on int
-    coefficient lists in t (see :func:`gfengine.verify_foata`).
+    coefficient lists in t (see :func:`gfengine.verify_foata`).  One
+    witness is recorded per (statement, r), so the result is built from
+    the report rather than per line.
     """
     from . import gfengine
 
     report = gfengine.verify_foata(max_n)
-    lines = [
+    lines = (
         f"gf joint coefficients n<={max_n} r<={max_n}: "
         f"{'PASS' if report.joint_ok else 'FAIL'}",
         f"gf palindromic-part coefficients: "
         f"{'PASS' if report.a_ok else 'FAIL'}",
         f"gf telescope identity: {'PASS' if report.telescope_ok else 'FAIL'}",
-    ]
-    return _result("gf", lines, list(report.failures))
+    )
+    return CheckResult("gf", report.passed, lines,
+                       "; ".join(report.failures) or None)
 
 
 def check_thT1(max_n: int) -> CheckResult:
@@ -169,38 +183,39 @@ def check_thT1(max_n: int) -> CheckResult:
     Two polynomials of degree at most n that agree at n + 1 points are
     equal.
 
-    The reconstruction half reaches max_n; the determinant half stops
-    one below the top of thT1's range in ``_RANGES`` when max_n is that
-    top.  A division that the kernels find inexact means the
-    identity is broken: it fails that n, with the error as the witness.
+    The determinant half starts at n = 0 and the reconstruction half at
+    thT1's first n in ``_RANGES``.  The reconstruction half reaches
+    max_n; the determinant half stops one below the top of thT1's range
+    when max_n is that top.  A division that the kernels find inexact
+    means the identity is broken: it fails that n, with the error as
+    the witness.
     """
     from .symmetry import a_part
 
-    lines, failures = [], []
-    for n in range(0, min(max_n, _RANGES["thT1"][2] - 1) + 1):
+    def det_case(n):
         try:
-            bad = [f"n={n} r={r}: det={list(detformula.det_at(n, r))} "
-                   f"rec={list(detformula.f_at(n, r))}"
-                   for r in range(n + 1)
-                   if detformula.det_at(n, r) != detformula.f_at(n, r)]
+            return [f"n={n} r={r}: det={list(detformula.det_at(n, r))} "
+                    f"rec={list(detformula.f_at(n, r))}"
+                    for r in range(n + 1)
+                    if detformula.det_at(n, r) != detformula.f_at(n, r)]
         except DivisibilityError as exc:
-            bad = [f"n={n}: {exc}"]
-        lines.append(
-            f"thT1 det=recurrence n={n}: {'PASS' if not bad else 'FAIL'}")
-        failures.extend(bad)
-    for n in range(1, max_n + 1):
+            return [f"n={n}: {exc}"]
+
+    def reconstruct_case(n):
         try:
             got = detformula.reconstruct_a(n)
         except DivisibilityError as exc:
-            bad = [f"n={n}: {exc}"]
-        else:
-            want = a_part(n)
-            bad = ([] if got == want else
-                   [f"n={n}: got={got.dumps()} want={want.dumps()}"])
-        lines.append(
-            f"thT1 reconstruct a_{n}: {'PASS' if not bad else 'FAIL'}")
-        failures.extend(bad)
-    return _result("thT1", lines, failures)
+            return [f"n={n}: {exc}"]
+        want = a_part(n)
+        return [] if got == want else [
+            f"n={n}: got={got.dumps()} want={want.dumps()}"]
+
+    first, _, top = _RANGES["thT1"]
+    dets = [(f"thT1 det=recurrence n={n}", det_case(n), None)
+            for n in range(0, min(max_n, top - 1) + 1)]
+    rebuilt = [(f"thT1 reconstruct a_{n}", reconstruct_case(n), None)
+               for n in range(first, max_n + 1)]
+    return _run("thT1", dets + rebuilt)
 
 
 _FUBINI_FIRST = (1, 3, 13, 75, 541)
@@ -208,47 +223,41 @@ _FUBINI_FIRST = (1, 3, 13, 75, 541)
 
 def check_fubini(max_n: int) -> CheckResult:
     """Joint polynomial at (2, 1) counts ordered set partitions."""
-    lines, failures = [], []
-    for n in range(1, max_n + 1):
+    def case(n):
         got = eulerian_st(n).evaluate({"s": 2, "t": 1})
         want = fubini_number(n)
         ok = got == want
         if n <= len(_FUBINI_FIRST):
             ok = ok and got == _FUBINI_FIRST[n - 1]
-        lines.append(f"fubini n={n}: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures.append(f"n={n}: joint gives {got}, partitions give {want}")
-    return _result("fubini", lines, failures)
+        return ([] if ok else
+                [f"n={n}: joint gives {got}, partitions give {want}"]), None
+    return _per_n("fubini", max_n, case)
 
 
 def check_li_binomial(max_n: int) -> CheckResult:
     """Linear descent coefficient of each excedance slice is binomial."""
-    lines, failures = [], []
-    for n in range(2, max_n + 1):
+    def case(n):
         bad = []
         for k in range(1, n):
             got = exc_slice(n, k).coeff_of("s", 1).constant()
             want = comb(n, k + 1)
             if got != want:
                 bad.append(f"(n={n},k={k}): got {got}, want {want}")
-        lines.append(f"li-binomial n={n}: {'PASS' if not bad else 'FAIL'}")
-        failures.extend(bad)
-    return _result("li-binomial", lines, failures)
+        return bad, None
+    return _per_n("li-binomial", max_n, case)
 
 
 def check_counts(max_n: int) -> CheckResult:
     """Total masses: n! for the joint polynomial, derangement counts."""
-    lines, failures = [], []
-    for n in range(1, max_n + 1):
+    def case(n):
         total = eulerian_st(n).evaluate({"s": 1, "t": 1})
         ok = total == factorial(n)
         if n >= 2:
             dtotal = derangement_lhs(n).evaluate({"t": 1, "p": 1, "q": 1})
             ok = ok and dtotal == subfactorial(n)
-        lines.append(f"counts n={n}: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures.append(f"n={n}: masses do not match the factorials")
-    return _result("counts", lines, failures)
+        return ([] if ok else
+                [f"n={n}: masses do not match the factorials"]), None
+    return _per_n("counts", max_n, case)
 
 
 #: token -> (function taking max_n, description)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -216,19 +217,22 @@ def _cmd_scan(args) -> int:
 # ----------------------------------------------------------------------
 # export
 
+#: the families only export writes: family -> (module, builder of n),
+#: the module imported on use
+_EXPORT_ONLY = {
+    "det": ("detformula", "det_Mnr"),
+    "a_part": ("symmetry", "a_part"),
+    "reconstruct_a": ("detformula", "reconstruct_a"),
+}
+
+
 def _cmd_export(args) -> int:
-    if args.family in ("det", "a_part", "reconstruct_a") and (
-            args.i is not None or args.k is not None):
-        raise ValueError(f"family {args.family!r} takes no --i/--k")
-    if args.family == "det":
-        from .detformula import det_Mnr
-        poly = det_Mnr(args.n)
-    elif args.family == "a_part":
-        from .symmetry import a_part
-        poly = a_part(args.n)
-    elif args.family == "reconstruct_a":
-        from .detformula import reconstruct_a
-        poly = reconstruct_a(args.n)
+    if args.family in _EXPORT_ONLY:
+        if args.i is not None or args.k is not None:
+            raise ValueError(f"family {args.family!r} takes no --i/--k")
+        module, builder = _EXPORT_ONLY[args.family]
+        poly = getattr(import_module(f".{module}", __package__),
+                       builder)(args.n)
     else:
         poly = build_distribution(args.family, args.n, args.i, args.k)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -310,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write one polynomial as canonical JSON")
     p.add_argument("--family",
-                   choices=FAMILIES + ("det", "a_part", "reconstruct_a"),
+                   choices=FAMILIES + tuple(_EXPORT_ONLY),
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", type=int, default=None)

@@ -1,6 +1,7 @@
 import pytest
 
-from eulerlab import detformula, distributions, gfengine, perms
+from eulerlab import checks, detformula, distributions, gfengine, perms
+from eulerlab import symmetry
 from eulerlab.checks import _RANGES, CHECKS, run_checks
 from eulerlab.cli import main
 from eulerlab.distributions import eulerian_st
@@ -87,6 +88,74 @@ def test_thm01_transposed_disagreement_fails_its_line(capsys, monkeypatch):
     assert out[-3:] == ["thm01: FAIL",
                         "thm01 witness: n=5: transposed filter differs",
                         "result: FAIL"]
+
+
+def _skew(owner, attr, hit, change):
+    """``owner.attr`` with ``change`` applied to its result where ``hit``
+    holds for the arguments.  The skewed value is a new object, so the
+    cache of the real builder never holds it."""
+    real = getattr(owner, attr)
+
+    def skewed(*args):
+        got = real(*args)
+        return change(got) if hit(*args) else got
+    return owner, attr, skewed
+
+
+# one skewed input per suite: max_n, the patch, and the lines and the
+# joined witness the suite reports.  li-binomial and eq1 fail several
+# cases at one n, so the witness order is pinned too.
+_SKEWED = {
+    "macmahon": (
+        3, _skew(checks, "classic_eulerian",
+                 lambda n, stat="des": (n, stat) == (2, "exc"),
+                 lambda p: 2 * p),
+        ["macmahon n=1: PASS", "macmahon n=2: FAIL", "macmahon n=3: PASS"],
+        'n=2: des={"vars":["x"],"terms":[{"e":[0],"n":"1","d":"1"},'
+        '{"e":[1],"n":"1","d":"1"}]} exc={"vars":["x"],"terms":['
+        '{"e":[0],"n":"2","d":"1"},{"e":[1],"n":"2","d":"1"}]}'),
+    "thm20": (
+        4, _skew(symmetry, "verify_thm20", lambda n: n == 3,
+                 lambda rep: rep._replace(passed=False, witness="skewed")),
+        ["thm20 n=2: PASS", "thm20 n=3: FAIL", "thm20 n=4: PASS"],
+        "n=3: skewed"),
+    "eq1": (
+        3, _skew(gfengine, "f_nkr_closed", lambda n, k, r: n == 2 and r >= 5,
+                 lambda c: c + 1),
+        ["eq1 n=1: PASS", "eq1 n=2: FAIL", "eq1 n=3: PASS",
+         "eq1 note: literal index reading gives 1 at (n=3,k=1,r=2), "
+         "direct gives 13; corrected roles are used"],
+        "(n=2,k=0,r=5): direct=21 closed=22; (n=2,k=0,r=6): direct=28 "
+        "closed=29; (n=2,k=1,r=5): direct=15 closed=16; (n=2,k=1,r=6): "
+        "direct=21 closed=22"),
+    "fubini": (
+        4, _skew(checks, "eulerian_st", lambda n: n == 3, lambda p: p + 1),
+        ["fubini n=1: PASS", "fubini n=2: PASS", "fubini n=3: FAIL",
+         "fubini n=4: PASS"],
+        "n=3: joint gives 14, partitions give 13"),
+    "li-binomial": (
+        4, _skew(checks, "exc_slice", lambda n, k: n == 4, lambda p: 2 * p),
+        ["li-binomial n=2: PASS", "li-binomial n=3: PASS",
+         "li-binomial n=4: FAIL"],
+        "(n=4,k=1): got 12, want 6; (n=4,k=2): got 8, want 4; "
+        "(n=4,k=3): got 2, want 1"),
+    "counts": (
+        4, _skew(checks, "derangement_lhs", lambda n: n == 3,
+                 lambda p: 2 * p),
+        ["counts n=1: PASS", "counts n=2: PASS", "counts n=3: FAIL",
+         "counts n=4: PASS"],
+        "n=3: masses do not match the factorials"),
+}
+
+
+@pytest.mark.parametrize("name", _SKEWED)
+def test_a_skewed_input_fails_its_line_with_its_witness(monkeypatch, name):
+    max_n, patch, lines, witness = _SKEWED[name]
+    monkeypatch.setattr(*patch)
+    (res,) = run_checks(name, max_n=max_n)
+    assert not res.passed
+    assert list(res.lines) == lines
+    assert res.witness == witness
 
 
 def test_each_top_is_the_cap_of_its_route():

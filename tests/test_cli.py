@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -312,6 +313,19 @@ def test_verify_reports_reading(capsys):
                            "--max-n", "4")
     assert code == 0
     assert "literal and transposed slice filters agree" in out
+
+
+# the sha256 of `verify --check all` at the defaults; CI checks the
+# installed console script against the same digest
+VERIFY_ALL_SHA256 = (
+    "539b135264b3d8305970a6507c89b2a30c05224eb0ba1327b61646b89719f96f")
+
+
+def test_verify_all_output_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "verify", "--check", "all")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 79
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
