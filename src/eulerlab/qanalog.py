@@ -4,8 +4,10 @@ on integer coefficient lists in t, and Gaussian binomials in q.
 Everything here returns exact integers, integer lists or
 :class:`~eulerlab.mpoly.MPoly` values, and the integer functions refuse
 an argument that is not an ``int`` with ValueError rather than carry a
-float through.  Their caches are typed, so ``4.0`` never hits the entry
-of ``4``.  The binomial helpers follow the falling-factorial
+float through.  Only :func:`q_binomial` keeps a cache, typed so that
+``4.0`` never hits the entry of ``4``: its Pascal recursion revisits
+each smaller binomial many times, and the cache is that dynamic
+programme.  The binomial helpers follow the falling-factorial
 definition, so a negative upper argument is meaningful:
 ``gen_binomial(-1, j) == (-1)**j``, not 0.  That sign is load-bearing
 for the determinant recurrence: its beta_j carries C(r - 1, j), which
@@ -16,7 +18,7 @@ recurrence is a polynomial identity in r that must hold at r = 0 too.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .mpoly import DivisibilityError, MPoly, _fraction
 
@@ -50,30 +52,27 @@ def binom_poly(j: int) -> MPoly:
     return prod * _fraction()(1, factorial(j))
 
 
-@lru_cache(maxsize=None, typed=True)
 def stirling2(m: int, k: int) -> int:
-    """Stirling number of the second kind: partitions of an m-set into k blocks."""
+    """Stirling number of the second kind: partitions of an m-set into k
+    blocks, by inclusion-exclusion over the blocks left empty,
+    ``S(m, k) = sum_j (-1)**j C(k, j) (k - j)**m / k!``."""
     _check_ints(m, k)
     if m < 0 or k < 0:
         raise ValueError("negative argument")
-    if m == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > m:
-        return 0
-    return k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
+    return sum((-1) ** j * comb(k, j) * (k - j) ** m
+               for j in range(k + 1)) // factorial(k)
 
 
-@lru_cache(maxsize=None, typed=True)
 def subfactorial(n: int) -> int:
-    """Number of derangements of n letters."""
+    """Number of derangements of n letters, by the loop
+    ``!n = n * !(n - 1) + (-1)**n`` from ``!0 = 1``."""
     _check_ints(n)
     if n < 0:
         raise ValueError("negative argument")
-    if n == 0:
-        return 1
-    if n == 1:
-        return 0
-    return (n - 1) * (subfactorial(n - 1) + subfactorial(n - 2))
+    d = 1
+    for m in range(1, n + 1):
+        d = m * d + (-1) ** m
+    return d
 
 
 def fubini_number(n: int) -> int:

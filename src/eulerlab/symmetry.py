@@ -86,7 +86,9 @@ def is_palindromic(f: MPoly, var: str, d: int) -> bool:
 
 
 def sym_decompose(f: MPoly, var: str, d: int) -> SymDecomp:
-    """Split f into its palindromic parts at ambient degree d."""
+    """Split f into its palindromic parts at ambient degree d >= 0."""
+    if d < 0:
+        raise ValueError(f"ambient degree must be nonnegative, got {d}")
     a, b = _by_rows(f, var, d, _split_ints, 2)
     return SymDecomp(a=a, b=b, var=var, ambient_degree=d)
 
@@ -101,7 +103,9 @@ def a_part(n: int) -> MPoly:
 
 
 #: the checked n, both halves of the recursion and their conjunction, and
-#: the serialized b-part against its expected value when it failed
+#: for each failing half its serialized part against the expected value:
+#: the b part against (s - 1) * a_{n-1}, then the a part against
+#: A_n - (s - 1) * t * a_{n-1}
 RecursionReport = namedtuple(
     "RecursionReport", "n b_recursion_ok recombination_ok passed witness",
     defaults=(None,))
@@ -119,15 +123,17 @@ def verify_thm20(n: int) -> RecursionReport:
     dec = sym_decompose(joint, "t", n - 1)
     a, b = dec.a, dec.b
     s, t = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
-    prev = a_part(n - 1)
-    b_ok = b == (s - 1) * prev
-    recomb_ok = joint == a + (s - 1) * t * prev
-    witness = None
-    if not (b_ok and recomb_ok):
-        witness = (f"b_part={b.dumps()} "
-                   f"expected={((s - 1) * prev).dumps()}")
+    want_b = (s - 1) * a_part(n - 1)
+    want_a = joint - t * want_b
+    b_ok, recomb_ok = b == want_b, a == want_a
+    witnesses = []
+    if not b_ok:
+        witnesses.append(f"b_part={b.dumps()} expected={want_b.dumps()}")
+    if not recomb_ok:
+        witnesses.append(f"a_part={a.dumps()} expected={want_a.dumps()}")
     return RecursionReport(n=n, b_recursion_ok=b_ok, recombination_ok=recomb_ok,
-                           passed=b_ok and recomb_ok, witness=witness)
+                           passed=b_ok and recomb_ok,
+                           witness=" ".join(witnesses) or None)
 
 
 # ----------------------------------------------------------------------

@@ -63,15 +63,16 @@ def test_thm01_lines_up_to_the_top_name_both_readings():
 
 def test_thm01_transposed_disagreement_fails_its_line(capsys, monkeypatch):
     # the literal expansion still holds at n = 5; only the transposed
-    # table is skewed, and the line must not read PASS beside it
+    # table is skewed, and the line must not read PASS beside it.  Both
+    # slices i = 1, 2 are skewed, and the witness names the first.
     real = distributions._macmahon_slices
 
     def skewed(n):
         slices = real(n)
         if n == 5:
             slices = {i: dict(weights) for i, weights in slices.items()}
-            key = min(slices[2])
-            slices[2][key] += 1
+            for weights in slices.values():
+                weights[min(weights)] += 1
         return slices
 
     monkeypatch.setattr(distributions, "_macmahon_slices", skewed)
@@ -80,13 +81,16 @@ def test_thm01_transposed_disagreement_fails_its_line(capsys, monkeypatch):
     assert [line.split(" (")[0] for line in res.lines] == [
         "thm01 n=2: PASS", "thm01 n=3: PASS", "thm01 n=4: PASS",
         "thm01 n=5: FAIL", "thm01 n=6: PASS"]
-    assert res.witness == "n=5: transposed filter differs"
+    literal = distributions.xi(5, 1).dumps()
+    transposed = distributions.xi_transposed(5, 1).dumps()
+    assert literal != transposed
+    witness = f"n=5 i=1: xi={literal} transposed={transposed}"
+    assert res.witness == witness
     code = main(["verify", "--check", "thm01", "--max-n", "6"])
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     assert "thm01 n=5: FAIL (slice filters DISAGREE)" in out
-    assert out[-3:] == ["thm01: FAIL",
-                        "thm01 witness: n=5: transposed filter differs",
+    assert out[-3:] == ["thm01: FAIL", f"thm01 witness: {witness}",
                         "result: FAIL"]
 
 

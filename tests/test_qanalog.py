@@ -69,6 +69,37 @@ def test_subfactorial_and_fubini():
     assert [fubini_number(n) for n in range(6)] == [1, 1, 3, 13, 75, 541]
 
 
+# Iterative references, each a recurrence the closed forms do not use.
+# The large arguments lie past the depth at which a recursive
+# implementation raises RecursionError (about n = 500).
+
+def test_subfactorial_matches_the_derangement_recurrence():
+    ref = [1, 0]  # D(n) = (n - 1)(D(n - 1) + D(n - 2))
+    for n in range(2, 1001):
+        ref.append((n - 1) * (ref[n - 1] + ref[n - 2]))
+    assert subfactorial(1000) == ref[1000]
+    assert [subfactorial(n) for n in range(61)] == ref[:61]
+
+
+def test_stirling2_matches_the_triangle():
+    row = [1] + [0] * 60  # S(m, k) for k = 0..60, from m = 0
+    rows = [row]
+    for m in range(1, 1001):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, 61)]
+        rows.append(row)
+    assert stirling2(1000, 3) == rows[1000][3]
+    for m in range(61):
+        assert [stirling2(m, k) for k in range(61)] == rows[m]
+
+
+def test_fubini_matches_the_ordered_partition_recurrence():
+    ref = [1]  # a(n) = sum_{k >= 1} C(n, k) a(n - k)
+    for n in range(1, 506):
+        ref.append(sum(comb(n, k) * ref[n - k] for k in range(1, n + 1)))
+    assert fubini_number(505) == ref[505]
+    assert [fubini_number(n) for n in range(61)] == ref[:61]
+
+
 @pytest.mark.parametrize("fn, args", [
     (gen_binomial, (4, 2)), (stirling2, (4, 2)), (subfactorial, (4,)),
     (fubini_number, (4,)), (q_binomial, (4, 2)), (binom_poly, (2,))],

@@ -41,6 +41,16 @@ def test_decompose_degree_guard():
         sym_decompose(T ** 2, "t", 1)
 
 
+@pytest.mark.parametrize("d", [-1, -5])
+def test_decompose_refuses_a_negative_ambient_degree(d):
+    # the zero polynomial has degree -1, so the degree guard alone lets
+    # d = -1 through
+    for f in (MPoly.zero(("s", "t")), T):
+        with pytest.raises(ValueError, match=(
+                f"^ambient degree must be nonnegative, got {d}$")):
+            sym_decompose(f, "t", d)
+
+
 def test_a_part_seed_and_small_values():
     assert a_part(0).is_zero()
     assert a_part(0).vars == ("s", "t")
@@ -142,6 +152,41 @@ def test_verify_thm20_reports_a_corrupted_b_part(monkeypatch):
     assert report.recombination_ok
     b = decompose(eulerian_st(4), "t", 3).b
     assert report.witness.startswith(f"b_part={(b + S * T).dumps()} expected=")
+
+
+def test_verify_thm20_reports_a_corrupted_a_part(monkeypatch):
+    # only the recombination half fails: the witness shows the a part
+    # against A_4 - (s - 1) * t * a_3, which is the true a part
+    decompose = symmetry.sym_decompose
+
+    def corrupted(f, var, d):
+        dec = decompose(f, var, d)
+        return dec._replace(a=dec.a + S * T) if d == 3 else dec
+
+    monkeypatch.setattr(symmetry, "sym_decompose", corrupted)
+    report = verify_thm20(4)
+    assert not report.passed and not report.recombination_ok
+    assert report.b_recursion_ok
+    a = decompose(eulerian_st(4), "t", 3).a
+    assert report.witness == (f"a_part={(a + S * T).dumps()} "
+                              f"expected={a.dumps()}")
+
+
+def test_verify_thm20_reports_both_halves_in_order(monkeypatch):
+    decompose = symmetry.sym_decompose
+
+    def corrupted(f, var, d):
+        dec = decompose(f, var, d)
+        return dec._replace(a=dec.a + T, b=dec.b + S) if d == 3 else dec
+
+    monkeypatch.setattr(symmetry, "sym_decompose", corrupted)
+    report = verify_thm20(4)
+    assert not (report.passed or report.b_recursion_ok
+                or report.recombination_ok)
+    dec = decompose(eulerian_st(4), "t", 3)
+    assert report.witness == (
+        f"b_part={(dec.b + S).dumps()} expected={dec.b.dumps()} "
+        f"a_part={(dec.a + T).dumps()} expected={dec.a.dumps()}")
 
 
 def test_recursion_report_range():
