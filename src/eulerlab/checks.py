@@ -252,13 +252,15 @@ def check_li_binomial(max_n: int) -> CheckResult:
 def check_counts(max_n: int) -> CheckResult:
     """Total masses: n! for the joint polynomial, derangement counts."""
     def case(n):
-        total = eulerian_st(n).evaluate({"s": 1, "t": 1})
-        ok = total == factorial(n)
+        total, want = eulerian_st(n).evaluate({"s": 1, "t": 1}), factorial(n)
+        ok = total == want
+        sides = f"joint mass {total} against n! = {want}"
         if n >= 2:
-            dtotal = derangement_lhs(n).evaluate({"t": 1, "p": 1, "q": 1})
-            ok = ok and dtotal == subfactorial(n)
-        return ([] if ok else
-                [f"n={n}: masses do not match the factorials"]), None
+            total = derangement_lhs(n).evaluate({"t": 1, "p": 1, "q": 1})
+            want = subfactorial(n)
+            ok = ok and total == want
+            sides += f", derangement mass {total} against !n = {want}"
+        return ([] if ok else [f"n={n}: {sides}"]), None
     return _per_n("counts", max_n, case)
 
 

@@ -38,8 +38,8 @@ from math import comb
 
 from .mpoly import DivisibilityError, MPoly
 from .perms import check_n
-from .qanalog import (_check_ints, binom_poly, gen_binomial, int_add, int_div,
-                      int_mul, int_sub, int_trim)
+from .qanalog import (_check_ints, _check_naturals, binom_poly, gen_binomial,
+                      int_add, int_div, int_mul, int_sub, int_trim)
 
 _VARS = ("t", "r")
 
@@ -47,10 +47,12 @@ _VARS = ("t", "r")
 def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
     """Fraction-free determinant of a square matrix over Z[t].
 
-    Entries are int coefficient lists in t.  Each division is exact in
-    Z[t] by Sylvester's identity; a remainder raises DivisibilityError.
-    Zero pivots are handled by row swaps (with the sign flip); if no
-    nonzero pivot exists below, the determinant is zero.
+    Entries are int coefficient lists in t; a coefficient that is not
+    an ``int`` (a float, a string, a Fraction) raises ValueError before
+    elimination.  Each division is exact in Z[t] by Sylvester's
+    identity; a remainder raises DivisibilityError.  Zero pivots are
+    handled by row swaps (with the sign flip); if no nonzero pivot
+    exists below, the determinant is zero.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
@@ -58,6 +60,7 @@ def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
     if size == 0:
         raise ValueError("empty matrix")
     m = [[int_trim(e) for e in row] for row in matrix]
+    _check_ints(*(c for row in m for e in row for c in e))
     sign = 1
     prev = [1]
     for k in range(size - 1):
@@ -87,16 +90,10 @@ def _beta_at(j: int, r: int) -> list[int]:
     return [(-1) ** j * gen_binomial(r - 1, j)] * (j + 2)
 
 
-def _check_at(n: int, r: int) -> None:
-    _check_ints(n, r)
-    if n < 0 or r < 0:
-        raise ValueError("n and r must be nonnegative")
-
-
 @lru_cache(maxsize=None, typed=True)
 def f_at(n: int, r: int) -> tuple[int, ...]:
     """f_n(t, r) at integer r >= 0 from the recurrence, as t-coefficients."""
-    _check_at(n, r)
+    _check_naturals(n, r)
     acc = _beta_at(n, r)
     for j in range(1, n + 1):
         term = int_mul(_alpha_at(j, r), f_at(n - j, r))
@@ -107,7 +104,7 @@ def f_at(n: int, r: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None, typed=True)
 def det_at(n: int, r: int) -> tuple[int, ...]:
     """The Cramer determinant at integer r >= 0, by Bareiss over Z[t]."""
-    _check_at(n, r)
+    _check_naturals(n, r)
     rows = []
     for i in range(n + 1):
         row = [[] if i < j else

@@ -33,7 +33,7 @@ from math import comb, factorial
 from .distributions import eulerian_st
 from .mpoly import MPoly
 from .perms import check_n
-from .qanalog import (_check_ints, int_add, int_mul, int_sub, int_trim,
+from .qanalog import (_check_naturals, int_add, int_mul, int_sub, int_trim,
                       stirling2)
 
 
@@ -174,9 +174,7 @@ def verify_foata(max_n: int) -> FoataReport:
 
 def f_nkr(n: int, k: int, r: int) -> int:
     """[s**r t**k u**n] of the joint generating function, by direct expansion."""
-    _check_ints(n, k, r)
-    if n < 0 or k < 0 or r < 0:
-        raise ValueError("all indices must be nonnegative")
+    _check_naturals(n, k, r)
     coeffs = _resummed(_joint(n), n, r)
     return coeffs[k] if k < len(coeffs) else 0
 
@@ -197,9 +195,7 @@ def f_nkr_closed(n: int, k: int, r: int) -> int:
     does not agree with :func:`f_nkr`; ``check_eq1`` prints one such
     point.
     """
-    _check_ints(n, k, r)
-    if n < 0 or k < 0 or r < 0:
-        raise ValueError("all indices must be nonnegative")
+    _check_naturals(n, k, r)
     target = k * r + r
     # numerator (1 - x**r) * (1 - x**(r+1))**n, sparse in x; the window
     # factor 1 - x**r is absent at k = 0 (closed window) and identically
@@ -233,8 +229,7 @@ def binom_resum(poly: MPoly, n: int) -> MPoly:
 
     which is what this returns, as a polynomial in s and t.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_naturals(n)
     poly = poly.with_vars(("t", "r"))
     if poly.degree("r") > n:
         raise ValueError(

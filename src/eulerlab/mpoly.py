@@ -54,6 +54,9 @@ def _var_key(name: str):
 def canonical_vars(names: Iterable[str]) -> tuple[str, ...]:
     """Sort variable names into the package-wide canonical order."""
     names = tuple(names)
+    for name in names:
+        if type(name) is not str:
+            raise ValueError(f"variable name {name!r} is not a string")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {names!r}")
     return tuple(sorted(names, key=_var_key))

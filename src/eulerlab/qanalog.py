@@ -4,10 +4,12 @@ on integer coefficient lists in t, and Gaussian binomials in q.
 Everything here returns exact integers, integer lists or
 :class:`~eulerlab.mpoly.MPoly` values, and the integer functions refuse
 an argument that is not an ``int`` with ValueError rather than carry a
-float through.  Only :func:`q_binomial` keeps a cache, typed so that
-``4.0`` never hits the entry of ``4``: its Pascal recursion revisits
-each smaller binomial many times, and the cache is that dynamic
-programme.  The binomial helpers follow the falling-factorial
+float through.  One guard, :func:`_check_naturals`, states the rule "a
+nonnegative int" for every size and index here and in ``detformula``,
+``gfengine`` and ``series``.  Only :func:`q_binomial` keeps a cache,
+typed so that ``4.0`` never hits the entry of ``4``: its Pascal
+recursion revisits each smaller binomial many times, and the cache is
+that dynamic programme.  The binomial helpers follow the falling-factorial
 definition, so a negative upper argument is meaningful:
 ``gen_binomial(-1, j) == (-1)**j``, not 0.  That sign is load-bearing
 for the determinant recurrence: its beta_j carries C(r - 1, j), which
@@ -29,11 +31,18 @@ def _check_ints(*args) -> None:
             raise ValueError(f"expected an int, got {value!r}")
 
 
+def _check_naturals(*args) -> None:
+    """Refuse any argument that is not an int >= 0."""
+    _check_ints(*args)
+    for value in args:
+        if value < 0:
+            raise ValueError(f"expected a nonnegative int, got {value}")
+
+
 def gen_binomial(a: int, j: int) -> int:
     """Binomial coefficient ``C(a, j)`` for any integer ``a``, ``j >= 0``."""
-    _check_ints(a, j)
-    if j < 0:
-        raise ValueError("lower index must be nonnegative")
+    _check_ints(a)
+    _check_naturals(j)
     num = 1
     for m in range(j):
         num *= a - m
@@ -42,9 +51,7 @@ def gen_binomial(a: int, j: int) -> int:
 
 def binom_poly(j: int) -> MPoly:
     """``C(r, j)`` as a polynomial in ``r`` with rational coefficients."""
-    _check_ints(j)
-    if j < 0:
-        raise ValueError("lower index must be nonnegative")
+    _check_naturals(j)
     r = MPoly.variable("r")
     prod = MPoly.const(("r",), 1)
     for m in range(j):
@@ -56,9 +63,7 @@ def stirling2(m: int, k: int) -> int:
     """Stirling number of the second kind: partitions of an m-set into k
     blocks, by inclusion-exclusion over the blocks left empty,
     ``S(m, k) = sum_j (-1)**j C(k, j) (k - j)**m / k!``."""
-    _check_ints(m, k)
-    if m < 0 or k < 0:
-        raise ValueError("negative argument")
+    _check_naturals(m, k)
     return sum((-1) ** j * comb(k, j) * (k - j) ** m
                for j in range(k + 1)) // factorial(k)
 
@@ -66,9 +71,7 @@ def stirling2(m: int, k: int) -> int:
 def subfactorial(n: int) -> int:
     """Number of derangements of n letters, by the loop
     ``!n = n * !(n - 1) + (-1)**n`` from ``!0 = 1``."""
-    _check_ints(n)
-    if n < 0:
-        raise ValueError("negative argument")
+    _check_naturals(n)
     d = 1
     for m in range(1, n + 1):
         d = m * d + (-1) ** m
@@ -77,9 +80,7 @@ def subfactorial(n: int) -> int:
 
 def fubini_number(n: int) -> int:
     """Number of ordered set partitions of an n-set."""
-    _check_ints(n)
-    if n < 0:
-        raise ValueError("negative argument")
+    _check_naturals(n)
     return sum(factorial(k) * stirling2(n, k) for k in range(n + 1))
 
 
@@ -145,8 +146,11 @@ def int_div(a, b) -> list[int]:
 
 @lru_cache(maxsize=None, typed=True)
 def q_binomial(a: int, b: int) -> tuple[int, ...]:
-    """The Gaussian binomial ``[a choose b]_q`` as q-coefficients, 0 <= b <= a."""
-    _check_ints(a, b)
+    """The Gaussian binomial ``[a choose b]_q`` as q-coefficients, for
+    a, b >= 0; the zero polynomial ``()`` when b > a, as ``math.comb``."""
+    _check_naturals(a, b)
+    if b > a:
+        return ()
     if b == 0 or b == a:
         return (1,)
     return tuple(int_add(q_binomial(a - 1, b - 1),

@@ -22,6 +22,7 @@ from math import comb
 from typing import Iterable
 
 from .gfengine import _joint, _resummed
+from .qanalog import _check_naturals
 from .symmetry import a_part
 from .univariate import RatFunc, UPoly
 
@@ -32,8 +33,7 @@ class USeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable = ()):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        _check_naturals(order)
         cs = [c if isinstance(c, RatFunc) else RatFunc(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError(f"{len(cs)} coefficients for order {order}")
@@ -149,8 +149,7 @@ def _joint_denominator(r: int, order: int) -> USeries:
 
 def foata_term(r: int, order: int) -> USeries:
     """The series g_r, truncated at the given order in u."""
-    if r < 0 or order < 0:
-        raise ValueError("r and order must be nonnegative")
+    _check_naturals(r, order)
     num = _pow_one_minus_ut(r, order).scale(_ONE_MINUS_T)
     den = _joint_denominator(r, order) * _pow_one_minus_u(1, order)
     return num * den.inverse()
@@ -158,8 +157,7 @@ def foata_term(r: int, order: int) -> USeries:
 
 def a_series_term(r: int, order: int) -> USeries:
     """The companion series w_r carrying the palindromic parts."""
-    if r < 0 or order < 0:
-        raise ValueError("r and order must be nonnegative")
+    _check_naturals(r, order)
     num = _pow_one_minus_ut(r + 1, order) - _pow_one_minus_u(r + 1, order)
     den = (_pow_one_minus_u(1, order) * _pow_one_minus_ut(1, order)
            * _joint_denominator(r, order))
@@ -172,8 +170,7 @@ def f_series(r: int, order: int) -> USeries:
     Equals ((1-u)**(r-1) - t**2 (1-u*t)**(r-1)) / ((1-u)**r - t (1-u*t)**r);
     at r = 0 the negative powers are expanded as series inverses.
     """
-    if r < 0 or order < 0:
-        raise ValueError("r and order must be nonnegative")
+    _check_naturals(r, order)
     if r >= 1:
         left = _pow_one_minus_u(r - 1, order)
         right = _pow_one_minus_ut(r - 1, order)
@@ -186,13 +183,11 @@ def f_series(r: int, order: int) -> USeries:
 
 def lhs_coeff(n: int, r: int) -> UPoly:
     """[s**r u**n] of the assembled joint generating function, in t."""
-    if n < 0 or r < 0:
-        raise ValueError("n and r must be nonnegative")
+    _check_naturals(n, r)
     return UPoly(_resummed(_joint(n), n, r))
 
 
 def lhs_coeff_a(n: int, r: int) -> UPoly:
     """Same extraction applied to the palindromic parts a_n."""
-    if n < 0 or r < 0:
-        raise ValueError("n and r must be nonnegative")
+    _check_naturals(n, r)
     return UPoly(_resummed(a_part(n), n, r))

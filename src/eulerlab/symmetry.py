@@ -163,9 +163,11 @@ def gamma_expand(f: MPoly, var: str, d: int) -> GammaExpansion:
     expanded by :func:`_gamma_ints`.  Raises ValueError when f is not
     palindromic at ambient degree d (the basis only spans those): a
     degree above d is refused by :func:`_rows`, a row that is not its
-    own reverse by :func:`_gamma_ints`.
+    own reverse by :func:`_gamma_ints`.  The zero polynomial, of degree
+    -1, has the empty expansion at every d >= -1, as
+    :func:`is_palindromic` reads it.
     """
-    if f.is_zero():
+    if f.is_zero() and d >= -1:
         return GammaExpansion(var=var, ambient_degree=d, gammas=())
     gammas = _by_rows(f, var, d, lambda cs: [[g] for g in _gamma_ints(cs)],
                       d // 2 + 1)

@@ -148,7 +148,8 @@ _SKEWED = {
                  lambda p: 2 * p),
         ["counts n=1: PASS", "counts n=2: PASS", "counts n=3: FAIL",
          "counts n=4: PASS"],
-        "n=3: masses do not match the factorials"),
+        "n=3: joint mass 6 against n! = 6, derangement mass 4 against "
+        "!n = 2"),
 }
 
 

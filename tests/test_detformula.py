@@ -6,6 +6,7 @@ import pytest
 from eulerlab import detformula
 from eulerlab.detformula import (det_at, det_Mnr, det_bareiss, f_at,
                                  reconstruct_a)
+from eulerlab.gfengine import _binomial_series, _series_mul, _series_sub
 from eulerlab.mpoly import DivisibilityError, MPoly
 from eulerlab.perms import MAX_ENUM_N
 from eulerlab.qanalog import (gen_binomial, int_add, int_div, int_mul,
@@ -134,6 +135,14 @@ def test_bareiss_edge_cases():
         det_bareiss([[one, []]])
 
 
+def test_bareiss_refuses_inexact_entries():
+    # each was carried through: [[[1.5]]] gave [1.5], [[["1"]]] gave ["1"]
+    for bad in (1.5, "1", F(1, 2)):
+        for m in ([[[bad]]], [[[1], []], [[0, bad], [1]]]):
+            with pytest.raises(ValueError, match="^expected an int, got "):
+                det_bareiss(m)
+
+
 def test_int_div_is_exact_or_raises():
     assert int_div([1, 0, -1], [1, 1]) == [1, -1]
     assert int_div([], [1, 1]) == []
@@ -152,6 +161,28 @@ def test_recurrence_matches_series():
         for n in range(order + 1):
             want = [int(c) for c in fs.coeff(n).as_upoly().coeffs]
             assert list(f_at(n, r)) == want, (n, r)
+
+
+def test_recurrence_matches_its_generating_function():
+    # F_r = sum_n f_at(n, r) u**n against D_r = (1 - u)**r - t (1 - u t)**r,
+    # cross-multiplied on int series mod u**(K+1), with no division:
+    #   r >= 1:  F_r D_r = (1 - u)**(r-1) - t**2 (1 - u t)**(r-1)
+    #   r = 0:   F_0 D_0 (1 - u)(1 - u t) = (1 - u t) - t**2 (1 - u)
+    K = 8
+    for r in range(7):
+        f = [list(f_at(n, r)) for n in range(K + 1)]
+        den = _series_sub(_binomial_series(r, K, 0),
+                          [[0] + c for c in _binomial_series(r, K, 1)], K)
+        if r >= 1:
+            lhs = _series_mul(f, den, K)
+            rhs = _series_sub(
+                _binomial_series(r - 1, K, 0),
+                [[0, 0] + c for c in _binomial_series(r - 1, K, 1)], K)
+        else:
+            lhs = _series_mul(_series_mul(f, den, K),
+                              _series_mul([[1], [-1]], [[1], [0, -1]], K), K)
+            rhs = _series_sub([[1], [0, -1]], [[0, 0, 1], [0, 0, -1]], K)
+        assert lhs == rhs, r
 
 
 def test_det_at_equals_f_at_up_to_the_cap():

@@ -18,6 +18,17 @@ def test_canonical_vars_ordering():
         canonical_vars(("s", "s"))
 
 
+def test_variable_names_must_be_strings():
+    # each was accepted, and its text() and latex() raised TypeError
+    for names in ((1,), ("t", None), ("s", b"t")):
+        with pytest.raises(ValueError, match="is not a string$"):
+            canonical_vars(names)
+        with pytest.raises(ValueError, match="is not a string$"):
+            MPoly(names, {})
+    with pytest.raises(ValueError, match="^malformed polynomial JSON"):
+        MPoly.loads('{"vars":[1],"terms":[{"e":[1],"n":"1","d":"1"}]}')
+
+
 def test_constructor_reorders_exponents():
     # same polynomial built with swapped variable order
     a = MPoly(("s", "t"), {(2, 1): 5})

@@ -3,9 +3,12 @@ from math import comb
 
 import pytest
 
+from eulerlab.detformula import det_at, f_at
+from eulerlab.gfengine import binom_resum, f_nkr, f_nkr_closed
 from eulerlab.mpoly import MPoly
 from eulerlab.qanalog import (binom_poly, fubini_number, gen_binomial,
                               q_binomial, stirling2, subfactorial)
+from eulerlab.series import f_series, lhs_coeff
 
 
 def test_gen_binomial_extends_comb():
@@ -51,6 +54,14 @@ def test_q_binomial():
             assert sum(cs) == comb(a, b)
             assert len(cs) == b * (a - b) + 1
             assert cs == cs[::-1]
+
+
+def test_q_binomial_is_zero_above_the_diagonal():
+    # as math.comb and gen_binomial; the Pascal recursion never ended
+    assert q_binomial(2, 5) == q_binomial(0, 1) == ()
+    for a in range(6):
+        for b in range(a + 1, a + 4):
+            assert q_binomial(a, b) == () and comb(a, b) == 0
 
 
 def test_stirling2_table():
@@ -120,3 +131,23 @@ def test_non_int_arguments_are_refused(fn, args):
                 fn(*wrong)
     # a refusal stores nothing, so no entry has a non-int key
     assert cache_size() == before
+
+
+_NEGATIVE = [
+    (gen_binomial, (-3, -1)), (binom_poly, (-1,)), (stirling2, (-1, 2)),
+    (stirling2, (4, -1)), (subfactorial, (-1,)), (fubini_number, (-1,)),
+    (q_binomial, (-1, 0)), (q_binomial, (3, -1)),
+    (f_nkr, (-1, 0, 0)), (f_nkr, (1, -1, 0)), (f_nkr, (1, 0, -1)),
+    (f_nkr_closed, (-1, 0, 0)), (f_nkr_closed, (1, 0, -1)),
+    (binom_resum, (MPoly.zero(("t", "r")), -1)),
+    (f_at, (-1, 0)), (f_at, (0, -1)), (det_at, (-1, 0)), (det_at, (0, -1)),
+    (f_series, (-1, 3)), (lhs_coeff, (0, -1))]
+
+
+@pytest.mark.parametrize("fn, args", _NEGATIVE, ids=[
+    f"{fn.__name__}-{[type(a) is int and a < 0 for a in args].index(True)}"
+    for fn, args in _NEGATIVE])
+def test_a_negative_argument_is_refused_with_one_message(fn, args):
+    with pytest.raises(ValueError,
+                       match="^expected a nonnegative int, got -1$"):
+        fn(*args)

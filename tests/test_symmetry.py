@@ -235,6 +235,19 @@ def test_gamma_expand_rejects_non_palindromic():
         gamma_expand(MPoly(("t",), {(2,): 1}), "t", 1)
 
 
+def test_gamma_expand_of_zero_agrees_with_is_palindromic():
+    # zero has degree -1: its empty expansion exists at every d >= -1 and
+    # at no lower d, where gamma_expand returned one at d = -3
+    zero = MPoly.zero(("t",))
+    for d in range(-1, 4):
+        assert is_palindromic(zero, "t", d)
+        assert gamma_expand(zero, "t", d).gammas == ()
+    for d in (-2, -3, -5):
+        assert not is_palindromic(zero, "t", d)
+        with pytest.raises(ValueError, match=f"ambient degree {d}$"):
+            gamma_expand(zero, "t", d)
+
+
 def test_gamma_expansion_misc():
     empty = gamma_expand(MPoly.zero(("t",)), "t", 3)
     assert empty.gammas == ()
