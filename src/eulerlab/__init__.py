@@ -24,15 +24,15 @@ _EXPORTS = {
     "distributions": ("FAMILIES", "build_distribution", "classic_eulerian",
                       "derangement_lhs", "derangement_poly", "eulerian_st",
                       "exc_slice", "trivariate", "xi", "xi_transposed"),
-    "gfengine": ("FoataReport", "f_nkr", "f_nkr_closed", "verify_foata"),
+    "gfengine": ("f_nkr", "f_nkr_closed", "verify_foata"),
     "mpoly": ("DivisibilityError", "MPoly", "VAR_ORDER"),
     "perms": ("MAX_ENUM_N", "stable_subsets"),
     "qanalog": ("binom_poly", "fubini_number", "gen_binomial", "stirling2",
                 "subfactorial"),
-    "symmetry": ("GammaExpansion", "RecursionReport", "ScanReport",
-                 "ShapeFlags", "SymDecomp", "a_part", "conjecture_scan",
-                 "gamma_expand", "gamma_expand_coeffs", "is_palindromic",
-                 "shape_checks", "sym_decompose", "verify_thm20"),
+    "symmetry": ("GammaExpansion", "ScanReport", "ShapeFlags", "SymDecomp",
+                 "a_part", "conjecture_scan", "gamma_expand",
+                 "gamma_expand_coeffs", "is_palindromic", "shape_checks",
+                 "sym_decompose", "verify_thm20"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -4,10 +4,9 @@ Each suite returns a :class:`CheckResult` with one detail line per case.
 A suite states only its check: it hands its cases to one runner,
 :func:`_run`, which writes every detail line with its verdict and joins
 the witnesses.  The per-n suites go through :func:`_per_n`, which reads
-each suite's first n from ``_RANGES``; only gf, whose witnesses come per
-statement and r, writes its own three lines.  Suites never stop at the
-first failure; they collect every mismatch, with both sides serialized
-so a failure is reproducible from the report alone.  The names are short
+each suite's first n from ``_RANGES``.  Suites never stop at the first
+failure; they collect every mismatch, with both sides serialized so a
+failure is reproducible from the report alone.  The names are short
 stable tokens used by ``eulerlab verify``.
 """
 
@@ -78,8 +77,8 @@ def check_thm20(max_n: int) -> CheckResult:
     from .symmetry import verify_thm20
 
     def case(n):
-        report = verify_thm20(n)
-        return ([] if report.passed else [f"n={n}: {report.witness}"]), None
+        witnesses = verify_thm20(n)
+        return ([f"n={n}: {' '.join(witnesses)}"] if witnesses else []), None
     return _per_n("thm20", max_n, case)
 
 
@@ -153,22 +152,16 @@ def check_gf(max_n: int) -> CheckResult:
 
     ``max_n`` caps both the series order and r.  The statements are
     checked multiplied through by their denominators, on int
-    coefficient lists in t (see :func:`gfengine.verify_foata`).  One
-    witness is recorded per (statement, r), so the result is built from
-    the report rather than per line.
+    coefficient lists in t (see :func:`gfengine.verify_foata`), and each
+    is one line whose witnesses name each failing r.
     """
     from . import gfengine
 
-    report = gfengine.verify_foata(max_n)
-    lines = (
-        f"gf joint coefficients n<={max_n} r<={max_n}: "
-        f"{'PASS' if report.joint_ok else 'FAIL'}",
-        f"gf palindromic-part coefficients: "
-        f"{'PASS' if report.a_ok else 'FAIL'}",
-        f"gf telescope identity: {'PASS' if report.telescope_ok else 'FAIL'}",
-    )
-    return CheckResult("gf", report.passed, lines,
-                       "; ".join(report.failures) or None)
+    joint, a_part, telescope = gfengine.verify_foata(max_n)
+    return _run("gf", [
+        (f"gf joint coefficients n<={max_n} r<={max_n}", joint, None),
+        ("gf palindromic-part coefficients", a_part, None),
+        ("gf telescope identity", telescope, None)])
 
 
 def check_thT1(max_n: int) -> CheckResult:

@@ -47,18 +47,23 @@ _VARS = ("t", "r")
 def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
     """Fraction-free determinant of a square matrix over Z[t].
 
-    Entries are int coefficient lists in t; a coefficient that is not
-    an ``int`` (a float, a string, a Fraction) raises ValueError before
-    elimination.  Each division is exact in Z[t] by Sylvester's
-    identity; a remainder raises DivisibilityError.  Zero pivots are
-    handled by row swaps (with the sign flip); if no nonzero pivot
-    exists below, the determinant is zero.
+    Entries are int coefficient lists in t; an entry that is not a
+    list, or a coefficient that is not an ``int`` (a float, a string, a
+    Fraction), raises ValueError before elimination.  Each division is
+    exact in Z[t] by Sylvester's identity; a remainder raises
+    DivisibilityError.  Zero pivots are handled by row swaps (with the
+    sign flip); if no nonzero pivot exists below, the determinant is
+    zero.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix is not square")
     if size == 0:
         raise ValueError("empty matrix")
+    for row in matrix:
+        for e in row:
+            if type(e) is not list:
+                raise ValueError(f"expected a list of coefficients, got {e!r}")
     m = [[int_trim(e) for e in row] for row in matrix]
     _check_ints(*(c for row in m for e in row for c in e))
     sign = 1

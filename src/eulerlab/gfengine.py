@@ -27,7 +27,6 @@ no command: it is a test reference, and the package does not export it.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import comb, factorial
 
 from .distributions import eulerian_st
@@ -111,13 +110,7 @@ def _statements(L, W, r: int, order: int):
     )
 
 
-#: one flag per statement, the overall verdict and the tuple of failure
-#: messages
-FoataReport = namedtuple("FoataReport",
-                         "joint_ok a_ok telescope_ok passed failures")
-
-
-def verify_foata(max_n: int) -> FoataReport:
+def verify_foata(max_n: int) -> tuple[list[str], list[str], list[str]]:
     """Check the three series statements for all n <= max_n and r <= max_n.
 
     With K = max_n and L_r, W_r the series whose u**n coefficients
@@ -135,7 +128,9 @@ def verify_foata(max_n: int) -> FoataReport:
     and w_r through u**K, the old coefficient comparison.  Given those,
     the third is the telescope g_r - (1 - u*t) w_r == 1 through u**K.
 
-    One failure is recorded per (statement, r), naming the lowest
+    Returns the witnesses of each statement in that order (joint,
+    a-part, telescope), each list empty when its statement holds.  A
+    statement gives one witness per failing r, naming the lowest
     u-degree n where the two sides differ.  max_n runs from 0 up to
     ``MAX_ENUM_N``, the builders' cap; ``perms.check_n`` refuses the rest
     before any build.
@@ -148,25 +143,19 @@ def verify_foata(max_n: int) -> FoataReport:
     orders = range(max_n + 1)
     joint = [_joint(n) for n in orders]
     parts = [a_part(n) for n in orders]
-    failures: list[str] = []
-    failed: set[str] = set()
+    witnesses: tuple[list[str], ...] = ([], [], [])
     for r in orders:
         L = [_resummed(joint[n], n, r) for n in orders]
         W = [_resummed(parts[n], n, r) for n in orders]
-        for label, lhs, rhs in _statements(L, W, r, max_n):
+        for found, (label, lhs, rhs) in zip(witnesses,
+                                            _statements(L, W, r, max_n)):
             for n in orders:
                 if lhs[n] != rhs[n]:
-                    failed.add(label)
-                    failures.append(f"{label} r={r} n={n}: [u^{n}] is "
-                                    f"{lhs[n]} on the counting side, "
-                                    f"{rhs[n]} on the closed side")
+                    found.append(f"{label} r={r} n={n}: [u^{n}] is "
+                                 f"{lhs[n]} on the counting side, "
+                                 f"{rhs[n]} on the closed side")
                     break
-    joint_ok = "joint" not in failed
-    a_ok = "a-part" not in failed
-    telescope_ok = "telescope" not in failed
-    return FoataReport(joint_ok=joint_ok, a_ok=a_ok, telescope_ok=telescope_ok,
-                       passed=joint_ok and a_ok and telescope_ok,
-                       failures=tuple(failures))
+    return witnesses
 
 
 # ----------------------------------------------------------------------

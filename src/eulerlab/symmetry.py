@@ -102,38 +102,27 @@ def a_part(n: int) -> MPoly:
     return sym_decompose(eulerian_st(n), "t", n - 1).a
 
 
-#: the checked n, both halves of the recursion and their conjunction, and
-#: for each failing half its serialized part against the expected value:
-#: the b part against (s - 1) * a_{n-1}, then the a part against
-#: A_n - (s - 1) * t * a_{n-1}
-RecursionReport = namedtuple(
-    "RecursionReport", "n b_recursion_ok recombination_ok passed witness",
-    defaults=(None,))
-
-
-def verify_thm20(n: int) -> RecursionReport:
-    """Check the decomposition recursion at one n.
+def verify_thm20(n: int) -> list[str]:
+    """Check the decomposition recursion at one n; return its witnesses.
 
     Confirms that the antisymmetric part of the joint polynomial equals
     (s - 1) times the previous palindromic part, and that the recombined
-    identity A_n = a_n + (s - 1) * t * a_{n-1} holds exactly.
+    identity A_n = a_n + (s - 1) * t * a_{n-1} holds exactly.  Each
+    failing half gives one witness, its serialized part against the
+    expected value: the b part against (s - 1) * a_{n-1} first, then the
+    a part against A_n - (s - 1) * t * a_{n-1}.  The list is empty when
+    both halves hold.
     """
     check_n(n, 2)
     joint = eulerian_st(n)
     dec = sym_decompose(joint, "t", n - 1)
-    a, b = dec.a, dec.b
     s, t = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
     want_b = (s - 1) * a_part(n - 1)
     want_a = joint - t * want_b
-    b_ok, recomb_ok = b == want_b, a == want_a
-    witnesses = []
-    if not b_ok:
-        witnesses.append(f"b_part={b.dumps()} expected={want_b.dumps()}")
-    if not recomb_ok:
-        witnesses.append(f"a_part={a.dumps()} expected={want_a.dumps()}")
-    return RecursionReport(n=n, b_recursion_ok=b_ok, recombination_ok=recomb_ok,
-                           passed=b_ok and recomb_ok,
-                           witness=" ".join(witnesses) or None)
+    return [f"{name}={got.dumps()} expected={want.dumps()}"
+            for name, got, want in (("b_part", dec.b, want_b),
+                                    ("a_part", dec.a, want_a))
+            if got != want]
 
 
 # ----------------------------------------------------------------------

@@ -107,8 +107,9 @@ def _skew(owner, attr, hit, change):
 
 
 # one skewed input per suite: max_n, the patch, and the lines and the
-# joined witness the suite reports.  li-binomial and eq1 fail several
-# cases at one n, so the witness order is pinned too.
+# joined witness the suite reports.  li-binomial, eq1 and gf fail several
+# cases, so the witness order is pinned too: gf lists its witnesses
+# statement by statement, each by r.
 _SKEWED = {
     "macmahon": (
         3, _skew(checks, "classic_eulerian",
@@ -120,9 +121,9 @@ _SKEWED = {
         '{"e":[0],"n":"2","d":"1"},{"e":[1],"n":"2","d":"1"}]}'),
     "thm20": (
         4, _skew(symmetry, "verify_thm20", lambda n: n == 3,
-                 lambda rep: rep._replace(passed=False, witness="skewed")),
+                 lambda witnesses: witnesses + ["b skewed", "a skewed"]),
         ["thm20 n=2: PASS", "thm20 n=3: FAIL", "thm20 n=4: PASS"],
-        "n=3: skewed"),
+        "n=3: b skewed a skewed"),
     "eq1": (
         3, _skew(gfengine, "f_nkr_closed", lambda n, k, r: n == 2 and r >= 5,
                  lambda c: c + 1),
@@ -132,6 +133,28 @@ _SKEWED = {
         "(n=2,k=0,r=5): direct=21 closed=22; (n=2,k=0,r=6): direct=28 "
         "closed=29; (n=2,k=1,r=5): direct=15 closed=16; (n=2,k=1,r=6): "
         "direct=21 closed=22"),
+    "gf": (
+        1, _skew(gfengine, "_joint", lambda n: n == 1, lambda p: 2 * p),
+        ["gf joint coefficients n<=1 r<=1: FAIL",
+         "gf palindromic-part coefficients: PASS",
+         "gf telescope identity: FAIL"],
+        "joint r=0 n=1: [u^1] is [1, -1] on the counting side, [] on the "
+        "closed side; joint r=1 n=1: [u^1] is [2, -3, 1] on the counting "
+        "side, [0, -1, 1] on the closed side; telescope r=0 n=1: [u^1] is "
+        "[1] on the counting side, [] on the closed side; telescope r=1 "
+        "n=1: [u^1] is [2] on the counting side, [] on the closed side"),
+    # the reconstruction reads det_at too, so both lines at n = 3 fail
+    "thT1": (
+        4, _skew(detformula, "det_at", lambda n, r: (n, r) == (3, 1),
+                 lambda cs: tuple(c + 1 for c in cs)),
+        ["thT1 det=recurrence n=0: PASS", "thT1 det=recurrence n=1: PASS",
+         "thT1 det=recurrence n=2: PASS", "thT1 det=recurrence n=3: FAIL",
+         "thT1 det=recurrence n=4: PASS", "thT1 reconstruct a_1: PASS",
+         "thT1 reconstruct a_2: PASS", "thT1 reconstruct a_3: FAIL",
+         "thT1 reconstruct a_4: PASS"],
+        "n=3 r=1: det=[2, 5, 7, 5, 2] rec=[1, 4, 6, 4, 1]; n=3: "
+        "reconstruction at n=3 is not divisible by t; the determinant "
+        "identity is broken"),
     "fubini": (
         4, _skew(checks, "eulerian_st", lambda n: n == 3, lambda p: p + 1),
         ["fubini n=1: PASS", "fubini n=2: PASS", "fubini n=3: FAIL",

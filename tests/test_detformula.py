@@ -141,6 +141,11 @@ def test_bareiss_refuses_inexact_entries():
         for m in ([[[bad]]], [[[1], []], [[0, bad], [1]]]):
             with pytest.raises(ValueError, match="^expected an int, got "):
                 det_bareiss(m)
+    # an entry that is not a coefficient list: int_trim raised TypeError
+    for bad in (5, (1, 2)):
+        with pytest.raises(ValueError,
+                           match="^expected a list of coefficients, got "):
+            det_bareiss([[bad]])
 
 
 def test_int_div_is_exact_or_raises():

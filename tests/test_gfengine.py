@@ -71,10 +71,7 @@ def test_telescoping_identity():
 
 
 def test_verify_foata():
-    report = verify_foata(4)
-    assert report.passed
-    assert report.joint_ok and report.a_ok and report.telescope_ok
-    assert report.failures == ()
+    assert verify_foata(4) == ([], [], [])
 
 
 def _ints(series, n):
@@ -106,12 +103,11 @@ def test_verify_foata_compares_both_statements_at_every_n(monkeypatch):
                         lambda n: joint(n) + bump if n == 2 else joint(n))
     monkeypatch.setattr(symmetry, "a_part",
                         lambda n: part(n) + bump if n == 1 else part(n))
-    report = verify_foata(3)
-    assert not report.joint_ok and not report.a_ok
-    assert not report.telescope_ok and not report.passed
-    # one failure per (statement, r), at the lowest differing u-degree
-    assert [f.split(":")[0] for f in report.failures] == [
-        f"{label} r={r} n={n}" for r in range(4)
+    # one witness per (statement, r), at the lowest differing u-degree,
+    # listed statement by statement
+    assert [[w.split(":")[0] for w in found]
+            for found in verify_foata(3)] == [
+        [f"{label} r={r} n={n}" for r in range(4)]
         for label, n in (("joint", 2), ("a-part", 1), ("telescope", 1))]
 
 

@@ -7,7 +7,7 @@ from eulerlab.detformula import det_at, f_at
 from eulerlab.gfengine import binom_resum, f_nkr, f_nkr_closed
 from eulerlab.mpoly import MPoly
 from eulerlab.qanalog import (binom_poly, fubini_number, gen_binomial,
-                              q_binomial, stirling2, subfactorial)
+                              int_add, q_binomial, stirling2, subfactorial)
 from eulerlab.series import f_series, lhs_coeff
 
 
@@ -47,13 +47,23 @@ def test_q_binomial():
     assert q_binomial(4, 0) == q_binomial(4, 4) == (1,)
     assert q_binomial(3, 1) == (1, 1, 1)
     assert q_binomial(4, 2) == (1, 1, 2, 1, 1)
-    for a in range(9):
+    # up to every a the MacMahon slices reach (a + k <= 25) and beyond
+    for a in range(31):
         for b in range(a + 1):
             cs = q_binomial(a, b)
             # at q = 1 the binomial, of degree b (a - b), palindromic
             assert sum(cs) == comb(a, b)
             assert len(cs) == b * (a - b) + 1
             assert cs == cs[::-1]
+            # the rows are built by [a, b] = [a-1, b-1] + q**b [a-1, b];
+            # this is the mirrored rule
+            if b:
+                assert list(cs) == int_add(
+                    [0] * (a - b) + list(q_binomial(a - 1, b - 1)),
+                    q_binomial(a - 1, b)), (a, b)
+    # the Pascal recursion raised RecursionError here on a cold cache
+    q_binomial.cache_clear()
+    assert q_binomial(1100, 1) == (1,) * 1100
 
 
 def test_q_binomial_is_zero_above_the_diagonal():
