@@ -18,10 +18,12 @@ for small integer r; in particular C(r - 1, n) at r = 0 is (-1)**n,
 which is exactly what makes the recurrence hold at r = 0.
 
 The recurrence and the determinant are evaluated at integer r, on
-``int`` coefficient lists in t: :func:`f_at` runs the recurrence and
-:func:`det_at` runs fraction-free Bareiss elimination over Z[t]
-(:func:`det_bareiss`) on the Cramer matrix.  Both sides have degree at most n in r, so their values
-at r = 0..n determine them: :func:`det_Mnr` is the Newton form
+``int`` coefficient lists in t: :func:`f_at` runs the recurrence
+bottom-up, f_0 first, and :func:`det_at` runs fraction-free Bareiss
+elimination over Z[t] (:func:`det_bareiss`) on the Cramer matrix.  At
+integer r >= 0, alpha_j vanishes for j > r, so f_n reads only the last
+r values before it.  Both sides have degree at most n in r, so their
+values at r = 0..n determine them: :func:`det_Mnr` is the Newton form
 sum_k Delta**k det(0) * C(r, k) of those values.
 
 :func:`reconstruct_a` resums the determinant against (1 - s)**(n+1),
@@ -33,6 +35,7 @@ chain upstream is broken and a DivisibilityError says so.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from math import comb
 
@@ -47,7 +50,8 @@ _VARS = ("t", "r")
 def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
     """Fraction-free determinant of a square matrix over Z[t].
 
-    Entries are int coefficient lists in t; an entry that is not a
+    The matrix is a list of rows, each a list of entries, and entries
+    are int coefficient lists in t; a matrix, row or entry that is not a
     list, or a coefficient that is not an ``int`` (a float, a string, a
     Fraction), raises ValueError before elimination.  Each division is
     exact in Z[t] by Sylvester's identity; a remainder raises
@@ -55,6 +59,9 @@ def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
     sign flip); if no nonzero pivot exists below, the determinant is
     zero.
     """
+    if type(matrix) is not list or any(type(row) is not list
+                                       for row in matrix):
+        raise ValueError(f"expected a list of rows, got {matrix!r}")
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix is not square")
@@ -95,15 +102,21 @@ def _beta_at(j: int, r: int) -> list[int]:
     return [(-1) ** j * gen_binomial(r - 1, j)] * (j + 2)
 
 
-@lru_cache(maxsize=None, typed=True)
 def f_at(n: int, r: int) -> tuple[int, ...]:
-    """f_n(t, r) at integer r >= 0 from the recurrence, as t-coefficients."""
+    """f_n(t, r) at integer r >= 0 from the recurrence, as t-coefficients.
+
+    Builds f_0, ..., f_n in turn, keeping the last r + 1: alpha_j
+    vanishes for j > r, so f_m reads only f_(m-1), ..., f_(m-min(m, r)).
+    """
     _check_naturals(n, r)
-    acc = _beta_at(n, r)
-    for j in range(1, n + 1):
-        term = int_mul(_alpha_at(j, r), f_at(n - j, r))
-        acc = int_sub(acc, term) if j % 2 == 0 else int_add(acc, term)
-    return tuple(int_trim(acc))
+    last: deque[list[int]] = deque(maxlen=r + 1)
+    for m in range(n + 1):
+        f = _beta_at(m, r)
+        for j in range(1, min(m, r) + 1):
+            term = int_mul(_alpha_at(j, r), last[-j])
+            f = int_sub(f, term) if j % 2 == 0 else int_add(f, term)
+        last.append(int_trim(f))
+    return tuple(last[-1])
 
 
 @lru_cache(maxsize=None, typed=True)

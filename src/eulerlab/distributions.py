@@ -24,9 +24,10 @@ those ending above it.  So n = 13 takes well under a second
 0.9 s, on a 2-core x86 machine) where listing 13! permutations would
 take hours.  Each family only
 supplies the move that reads its statistics off one placed value.
-The builders that several consumers read within one command are cached;
-:func:`classic_eulerian` and :func:`derangement_poly` are not, since no
-command asks either of them for the same arguments twice.
+The builders that several consumers read within one command are cached,
+as are the per-n slice tables that every slice reads; no command asks
+:func:`classic_eulerian`, :func:`derangement_poly` or the word table
+:func:`_word_des_maj` for the same arguments twice.
 
 :func:`xi_transposed` reads the xi slices a second way, with no pass over
 S_n: MacMahon's formula for the (des, maj) distribution of words, with
@@ -332,7 +333,6 @@ def xi(n: int, i: int) -> MPoly:
     return MPoly(("p", "q"), _xi_slices(n).get(i, {}))
 
 
-@lru_cache(maxsize=None)
 def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
     """(des, maj) over the words of the given content: entry d holds, as
     q-coefficients, the maj distribution of the words with d descents.
@@ -367,11 +367,13 @@ def _macmahon_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
     whose content is the composition of n cut at T, and standardising
     keeps des and maj; so their distribution is :func:`_word_des_maj`,
     and Moebius inversion over T inside S leaves Des(pi^-1) = S.  The
-    multiplier of each T sums the signs (-1)^|S - T| over the allowed S
-    containing it, so each content is expanded once per slice.
+    multiplier of each T in slice i sums the signs (-1)^|S - T| over the
+    allowed S with i - 1 members containing it.  The multipliers are
+    keyed by content first, so each content's word table is expanded
+    once and serves every slice.
     """
     # the interval [2, n-2] is empty below n = 4, leaving only the empty set
-    multipliers: dict[tuple[int, tuple[int, ...]], int] = {}
+    multipliers: dict[tuple[int, ...], dict[int, int]] = {}
     for sub in stable_subsets(2, n - 2) if n >= 4 else [()]:
         for size in range(len(sub) + 1):
             for blocks in combinations(sub, size):
@@ -379,16 +381,18 @@ def _macmahon_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
                 # the distribution does not depend on their order
                 cuts = (0, *blocks, n)
                 content = sorted(b - a for a, b in zip(cuts, cuts[1:]))
-                key = len(sub) + 1, tuple(content)
-                multipliers[key] = (multipliers.get(key, 0)
-                                    + (-1) ** (len(sub) - size))
+                by_slice = multipliers.setdefault(tuple(content), {})
+                i = len(sub) + 1
+                by_slice[i] = by_slice.get(i, 0) + (-1) ** (len(sub) - size)
     slices: dict[int, dict[tuple[int, int], int]] = {}
-    for (i, content), multiplier in multipliers.items():
-        counts = slices.setdefault(i, {})
-        for des, majs in enumerate(_word_des_maj(content)):
-            for maj, c in enumerate(majs):
-                key = (1 + des, maj)
-                counts[key] = counts.get(key, 0) + multiplier * c
+    for content, by_slice in multipliers.items():
+        table = _word_des_maj(content)
+        for i, multiplier in by_slice.items():
+            counts = slices.setdefault(i, {})
+            for des, majs in enumerate(table):
+                for maj, c in enumerate(majs):
+                    key = (1 + des, maj)
+                    counts[key] = counts.get(key, 0) + multiplier * c
     return {i: {key: c for key, c in counts.items() if c}
             for i, counts in slices.items()}
 

@@ -202,7 +202,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = MPoly.const(self.vars, 1)
         base = self
@@ -241,6 +241,8 @@ class MPoly:
 
     def coeff_of(self, var: str, k: int) -> "MPoly":
         """Coefficient of ``var**k`` as a polynomial in the other variables."""
+        if type(k) is not int:
+            raise ValueError(f"exponent must be an int, got {k!r}")
         i = self._vi(var)
         rest = self.vars[:i] + self.vars[i + 1:]
         out: dict[tuple[int, ...], Scalar] = {}

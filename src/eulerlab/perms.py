@@ -28,9 +28,10 @@ MAX_ENUM_N = 13
 
 def check_n(n: int, lo: int) -> None:
     """Refuse an n that is not an int in lo..MAX_ENUM_N; every S_n route
-    checks here.  The cached builders use ``lru_cache(typed=True)``, so
-    a float n never hits the entry of the equal int and always reaches
-    this check."""
+    checks here.  The cached public builders use
+    ``lru_cache(typed=True)``, so a float n never hits the entry of the
+    equal int and always reaches this check; the cached per-n tables of
+    ``distributions`` are private and run only behind it."""
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
     if not lo <= n <= MAX_ENUM_N:
@@ -109,8 +110,8 @@ def stable_subsets(lo: int, hi: int) -> list[tuple[int, ...]]:
     >>> stable_subsets(2, 3)
     [(), (2,), (3,)]
     """
-    if lo > hi + 1:
-        raise ValueError(f"interval [{lo}, {hi}] is malformed")
+    if type(lo) is not int or type(hi) is not int or lo > hi + 1:
+        raise ValueError(f"interval [{lo!r}, {hi!r}] is malformed")
     members = range(lo, hi + 1)
     out: list[tuple[int, ...]] = []
     for size in range(len(members) + 1):

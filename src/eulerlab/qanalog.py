@@ -8,8 +8,9 @@ float through.  One guard, :func:`_check_naturals`, states the rule "a
 nonnegative int" for every size and index here and in ``detformula``,
 ``gfengine`` and ``series``.  Only :func:`q_binomial` keeps a cache,
 typed so that ``4.0`` never hits the entry of ``4``: up to n = 13 the
-MacMahon slices of the thm01 suite ask for 155 distinct binomials 3099
-times, and without the cache that suite runs about 15 % slower.  The
+MacMahon slices of the thm01 suite, which expand each content once,
+ask for 155 distinct binomials 3099 times, and without the cache those
+slices take about 0.25 s more, some 15 % of that suite.  The
 binomial helpers follow the falling-factorial definition, so a negative
 upper argument is meaningful: ``gen_binomial(-1, j) == (-1)**j``, not 0.
 That sign is load-bearing for the determinant recurrence: its beta_j

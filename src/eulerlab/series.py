@@ -72,9 +72,6 @@ class USeries:
         return USeries(self.order,
                        [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self):
-        return USeries(self.order, [-a for a in self.coeffs])
-
     def __mul__(self, other):
         if not isinstance(other, USeries):
             return NotImplemented

@@ -80,13 +80,20 @@ def _by_rows(f: MPoly, var: str, d: int, kernel, parts: int) -> list[MPoly]:
     return [MPoly(f.vars, terms) for terms in out]
 
 
+def _check_degree(d: int) -> None:
+    if type(d) is not int:
+        raise ValueError(f"ambient degree must be an int, got {d!r}")
+
+
 def is_palindromic(f: MPoly, var: str, d: int) -> bool:
+    _check_degree(d)
     return f.degree(var) <= d and all(
         row == row[::-1] for row in _rows(f, var, d).values())
 
 
 def sym_decompose(f: MPoly, var: str, d: int) -> SymDecomp:
     """Split f into its palindromic parts at ambient degree d >= 0."""
+    _check_degree(d)
     if d < 0:
         raise ValueError(f"ambient degree must be nonnegative, got {d}")
     a, b = _by_rows(f, var, d, _split_ints, 2)
@@ -154,8 +161,9 @@ def gamma_expand(f: MPoly, var: str, d: int) -> GammaExpansion:
     degree above d is refused by :func:`_rows`, a row that is not its
     own reverse by :func:`_gamma_ints`.  The zero polynomial, of degree
     -1, has the empty expansion at every d >= -1, as
-    :func:`is_palindromic` reads it.
+    :func:`is_palindromic` reads it.  A d that is not an int is refused.
     """
+    _check_degree(d)
     if f.is_zero() and d >= -1:
         return GammaExpansion(var=var, ambient_degree=d, gammas=())
     gammas = _by_rows(f, var, d, lambda cs: [[g] for g in _gamma_ints(cs)],

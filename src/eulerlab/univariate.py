@@ -83,12 +83,6 @@ class UPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return UPoly(c * other for c in self.coeffs)
@@ -106,19 +100,6 @@ class UPoly:
         return UPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = UPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
 
     def __divmod__(self, other: "UPoly"):
         other = self._coerce(other)
@@ -139,9 +120,6 @@ class UPoly:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
         return UPoly(quo), UPoly(rem[:dv])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -257,12 +235,6 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -278,12 +250,6 @@ class RatFunc:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():

@@ -40,6 +40,13 @@ def test_recurrence_first_values():
         f_at(-1, 0)
 
 
+def test_recurrence_runs_far_past_the_cap():
+    # at r = 0 only alpha_0 is nonzero, so f_n = beta_n(0) = 1 + ... + t**(n+1)
+    assert f_at(1100, 0) == (1,) * 1102
+    # at r = 1 the recurrence is f_n = (1 + t) f_(n-1), so f_n = (1 + t)**(n+1)
+    assert f_at(1100, 1) == tuple(comb(1101, k) for k in range(1102))
+
+
 def _matrix(n, r, signed=True):
     """The Cramer matrix at integer r, entries int coefficient lists in t;
     ``signed=False`` drops its alternating signs."""
@@ -146,6 +153,10 @@ def test_bareiss_refuses_inexact_entries():
         with pytest.raises(ValueError,
                            match="^expected a list of coefficients, got "):
             det_bareiss([[bad]])
+    # a matrix or row that is not a list: len() raised TypeError
+    for bad in ([5], 5, None):
+        with pytest.raises(ValueError, match="^expected a list of rows, got "):
+            det_bareiss(bad)
 
 
 def test_int_div_is_exact_or_raises():
@@ -221,7 +232,6 @@ def test_det_guards():
     # on a cold cache a float r reached the kernels and raised TypeError;
     # on a warm one it hit the entry of the equal int and returned it
     det_at.cache_clear()
-    f_at.cache_clear()
     with pytest.raises(ValueError, match="^expected an int, got 2.0$"):
         det_at(3, 2.0)
     assert det_at(3, 2) == f_at(3, 2) == (1, 10, 19, 10, 1)

@@ -90,6 +90,10 @@ def test_pow_validation():
     assert (1 + t) ** 0 == 1
     with pytest.raises(ValueError):
         (1 + t) ** -1
+    # True is an int subclass: f ** True returned f
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="^exponent must be a nonneg"):
+            (1 + t) ** bad
 
 
 def test_variable_mismatch_is_usage_error():
@@ -107,6 +111,10 @@ def test_degree_and_coeff():
     assert f.degree("s") == 2
     assert f.coeff_of("t", 1) == MPoly(("s",), {(1,): 3, (2,): 1})
     assert f.coeff_of("t", 5).is_zero()
+    # 1.0 == 1, so coeff_of("t", 1.0) returned the t**1 coefficient
+    for bad in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="^exponent must be an int, got "):
+            f.coeff_of("t", bad)
     assert MPoly.zero(("s", "t")).degree("t") == -1
 
 

@@ -140,6 +140,10 @@ def test_stable_subsets():
         (), (2,), (3,), (4,), (5,), (2, 4), (2, 5), (3, 5)]
     with pytest.raises(ValueError):
         stable_subsets(2, 0)
+    # range() raised TypeError on a float bound
+    for lo, hi in ((2.0, 4), (2, 4.0), (True, 4)):
+        with pytest.raises(ValueError, match=r"^interval \[.*\] is malformed$"):
+            stable_subsets(lo, hi)
 
 
 def test_stable_subsets_no_consecutive():

@@ -51,6 +51,17 @@ def test_decompose_refuses_a_negative_ambient_degree(d):
             sym_decompose(f, "t", d)
 
 
+@pytest.mark.parametrize("d", [2.0, True, 1.5, "2"])
+def test_a_non_int_ambient_degree_is_refused(d):
+    # 2.0 raised TypeError from [0] * (d + 1); True split at degree True;
+    # the zero polynomial expanded to nothing at degree 1.5
+    for call in (sym_decompose, gamma_expand, is_palindromic):
+        for f in (MPoly.zero(("s", "t")), 1 + T):
+            with pytest.raises(ValueError, match=(
+                    "^ambient degree must be an int, got ")):
+                call(f, "t", d)
+
+
 def test_a_part_seed_and_small_values():
     assert a_part(0).is_zero()
     assert a_part(0).vars == ("s", "t")
