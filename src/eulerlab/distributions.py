@@ -54,7 +54,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .mpoly import MPoly
+from .mpoly import DivisibilityError, MPoly
 from .perms import check_n, stable_subsets
 
 
@@ -337,18 +337,31 @@ def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
     """(des, maj) over the words of the given content: entry d holds, as
     q-coefficients, the maj distribution of the words with d descents.
 
-    MacMahon: this is prod_{j=0..n} (1 - t q^j) * sum_{k>=0} t^k
-    prod_a [a + k choose a]_q.  A word of length n has at most n - 1
-    descents, so everything is cut after t^(n-1).
+    MacMahon: this is prod_{j=0..n} (1 - t q^j) * sum_{k>=0} t^k R_k with
+    R_k = prod_a [a + k choose a]_q.  A word of length n has at most
+    n - 1 descents, so everything is cut after t^(n-1).  R_0 = 1, and
+    each block a takes R_k to R_(k+1) by the ratio
+    [a + k + 1 choose a]_q / [a + k choose a]_q
+    = (1 - q^(a+k+1)) / (1 - q^(k+1)): a shift-subtract, then a prefix
+    sum with stride k + 1 whose top k + 1 entries are the remainder.
     """
-    from .qanalog import int_mul, int_sub, q_binomial
+    from .qanalog import int_sub
 
     n = sum(content)
-    rows = []
-    for k in range(n):
-        row = [1]
+    row = [1]
+    rows = [row]
+    for k in range(n - 1):
+        stride = k + 1
         for a in content:
-            row = int_mul(row, q_binomial(a + k, a))
+            # times 1 - q^shift, then divided exactly by 1 - q^stride
+            shift = a + k + 1
+            row = [x - y for x, y in zip(row + [0] * shift, [0] * shift + row)]
+            for i in range(stride, len(row)):
+                row[i] += row[i - stride]
+            if any(row[-stride:]):
+                raise DivisibilityError(
+                    f"division by 1 - q^{stride} left a remainder")
+            del row[-stride:]
         rows.append(row)
     for j in range(n + 1):
         # times 1 - t q^j, from the top row down so each reads the old one

@@ -221,6 +221,10 @@ class MPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its scalar, so it must hash like it
+        zero_exp = (0,) * len(self.vars)
+        if self.terms.keys() <= {zero_exp}:
+            return hash(self.terms.get(zero_exp, 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------

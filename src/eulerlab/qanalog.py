@@ -1,18 +1,14 @@
-"""Binomial polynomials, Stirling numbers, counting sequences, arithmetic
-on integer coefficient lists in t, and Gaussian binomials in q.
+"""Binomial polynomials, Stirling numbers, counting sequences and
+arithmetic on integer coefficient lists in t.
 
 Everything here returns exact integers, integer lists or
 :class:`~eulerlab.mpoly.MPoly` values, and the integer functions refuse
 an argument that is not an ``int`` with ValueError rather than carry a
 float through.  One guard, :func:`_check_naturals`, states the rule "a
 nonnegative int" for every size and index here and in ``detformula``,
-``gfengine`` and ``series``.  Only :func:`q_binomial` keeps a cache,
-typed so that ``4.0`` never hits the entry of ``4``: up to n = 13 the
-MacMahon slices of the thm01 suite, which expand each content once,
-ask for 155 distinct binomials 3099 times, and without the cache those
-slices take about 0.25 s more, some 15 % of that suite.  The
-binomial helpers follow the falling-factorial definition, so a negative
-upper argument is meaningful: ``gen_binomial(-1, j) == (-1)**j``, not 0.
+``gfengine`` and ``series``.  The binomial helpers follow the
+falling-factorial definition, so a negative upper argument is
+meaningful: ``gen_binomial(-1, j) == (-1)**j``, not 0.
 That sign is load-bearing for the determinant recurrence: its beta_j
 carries C(r - 1, j), which ``detformula`` evaluates as
 ``gen_binomial(r - 1, j)``, and the recurrence is a polynomial identity
@@ -21,7 +17,6 @@ in r that must hold at r = 0 too.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial
 
 from .mpoly import DivisibilityError, MPoly, _fraction
@@ -152,22 +147,3 @@ def int_div(a, b) -> list[int]:
         raise DivisibilityError(f"{b} does not divide {a} in Z[t]")
     return int_trim(quot)
 
-
-@lru_cache(maxsize=None, typed=True)
-def q_binomial(a: int, b: int) -> tuple[int, ...]:
-    """The Gaussian binomial ``[a choose b]_q`` as q-coefficients, for
-    a, b >= 0; the zero polynomial ``()`` when b > a, as ``math.comb``.
-
-    Built row by row of the q-Pascal triangle,
-    ``[m choose j] = [m-1 choose j-1] + q**j [m-1 choose j]``, keeping
-    the entries j <= b of each row.
-    """
-    _check_naturals(a, b)
-    if b > a:
-        return ()
-    row = [[1]]
-    for m in range(1, a + 1):
-        row = [int_add(row[j - 1] if j else [],
-                       [0] * j + row[j] if j < m else [])
-               for j in range(min(m, b) + 1)]
-    return tuple(row[b])

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -12,7 +12,7 @@ from eulerlab.distributions import (build_distribution, classic_eulerian,
 from eulerlab.mpoly import MPoly
 from eulerlab.perms import (MAX_ENUM_N, enumerate_perms, inverse,
                             stable_subsets, stats)
-from eulerlab.qanalog import fubini_number, subfactorial
+from eulerlab.qanalog import fubini_number, int_trim, subfactorial
 
 S, T = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
 TT, P, Q = (MPoly.variable(v, ("t", "p", "q")) for v in ("t", "p", "q"))
@@ -275,6 +275,26 @@ def test_transposed_mask_matches_reference_filter():
     for n in range(2, 9):
         assert (distributions._macmahon_slices(n)
                 == _reference_transposed_slices(n)), n
+
+
+def test_word_table_matches_brute_force():
+    # every content to n = 7, blocks of size 1 included, which no slice
+    # asks for, against the (des, maj) counts of its distinct words
+    for n in range(1, 8):
+        contents = set()
+        for size in range(n):
+            for cuts in combinations(range(1, n), size):
+                bounds = (0, *cuts, n)
+                contents.add(tuple(sorted(
+                    b - a for a, b in zip(bounds, bounds[1:]))))
+        for content in contents:
+            letters = [v for v, m in enumerate(content) for _ in range(m)]
+            counts = [[0] * (n * (n - 1) // 2 + 1) for _ in range(n)]
+            for word in set(permutations(letters)):
+                descents = [p for p in range(1, n) if word[p - 1] > word[p]]
+                counts[len(descents)][sum(descents)] += 1
+            want = tuple(int_trim(row) for row in counts)
+            assert distributions._word_des_maj(content) == want, content
 
 
 def test_xi_transposed_builds_once_per_n():

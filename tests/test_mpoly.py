@@ -308,3 +308,14 @@ def test_constant_extraction():
         (1 + s).constant()
     # a scalar equals only a polynomial with no other term
     assert f == F(7, 3) and 1 + s != 1 and s != 0
+
+
+@pytest.mark.parametrize("vars, value", [
+    (("t",), 3), (("s", "t"), 0), (("s", "t"), F(1, 2)), ((), -2)],
+    ids=["int", "zero", "fraction", "no-variables"])
+def test_a_constant_hashes_like_its_scalar(vars, value):
+    # equal objects hash alike, so a set or dict finds either by the other
+    c = MPoly.const(vars, value)
+    assert c == value and hash(c) == hash(value)
+    assert value in {c} and c in {value}
+    assert {c: "poly"}[value] == "poly"

@@ -7,7 +7,7 @@ from eulerlab.detformula import det_at, f_at
 from eulerlab.gfengine import binom_resum, f_nkr, f_nkr_closed
 from eulerlab.mpoly import MPoly
 from eulerlab.qanalog import (binom_poly, fubini_number, gen_binomial,
-                              int_add, q_binomial, stirling2, subfactorial)
+                              stirling2, subfactorial)
 from eulerlab.series import f_series, lhs_coeff
 
 
@@ -40,38 +40,6 @@ def test_binom_poly_shapes():
     assert cubic.evaluate({"r": 1}) == 0
     assert cubic.evaluate({"r": 2}) == 0
     assert cubic.evaluate({"r": -1}) == -1
-
-
-def test_q_binomial():
-    assert q_binomial(0, 0) == (1,)
-    assert q_binomial(4, 0) == q_binomial(4, 4) == (1,)
-    assert q_binomial(3, 1) == (1, 1, 1)
-    assert q_binomial(4, 2) == (1, 1, 2, 1, 1)
-    # up to every a the MacMahon slices reach (a + k <= 25) and beyond
-    for a in range(31):
-        for b in range(a + 1):
-            cs = q_binomial(a, b)
-            # at q = 1 the binomial, of degree b (a - b), palindromic
-            assert sum(cs) == comb(a, b)
-            assert len(cs) == b * (a - b) + 1
-            assert cs == cs[::-1]
-            # the rows are built by [a, b] = [a-1, b-1] + q**b [a-1, b];
-            # this is the mirrored rule
-            if b:
-                assert list(cs) == int_add(
-                    [0] * (a - b) + list(q_binomial(a - 1, b - 1)),
-                    q_binomial(a - 1, b)), (a, b)
-    # the Pascal recursion raised RecursionError here on a cold cache
-    q_binomial.cache_clear()
-    assert q_binomial(1100, 1) == (1,) * 1100
-
-
-def test_q_binomial_is_zero_above_the_diagonal():
-    # as math.comb and gen_binomial; the Pascal recursion never ended
-    assert q_binomial(2, 5) == q_binomial(0, 1) == ()
-    for a in range(6):
-        for b in range(a + 1, a + 4):
-            assert q_binomial(a, b) == () and comb(a, b) == 0
 
 
 def test_stirling2_table():
@@ -123,30 +91,22 @@ def test_fubini_matches_the_ordered_partition_recurrence():
 
 @pytest.mark.parametrize("fn, args", [
     (gen_binomial, (4, 2)), (stirling2, (4, 2)), (subfactorial, (4,)),
-    (fubini_number, (4,)), (q_binomial, (4, 2)), (binom_poly, (2,))],
+    (fubini_number, (4,)), (binom_poly, (2,))],
     ids=["gen_binomial", "stirling2", "subfactorial", "fubini_number",
-         "q_binomial", "binom_poly"])
+         "binom_poly"])
 def test_non_int_arguments_are_refused(fn, args):
-    # each returns ints only: unchecked, 4.0 gave 9.0 or 6.0, a tuple, or
-    # a hit on the cache entry of 4
-    def cache_size():
-        return fn.cache_info().currsize if hasattr(fn, "cache_info") else 0
-
+    # each returns ints only: unchecked, 4.0 gave 9.0 or 6.0
     fn(*args)
-    before = cache_size()
     for k in range(len(args)):
         for bad in (float(args[k]), F(args[k]), str(args[k])):
             wrong = args[:k] + (bad,) + args[k + 1:]
             with pytest.raises(ValueError, match="^expected an int, got "):
                 fn(*wrong)
-    # a refusal stores nothing, so no entry has a non-int key
-    assert cache_size() == before
 
 
 _NEGATIVE = [
     (gen_binomial, (-3, -1)), (binom_poly, (-1,)), (stirling2, (-1, 2)),
     (stirling2, (4, -1)), (subfactorial, (-1,)), (fubini_number, (-1,)),
-    (q_binomial, (-1, 0)), (q_binomial, (3, -1)),
     (f_nkr, (-1, 0, 0)), (f_nkr, (1, -1, 0)), (f_nkr, (1, 0, -1)),
     (f_nkr_closed, (-1, 0, 0)), (f_nkr_closed, (1, 0, -1)),
     (binom_resum, (MPoly.zero(("t", "r")), -1)),
