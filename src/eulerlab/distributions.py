@@ -20,12 +20,18 @@ state holds one packed int over the remaining statistics, and since a
 family reads the last value only through the descent test, each value
 is placed once after all the prefixes ending below it and once after
 those ending above it.  So n = 13 takes well under a second
-(``trivariate(13)`` 0.1 s, and one ``xi`` fold for all slices about
-0.9 s, on a 2-core x86 machine) where listing 13! permutations would
-take hours.  Each family only
+(``trivariate(13)`` about 0.05 s, and one ``xi`` fold for all slices
+about 0.65 s, in fresh processes on a 2-core x86 machine) where listing
+13! permutations would take hours.  Each family only
 supplies the move that reads its statistics off one placed value.
-The builders that several consumers read within one command are cached,
-as are the per-n slice tables that every slice reads; no command asks
+:func:`eulerian_st`, whose polynomial several consumers read within one
+command, is cached.  So are the per-n tables that several public
+readers share: the slice tables that every slice of :func:`xi` and
+:func:`xi_transposed` reads, and the integer table of the
+three-variable fold (:func:`_trivariate_table`) behind
+:func:`trivariate`, :func:`derangement_lhs` and ``scan``.  Those tables
+are private and their caches untyped, so each public reader checks n
+with ``perms.check_n`` before it reads one.  No command asks
 :func:`classic_eulerian`, :func:`derangement_poly` or the word table
 :func:`_word_des_maj` for the same arguments twice.
 
@@ -270,7 +276,15 @@ def derangement_poly(n: int) -> MPoly:
     return MPoly(("x",), (((k,), c) for (_, k), c in counts.items()))
 
 
-def _trivariate_poly(n: int, derangements: bool) -> MPoly:
+@lru_cache(maxsize=None)
+def _trivariate_table(n: int, derangements: bool
+                      ) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """``(top_des, top_gap, terms)`` of the (exc, des, maj - exc) fold over
+    S_n, or over its derangements, from one fold per (n, derangements).
+
+    ``terms`` is a tuple of (exc, des, gap, count) ints, gap = maj - exc;
+    ``top_des`` and ``top_gap`` are the largest des and gap among them.
+    """
     move = _trivariate_move(n, derangements)
     terms = []
     for (des, code), count in _transfer(n, move, True, _positional).items():
@@ -280,11 +294,17 @@ def _trivariate_poly(n: int, derangements: bool) -> MPoly:
             raise AssertionError(
                 f"major index {maj} below excedance count {exc} "
                 f"for {count} permutations of {n} with {des} descents")
-        terms.append(((exc, des, maj - exc), count))
-    return MPoly(("t", "p", "q"), terms)
+        terms.append((exc, des, maj - exc, count))
+    return (max(des for _, des, _, _ in terms),
+            max(gap for _, _, gap, _ in terms), tuple(terms))
 
 
-@lru_cache(maxsize=None, typed=True)
+def _trivariate_poly(n: int, derangements: bool) -> MPoly:
+    return MPoly(("t", "p", "q"),
+                 (((exc, des, gap), count) for exc, des, gap, count
+                  in _trivariate_table(n, derangements)[2]))
+
+
 def trivariate(n: int) -> MPoly:
     """Distribution of (exc, des, maj - exc) over S_n, in t, p, q.
 
@@ -295,7 +315,6 @@ def trivariate(n: int) -> MPoly:
     return _trivariate_poly(n, False)
 
 
-@lru_cache(maxsize=None, typed=True)
 def derangement_lhs(n: int) -> MPoly:
     """Same refinement as :func:`trivariate`, restricted to derangements."""
     check_n(n, 2)
@@ -345,8 +364,6 @@ def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
     = (1 - q^(a+k+1)) / (1 - q^(k+1)): a shift-subtract, then a prefix
     sum with stride k + 1 whose top k + 1 entries are the remainder.
     """
-    from .qanalog import int_sub
-
     n = sum(content)
     row = [1]
     rows = [row]
@@ -364,9 +381,16 @@ def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
             del row[-stride:]
         rows.append(row)
     for j in range(n + 1):
-        # times 1 - t q^j, from the top row down so each reads the old one
+        # times 1 - t q^j, in place from the top row down so each reads
+        # the old one.  Row d keeps the n d + 1 entries of R_d, and row
+        # d - 1 shifted by j <= n reaches no further
         for d in range(n - 1, 0, -1):
-            rows[d] = int_sub(rows[d], [0] * j + rows[d - 1])
+            row = rows[d]
+            for i, x in enumerate(rows[d - 1], j):
+                row[i] -= x
+    for row in rows:
+        while row and not row[-1]:
+            row.pop()
     return tuple(rows)
 
 

@@ -20,9 +20,10 @@ from typing import Iterator, Sequence
 #: limit.  It is set by cost alone: the transfer kernel in
 #: ``distributions`` sizes its state from n and is exact at every n.  It
 #: builds eulerian_st(13) in about 0.02 s and trivariate(13) in about
-#: 0.1 s with a 16 MB peak; the slowest family, xi, folds all slices at
-#: n = 13 in about 0.9 s with a 44 MB peak (fresh processes, 2-core x86,
-#: Python 3.11).
+#: 0.05 s with a 16 MB peak; the slowest family, xi, folds all slices at
+#: n = 13 in about 0.65 s with a 44 MB peak (fresh processes, 2-core x86,
+#: Python 3.11).  Every public reader of a cached table checks n here
+#: before it reads the table.
 MAX_ENUM_N = 13
 
 
@@ -30,8 +31,10 @@ def check_n(n: int, lo: int) -> None:
     """Refuse an n that is not an int in lo..MAX_ENUM_N; every S_n route
     checks here.  The cached public builders use
     ``lru_cache(typed=True)``, so a float n never hits the entry of the
-    equal int and always reaches this check; the cached per-n tables of
-    ``distributions`` are private and run only behind it."""
+    equal int and always reaches this check.  The cached per-n tables of
+    ``distributions`` are private and untyped, so every public reader,
+    ``symmetry.conjecture_scan`` included, calls this check before it
+    reads one."""
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
     if not lo <= n <= MAX_ENUM_N:

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import TYPE_CHECKING, Sequence
 
-from .distributions import eulerian_st, trivariate
+from .distributions import _trivariate_table, eulerian_st
 from .mpoly import DivisibilityError, MPoly, _coefficient, _fraction
 from .perms import check_n
 
@@ -306,29 +306,6 @@ ScanReport = namedtuple(
     "gamma_b_nonneg alternatingly_increasing unimodal mode_indices")
 
 
-#: the top degrees of ``trivariate(n)`` in p and q, and its terms as
-#: (exc, des, gap, count) tuples of ints
-ScanTable = namedtuple("ScanTable", "top_des top_gap terms")
-
-
-@lru_cache(maxsize=None, typed=True)
-def _scan_table(n: int) -> ScanTable:
-    """``trivariate(n)`` as plain ints, built once per n for every point.
-
-    Raises AssertionError on a count that is not an integer: a count of
-    permutations with a denominator means the builder is broken.
-    """
-    f = trivariate(n)
-    terms = []
-    for (exc, des, gap), count in f.terms.items():
-        if count.denominator != 1:
-            raise AssertionError(
-                f"trivariate({n}) has the non-integer count {count} "
-                f"at exc={exc}, des={des}, gap={gap}")
-        terms.append((exc, des, gap, count.numerator))
-    return ScanTable(f.degree("p"), f.degree("q"), tuple(terms))
-
-
 def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     """Decompose the specialized refinement and report its shape.
 
@@ -340,10 +317,13 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     :func:`trivariate`.  p and q are exact: a float or complex raises
     ValueError.  Reports never raise on a shape violation; they record it.
 
-    The work is exact on int coefficient lists.  The terms of
-    ``trivariate(n)`` are read once per n into an integer table
-    (:func:`_scan_table`) that every later point reuses.  With p = a/b
-    and q = c/e, the t-vector is evaluated from that table scaled by
+    The work is exact on int coefficient lists.  The scan reads the
+    fold's own table of (exc, des, gap, count) ints
+    (``distributions._trivariate_table``), built once per n and shared
+    with :func:`trivariate`, so every later point at that n and every
+    build of the polynomial reuse it.  n is checked before the table is
+    read, since its cache is untyped.  With p = a/b and q = c/e, the
+    t-vector is evaluated from that table scaled by
     M = b**D * e**G (D, G the top degrees in p and q), split and
     gamma-expanded by the integer kernel; M > 0, so the sign flags are
     read off the integer gammas, and only the reported gammas are
@@ -357,7 +337,8 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     if not in_hyp and not force:
         raise ValueError(
             f"(p, q) = ({p}, {q}) is outside p > 1, q >= 1; pass force=True")
-    top_des, top_gap, terms = _scan_table(n)
+    check_n(n, 1)
+    top_des, top_gap, terms = _trivariate_table(n, False)
     p_pow = [a ** k * b ** (top_des - k) for k in range(top_des + 1)]
     q_pow = [c ** k * e ** (top_gap - k) for k in range(top_gap + 1)]
     dense = [0] * n

@@ -130,6 +130,7 @@ def test_transfer_layers_hold_free_sets_not_used_sets(monkeypatch):
     real = distributions._trivariate_move
     monkeypatch.setattr(distributions, "_trivariate_move",
                         lambda *args: _spy(real(*args), calls))
+    distributions._trivariate_table.cache_clear()
     assert distributions._trivariate_poly(n, False) == refined
     layers: dict = {}
     seen: dict = {}

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulerlab import symmetry
-from eulerlab.distributions import eulerian_st, trivariate
+from eulerlab import distributions, symmetry
+from eulerlab.distributions import derangement_lhs, eulerian_st, trivariate
 from eulerlab.mpoly import MPoly, exact_divide
 from eulerlab.symmetry import (_is_alternatingly_increasing, _is_unimodal,
                                a_part, conjecture_scan, gamma_expand,
@@ -317,11 +317,11 @@ def test_scan_small_cases():
 def test_scan_guards():
     # a point outside the zone is refused before any table is built; the
     # n range is covered with every other entry point in test_perms
-    symmetry._scan_table.cache_clear()
+    distributions._trivariate_table.cache_clear()
     for n in (3, 5):
         with pytest.raises(ValueError, match="outside p > 1"):
             conjecture_scan(n, 1, 1)
-    assert symmetry._scan_table.cache_info().currsize == 0
+    assert distributions._trivariate_table.cache_info().currsize == 0
 
 
 def test_scan_refuses_inexact_points():
@@ -379,35 +379,31 @@ def test_scan_kernel_matches_sparse_route():
         assert _kernel_scan(n, p, q) == _sparse_scan(n, p, q), (n, p, q)
 
 
-def test_scan_table_matches_trivariate():
-    for n in range(1, 12):
-        f = trivariate(n)
-        table = symmetry._scan_table(n)
-        assert (table.top_des, table.top_gap) == (f.degree("p"),
-                                                  f.degree("q"))
-        assert len(table.terms) == len(f.terms)
-        assert {(e, d, g): c for e, d, g, c in table.terms} == f.terms
-        assert all(type(c) is int for *_, c in table.terms)
+def test_trivariate_table_matches_its_polynomials():
+    cases = [(n, False, trivariate) for n in range(1, 12)]
+    cases += [(n, True, derangement_lhs) for n in range(2, 12)]
+    for n, derangements, build in cases:
+        f = build(n)
+        top_des, top_gap, terms = distributions._trivariate_table(
+            n, derangements)
+        assert (top_des, top_gap) == (f.degree("p"), f.degree("q"))
+        assert len(terms) == len(f.terms)
+        assert {(e, d, g): c for e, d, g, c in terms} == f.terms
+        assert all(type(x) is int for term in terms for x in term)
 
 
-def test_scan_table_built_once_per_n():
-    symmetry._scan_table.cache_clear()
-    for p, q in [(2, 1), (F(3, 2), 2), (F(-3, 7), F(1, 3)), (0, 0)]:
-        conjecture_scan(6, p, q, force=True)
-    info = symmetry._scan_table.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-
-
-def test_scan_table_refuses_a_fractional_count(monkeypatch):
-    half = MPoly(("t", "p", "q"), {(0, 0, 0): F(1, 2)})
-    monkeypatch.setattr(symmetry, "trivariate", lambda n: half)
-    symmetry._scan_table.cache_clear()
+def test_trivariate_table_built_once_per_n():
+    # the builders and the scan share one fold per (n, derangements)
+    distributions._trivariate_table.cache_clear()
     try:
-        with pytest.raises(AssertionError, match="non-integer count 1/2"):
-            conjecture_scan(1, 2, 1)
-        assert symmetry._scan_table.cache_info().currsize == 0
+        trivariate(6)
+        derangement_lhs(6)
+        for p, q in [(2, 1), (F(3, 2), 2), (F(-3, 7), F(1, 3)), (0, 0)]:
+            conjecture_scan(6, p, q, force=True)
+        info = distributions._trivariate_table.cache_info()
     finally:
-        symmetry._scan_table.cache_clear()
+        distributions._trivariate_table.cache_clear()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_scan_accepts_fractions():
