@@ -20,8 +20,9 @@ from math import comb, factorial
 # here: perfbench's tracer reaches it as an attribute of the package after
 # importing only checks and series.
 from . import detformula
-from .distributions import (classic_eulerian, derangement_lhs, eulerian_st,
-                            exc_slice, xi, xi_transposed)
+from .distributions import (classic_eulerian, derangement_lhs,
+                            derangement_poly, eulerian_st, exc_slice, xi,
+                            xi_transposed)
 from .mpoly import DivisibilityError, MPoly
 from .perms import MAX_ENUM_N
 from .qanalog import fubini_number, subfactorial
@@ -249,7 +250,7 @@ def check_counts(max_n: int) -> CheckResult:
         ok = total == want
         sides = f"joint mass {total} against n! = {want}"
         if n >= 2:
-            total = derangement_lhs(n).evaluate({"t": 1, "p": 1, "q": 1})
+            total = derangement_poly(n).evaluate({"x": 1})
             want = subfactorial(n)
             ok = ok and total == want
             sides += f", derangement mass {total} against !n = {want}"

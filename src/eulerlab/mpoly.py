@@ -204,13 +204,11 @@ class MPoly:
     def __pow__(self, n: int):
         if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        # every caller raises to at most perms.MAX_ENUM_N = 13, where repeated
+        # squaring measures no faster than n products in a row
         result = MPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def __eq__(self, other):

@@ -28,7 +28,6 @@ that recursion at n = 0 is the zero polynomial by convention.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from math import comb, lcm
 from typing import TYPE_CHECKING, Sequence
 
@@ -100,9 +99,12 @@ def sym_decompose(f: MPoly, var: str, d: int) -> SymDecomp:
     return SymDecomp(a=a, b=b, var=var, ambient_degree=d)
 
 
-@lru_cache(maxsize=None, typed=True)
 def a_part(n: int) -> MPoly:
-    """Palindromic part of the joint (des, exc) polynomial; zero at n = 0."""
+    """Palindromic part of the joint (des, exc) polynomial; zero at n = 0.
+
+    Each call splits the cached :func:`eulerian_st` afresh; the split is
+    too cheap for a cache of its own to measure.
+    """
     check_n(n, 0)
     if n == 0:
         return MPoly.zero(("s", "t"))

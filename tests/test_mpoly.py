@@ -96,6 +96,18 @@ def test_pow_validation():
             (1 + t) ** bad
 
 
+def test_pow_is_the_k_fold_product():
+    s, t = (MPoly.variable(v, ("s", "t", "p")) for v in ("s", "t"))
+    f = 1 + s + 2 * t
+    product = MPoly.const(f.vars, 1)
+    for k in range(14):
+        assert f ** k == product, k
+        product = product * f
+    # equality already compares the variables; at k = 0 the result is
+    # the constant 1, which must still carry all three of f's
+    assert (f ** 0).vars == f.vars == ("s", "t", "p")
+
+
 def test_variable_mismatch_is_usage_error():
     s, t = MPoly.variable("s"), MPoly.variable("t")
     with pytest.raises(ValueError):
