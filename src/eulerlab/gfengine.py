@@ -52,7 +52,7 @@ def _resummed(poly: MPoly, n: int, r: int) -> list[int]:
     for (j, k), c in poly.terms.items():
         if k >= len(out):
             out.extend([0] * (k + 1 - len(out)))
-        out[k] += int(c) * comb(n + r - j, n)
+        out[k] += c * comb(n + r - j, n)
     return int_trim(out)
 
 

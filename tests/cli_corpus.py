@@ -1,0 +1,143 @@
+"""The CLI byte corpus: requests, their in-process runner and its recorder.
+
+``tests/cli_corpus.json`` holds one entry per request: its argv, its exit
+code, and the sha256 of its stdout, of its stderr and of the file it
+wrote (``null`` when it wrote none).  ``tests/test_cli_corpus.py`` runs
+every request again and names each one whose bytes or exit code differ.
+
+Record the corpus only at a commit whose output is known to be right, and
+only when a change to the output bytes is intended; say which requests
+changed and why::
+
+    PYTHONPATH=src python tests/cli_corpus.py
+
+Every request parses, so the bytes hold no argparse message, whose
+wording and line wrapping vary with the Python version and the terminal.
+``export`` writes to the fixed relative name ``out.json`` in a scratch
+working directory, so no path enters a digest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+CORPUS = Path(__file__).with_name("cli_corpus.json")
+OUT = "out.json"
+
+# (first, top) --max-n of each suite, each run from first - 1 to top + 1.
+# They are spelled out rather than read from checks._RANGES, so that a
+# change of range shows as changed exit codes, not as changed requests.
+_SUITE_SPAN = {"macmahon": (1, 13), "thm01": (2, 9), "thm20": (2, 13),
+               "eq1": (1, 13), "gf": (0, 13), "thT1": (1, 7),
+               "fubini": (1, 13), "li-binomial": (2, 13), "counts": (1, 13)}
+_FORMATS = ("text", "json", "latex")
+# the specializations of each family split by decompose and gamma
+_SPECIALIZED = {
+    "des_exc": ((), ("--s", "3/2"), ("--s=-1/3",)),
+    "trivariate": ((), ("--p", "3/2", "--q", "5/4"),
+                   ("--p=-5/4", "--q", "7/3"), ("--q=-2/5",)),
+    "classic_eulerian": ((),),
+    "derangement": ((),),
+}
+
+
+def requests() -> list[list[str]]:
+    """Every argv of the corpus, in file order."""
+    out = [["verify"]]
+    for name, (first, top) in _SUITE_SPAN.items():
+        out += [["verify", "--check", name, "--max-n", str(n)]
+                for n in range(first - 1, top + 2)]
+    for family in ("des_exc", "classic_eulerian", "derangement",
+                   "trivariate", "derangement_refined"):
+        out += [["poly", "--family", family, "--n", str(n), "--format", fmt]
+                for n in range(15) for fmt in _FORMATS]
+    out += [["poly", "--family", "xi", "--n", "7", "--i", str(i)]
+            for i in range(5)]
+    out += [["poly", "--family", "exc_slice", "--n", "7", "--k", str(k)]
+            for k in range(-1, 8)]
+    out += [["det", "--n", str(n), "--format", "all"] for n in range(-1, 15)]
+    out += [["det", "--n", "6", "--format", fmt] for fmt in _FORMATS]
+    for command in ("decompose", "gamma"):
+        for family, specs in _SPECIALIZED.items():
+            for spec in specs:
+                for n in range(1, 10):
+                    base = [command, "--family", family, "--n", str(n), *spec,
+                            "--format", _FORMATS[n % 3]]
+                    out += [base, base + ["--d", str(n)]]
+        out += [[command, "--family", "classic_eulerian", "--n", "4",
+                 "--s", "2"],
+                [command, "--family", "des_exc", "--n", "5", "--d", "2"],
+                [command, "--family", "des_exc", "--n", "5", "--d=-1"],
+                [command, "--family", "des_exc", "--n", "14"]]
+    out += [["scan"], ["scan", "--max-n", "13", "--p", "2", "--q", "1"],
+            ["scan", "--max-n", "9", "--p", "3/2", "--q", "5/4",
+             "--format", "json"],
+            ["scan", "--max-n", "6", "--p", "1", "--q", "1"],
+            ["scan", "--max-n", "6", "--p=-3/7", "--q=-2", "--force"],
+            ["scan", "--max-n", "0"], ["scan", "--max-n", "14"]]
+    out += [["table", "--max-n", str(n), "--format", fmt]
+            for n in (0, 7, 13, 14) for fmt in ("text", "csv", "json")]
+    index = {"xi": ("--i", "2"), "exc_slice": ("--k", "2")}
+    for n in ("4", "9"):
+        for family in ("des_exc", "classic_eulerian", "derangement",
+                       "trivariate", "derangement_refined", "xi",
+                       "exc_slice", "det", "a_part", "reconstruct_a"):
+            out.append(["export", "--family", family, "--n", n,
+                        *index.get(family, ()), "--out", OUT])
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def clear_caches() -> None:
+    """Empty every cache of the loaded eulerlab modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "eulerlab" or name.startswith("eulerlab."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+def run(argv: list[str]) -> dict:
+    """One request in process, in the working directory, as an entry."""
+    from eulerlab.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    written = None
+    if os.path.exists(OUT):
+        with open(OUT, "rb") as fh:
+            written = _sha(fh.read())
+        os.remove(OUT)
+    return {"argv": list(argv), "code": code,
+            "stdout": _sha(out.getvalue().encode()),
+            "stderr": _sha(err.getvalue().encode()), "file": written}
+
+
+def record() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            clear_caches()
+            entries = [run(argv) for argv in requests()]
+        finally:
+            os.chdir(cwd)
+    CORPUS.write_text("[\n" + ",\n".join(
+        json.dumps(e, separators=(",", ":")) for e in entries) + "\n]\n",
+        encoding="utf-8")
+    print(f"wrote {len(entries)} requests to {CORPUS.name}")
+
+
+if __name__ == "__main__":
+    record()

@@ -166,13 +166,15 @@ _SKEWED = {
          "li-binomial n=4: FAIL"],
         "(n=4,k=1): got 12, want 6; (n=4,k=2): got 8, want 4; "
         "(n=4,k=3): got 2, want 1"),
+    # derangement_poly(1) is the zero polynomial, whose mass 0 is !1
     "counts": (
-        4, _skew(checks, "derangement_poly", lambda n: n == 3,
-                 lambda p: 2 * p),
-        ["counts n=1: PASS", "counts n=2: PASS", "counts n=3: FAIL",
+        4, _skew(checks, "derangement_poly", lambda n: n in (1, 3),
+                 lambda p: 2 * p + 1),
+        ["counts n=1: FAIL", "counts n=2: PASS", "counts n=3: FAIL",
          "counts n=4: PASS"],
-        "n=3: joint mass 6 against n! = 6, derangement mass 4 against "
-        "!n = 2"),
+        "n=1: joint mass 1 against n! = 1, derangement mass 1 against "
+        "!n = 0; n=3: joint mass 6 against n! = 6, derangement mass 5 "
+        "against !n = 2"),
 }
 
 

@@ -1,5 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -80,7 +81,7 @@ def test_a_part_n5_middle_coefficient():
 
 # ----------------------------------------------------------------------
 # the reference route: division by 1 - x and term-by-term elimination on
-# MPoly, against which the row-by-row integer kernel is checked
+# MPoly, against which the row-by-row kernel is checked
 
 def _reciprocal(f, var, d):
     """f with the coefficient of var**e moved to var**(d - e)."""
@@ -145,6 +146,8 @@ def test_row_kernel_matches_reference_route(n):
              eulerian_st(n).subs({"s": F(-3, 7)})]
     polys += [trivariate(n).subs({v: r}) for v in ("p", "q")
               for r in (F(3, 2), F(-5, 4))]
+    # both values at once, with coprime denominators and one negative
+    polys.append(trivariate(n).subs({"p": F(3, 2), "q": F(-5, 7)}))
     for f in polys:
         for d in (n - 1, n):
             _assert_matches_reference(f, "t", d)
@@ -212,6 +215,14 @@ def test_gamma_expand_numeric_fixtures():
     assert gamma_expand_coeffs([0, 0, 0]) == ()
     assert gamma_expand_coeffs([F(1, 2), F(7, 2), F(1, 2)]) == (F(1, 2),
                                                                  F(5, 2))
+    assert all(type(g) is F for g in gamma_expand_coeffs([1, 7, 1]))
+    # denominators whose lcm is above 2**64, against the elimination route
+    big = [F(1, 3 ** 41), F(2, 5 ** 28), F(-1, 7 ** 23), F(2, 5 ** 28),
+           F(1, 3 ** 41)]
+    assert lcm(*(c.denominator for c in big)) > 2 ** 64
+    f = MPoly(("t",), {(i,): c for i, c in enumerate(big)})
+    want = tuple(g.constant() for g in _elimination_gamma(f, "t", 4))
+    assert gamma_expand_coeffs(big) == want and want[1] < 0
 
 
 def test_gamma_expand_symbolic():
@@ -223,7 +234,7 @@ def test_gamma_expand_symbolic():
 
 
 def test_gamma_expand_rejects_non_palindromic():
-    # the sparse route and the integer kernel refuse the same lists
+    # the sparse route and the kernel refuse the same lists
     for cs in ([1, 2], [1, 2, 0, 3], [F(1, 2), 1]):
         f = MPoly(("t",), {(i,): c for i, c in enumerate(cs)})
         with pytest.raises(ValueError, match="^coefficient list is not "
@@ -276,6 +287,13 @@ def test_shape_checks():
 
     with pytest.raises(ValueError):
         shape_checks([])
+
+    # denominators whose lcm is above 2**64
+    big = [F(1, 3 ** 41), F(2, 5 ** 28), F(1, 2), F(2, 5 ** 28),
+           F(1, 3 ** 41)]
+    assert shape_checks(big) == (True, True, True, False)
+    big[2] = F(-1, 7 ** 23)
+    assert shape_checks(big) == (True, False, False, False)
 
 
 def test_shape_checks_specialized_joint():
@@ -417,3 +435,45 @@ def test_trivariate_specialization_matches_joint_at_q1():
     a = trivariate(5).subs({"p": 2, "q": 1})
     b = eulerian_st(5).subs({"s": 2})
     assert a == b
+
+
+# A q-analogue of thm20, measured from counting at n = 1..16 and cited
+# as measured: split trivariate(n) = T_n(t, p, q) in t at degree n - 1
+# as a_n + t b_n, one (des, gap) row at a time.  Then
+# b_n(t, p, q) = (p - 1) a_(n-1)(t, pq, q), so the coefficient of
+# p^d q^g in b_n is a_(n-1)'s at p^(d-1) q^(g-d+1) minus its at
+# p^d q^(g-d).  At q = 1 this is thm20 with s = p; at p = 1 it is the
+# t-symmetry of sum t^exc q^(maj-exc) (Shareshian-Wachs).
+
+def _split_rows(n):
+    """{(des, gap): (a, b)} from the fold's table, each row in t split at
+    degree n - 1 by the kernel."""
+    rows = {}
+    for exc, des, gap, count in distributions._trivariate_table(n, False)[2]:
+        rows.setdefault((des, gap), [0] * n)[exc] = count
+    return {key: symmetry._split_ints(row) for key, row in rows.items()}
+
+
+def test_q_analogue_of_thm20_on_the_fold_rows():
+    prev = _split_rows(1)
+    for n in range(2, 14):
+        split = _split_rows(n)
+        assert all(c >= 0 for a, _ in split.values() for c in a), n
+        zero = ([0] * (n - 1),) * 2
+        keys = set(split) | {(d + k, g + d) for d, g in prev for k in (0, 1)}
+        for d, g in keys:
+            up = prev.get((d - 1, g - d + 1), zero)[0]
+            down = prev.get((d, g - d), zero)[0]
+            want = [u - w for u, w in zip(up, down)]
+            assert split.get((d, g), zero)[1] == want, (n, d, g)
+        prev = split
+
+
+def test_scan_b_half_is_the_a_half_one_n_down():
+    # with p > 1 and q >= 1, (pq, q) is in the zone too, so the b half of
+    # the scan's question is the a half at n - 1
+    for p, q in _IN_ZONE:
+        for n in range(2, 14):
+            want = tuple((p - 1) * g
+                         for g in conjecture_scan(n - 1, p * q, q).gamma_a)
+            assert conjecture_scan(n, p, q).gamma_b == want, (n, p, q)
