@@ -2,9 +2,12 @@
 
 A polynomial is a mapping from exponent vectors to nonzero coefficients,
 together with a tuple of variable names.  A coefficient is an ``int`` or
-a ``fractions.Fraction``: the constructors, the scalar product and
-:meth:`MPoly.subs` keep an integral value as an ``int``, so the
-permutation counts this package builds never load ``fractions``.
+a ``fractions.Fraction``.  The constructor, and so every builder, keeps
+a whole value as an ``int``, so the permutation counts this package
+builds never load ``fractions``.  Arithmetic on Fractions (the scalar
+product, :meth:`MPoly.subs`) may leave a whole value as
+``Fraction(k, 1)``; such a value renders, serializes, compares and
+hashes like the ``int`` ``k``.
 Exponent vectors are tuples of nonnegative ints, one entry per variable.
 Zero terms are never stored, so two polynomials are equal exactly when
 their variable tuples and term dictionaries are equal.

@@ -91,6 +91,18 @@ def requests() -> list[list[str]]:
                        "exc_slice", "det", "a_part", "reconstruct_a"):
             out.append(["export", "--family", family, "--n", n,
                         *index.get(family, ()), "--out", OUT])
+    # the requests that CI checked by hand before the corpus held them:
+    # each suite at its default range, the exports at the top, and one
+    # run of each lazily loaded command
+    out += [["verify", "--check", name] for name in _SUITE_SPAN]
+    out += [["export", "--family", family, "--n", "13", "--out", OUT]
+            for family in ("trivariate", "a_part")]
+    out += [["scan", "--max-n", "4", "--p", "3/2", "--q", "5/4",
+             "--format", "json"],
+            ["decompose", "--family", "des_exc", "--n", "5", "--s", "2",
+             "--format", "json"],
+            ["det", "--n", "5", "--format", "text"],
+            ["gamma", "--family", "derangement", "--n", "6", "--d", "6"]]
     return out
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from eulerlab.detformula import det_Mnr, reconstruct_a
-from eulerlab.distributions import FAMILIES, build_distribution, trivariate
+from eulerlab.distributions import (FAMILIES, build_distribution,
+                                    eulerian_st, trivariate)
 from eulerlab.mpoly import (DivisibilityError, MPoly, canonical_vars,
                             exact_divide)
 from eulerlab.symmetry import a_part
@@ -310,6 +311,21 @@ def test_rendering():
     half = MPoly(("t",), {(2,): F(1, 2)})
     assert half.latex() == r"\frac{1}{2}t^{2}"
     assert half.text() == "1/2*t^2"
+
+
+def test_a_whole_fraction_acts_like_its_int():
+    # arithmetic on Fractions may keep a whole value as Fraction(k, 1);
+    # the constructor makes it an int, and nothing outside can tell
+    for f in (eulerian_st(5).subs({"s": F(1, 2)}),
+              MPoly(("x",), {(1,): F(1, 2)}) * 2):
+        assert any(type(c) is F and c.denominator == 1
+                   for c in f.terms.values())
+        g = MPoly(f.vars, f.terms)
+        assert all(type(c) is int or c.denominator != 1
+                   for c in g.terms.values())
+        assert f == g and hash(f) == hash(g)
+        assert ((f.text(), f.latex(), f.dumps())
+                == (g.text(), g.latex(), g.dumps()))
 
 
 def test_constant_extraction():

@@ -7,6 +7,7 @@ import pytest
 from eulerlab import distributions, symmetry
 from eulerlab.distributions import derangement_lhs, eulerian_st, trivariate
 from eulerlab.mpoly import MPoly, exact_divide
+from eulerlab.perms import enumerate_perms, stats
 from eulerlab.symmetry import (_is_alternatingly_increasing, _is_unimodal,
                                a_part, conjecture_scan, gamma_expand,
                                gamma_expand_coeffs, is_palindromic,
@@ -467,6 +468,35 @@ def test_q_analogue_of_thm20_on_the_fold_rows():
             want = [u - w for u, w in zip(up, down)]
             assert split.get((d, g), zero)[1] == want, (n, d, g)
         prev = split
+
+
+def _counted_trivariate(n):
+    """T_n(t, p, q) = sum t^exc p^des q^(maj - exc) over a listing of S_n."""
+    terms = {}
+    for perm in enumerate_perms(n):
+        st = stats(perm)
+        key = (st.exc, st.des, st.maj - st.exc)
+        terms[key] = terms.get(key, 0) + 1
+    return MPoly(("t", "p", "q"), terms)
+
+
+def test_q_analogue_of_thm20_by_brute_force():
+    # the same identity on S_n listed one permutation at a time and split
+    # by division: neither the fold nor the kernel is on this path.
+    # n = 2..8 (40,320 permutations at 8) takes about 0.25 s.
+    prev = None
+    for n in range(1, 9):
+        a, b = _division_split(_counted_trivariate(n), "t", n - 1)
+        assert all(c >= 0 for c in a.terms.values()), n
+        if prev is not None:
+            # [p^d q^g] b_n = [p^(d-1) q^(g-d+1)] a_(n-1)
+            #                 - [p^d q^(g-d)] a_(n-1), for each t^e
+            want = MPoly(a.vars, [((e, d + 1, g + d), c)
+                                  for (e, d, g), c in prev.terms.items()]
+                         + [((e, d, g + d), -c)
+                            for (e, d, g), c in prev.terms.items()])
+            assert b == want, n
+        prev = a
 
 
 def test_scan_b_half_is_the_a_half_one_n_down():
