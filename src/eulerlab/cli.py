@@ -60,7 +60,7 @@ def _cmd_table(args) -> int:
 
     check_n(args.max_n, 1)  # before any build
     rows = [(n, factorial(n), subfactorial(n), fubini_number(n),
-             [str(int(c)) for c in classic_eulerian(n).to_dense("x")])
+             [str(c) for c in classic_eulerian(n).to_dense("x")])
             for n in range(1, args.max_n + 1)]
     if args.format == "json":
         import json
@@ -68,7 +68,7 @@ def _cmd_table(args) -> int:
                          separators=(",", ":")))
     elif args.format == "csv":
         import csv
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_TABLE_FIELDS)
         for *counts, eulerian in rows:
             writer.writerow([*counts, ";".join(eulerian)])
@@ -178,11 +178,6 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 # scan
 
-_SCAN_FIELDS = ("n", "p", "q", "gamma_a", "gamma_b", "gamma_a_nonneg",
-                "gamma_b_nonneg", "alternatingly_increasing", "unimodal",
-                "mode_indices", "in_hypothesis")
-
-
 def _cell(value):
     """A scan value as a row shows it: a tuple joined by ';', a bool or
     int as it is, a rational as its a/b string."""
@@ -196,18 +191,20 @@ def _scan_rows(args):
 
     check_n(args.max_n, 1)  # before any build
     for n in range(1, args.max_n + 1):
-        rep = conjecture_scan(n, args.p, args.q, force=args.force)._asdict()
-        yield {k: _cell(rep[k]) for k in _SCAN_FIELDS}
+        rep = conjecture_scan(n, args.p, args.q, force=args.force)
+        yield {k: _cell(v) for k, v in rep._asdict().items()}
 
 
 def _cmd_scan(args) -> int:
+    from .symmetry import ScanReport
+
     rows = list(_scan_rows(args))
     if args.format == "json":
         import json
         print(json.dumps(rows, separators=(",", ":")))
     else:
         import csv
-        writer = csv.DictWriter(sys.stdout, fieldnames=_SCAN_FIELDS,
+        writer = csv.DictWriter(sys.stdout, fieldnames=ScanReport._fields,
                                 lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)

@@ -64,8 +64,9 @@ def enumerate_perms(n: int) -> Iterator[tuple[int, ...]]:
     >>> list(enumerate_perms(3))[:3]
     [(1, 2, 3), (1, 3, 2), (2, 1, 3)]
     """
-    if not 1 <= n <= _MAX_LIST_N:
-        raise ValueError(f"n must be between 1 and {_MAX_LIST_N}, got {n}")
+    if type(n) is not int or not 1 <= n <= _MAX_LIST_N:
+        raise ValueError(
+            f"n must be between 1 and {_MAX_LIST_N}, got {n!r}")
     return permutations(range(1, n + 1))
 
 

@@ -285,12 +285,13 @@ def shape_checks(coeffs: Sequence[Fraction | int]) -> ShapeFlags:
 # ----------------------------------------------------------------------
 # numeric scan of the three-variable refinement
 
-#: n and the point (p, q) as Fractions, whether it lies in the zone, the
-#: gamma vectors of both parts as tuples of Fractions with their sign
-#: flags, the shape flags of the t-vector and the tuple of its modes
+#: n and the point (p, q) as Fractions, the gamma vectors of both parts
+#: as tuples of Fractions with their sign flags, the shape flags of the
+#: t-vector, the tuple of its modes, and whether the point lies in the
+#: zone; ``eulerlab scan`` writes its columns in this order
 ScanReport = namedtuple(
-    "ScanReport", "n p q in_hypothesis gamma_a gamma_b gamma_a_nonneg "
-    "gamma_b_nonneg alternatingly_increasing unimodal mode_indices")
+    "ScanReport", "n p q gamma_a gamma_b gamma_a_nonneg gamma_b_nonneg "
+    "alternatingly_increasing unimodal mode_indices in_hypothesis")
 
 
 def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
@@ -339,7 +340,7 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     top = max(dense)
     modes = tuple(i for i, c in enumerate(dense) if c == top)
     return ScanReport(
-        n=n, p=p, q=q, in_hypothesis=in_hyp,
+        n=n, p=p, q=q,
         gamma_a=tuple(Fraction(g, scale) for g in ints_a),
         gamma_b=tuple(Fraction(g, scale) for g in ints_b),
         gamma_a_nonneg=all(g >= 0 for g in ints_a),
@@ -347,4 +348,5 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
         alternatingly_increasing=_is_alternatingly_increasing(dense),
         unimodal=_is_unimodal(dense),
         mode_indices=modes,
+        in_hypothesis=in_hyp,
     )

@@ -7,7 +7,7 @@ every request again and names each one whose bytes or exit code differ.
 
 Record the corpus only at a commit whose output is known to be right, and
 only when a change to the output bytes is intended; say which requests
-changed and why::
+changed and why.  The recorder prints them, against the file it replaces::
 
     PYTHONPATH=src python tests/cli_corpus.py
 
@@ -32,8 +32,9 @@ CORPUS = Path(__file__).with_name("cli_corpus.json")
 OUT = "out.json"
 
 # (first, top) --max-n of each suite, each run from first - 1 to top + 1.
-# They are spelled out rather than read from checks._RANGES, so that a
-# change of range shows as changed exit codes, not as changed requests.
+# They are spelled out rather than read from the ranges in checks.CHECKS,
+# so that a change of range shows as changed exit codes, not as changed
+# requests.
 _SUITE_SPAN = {"macmahon": (1, 13), "thm01": (2, 9), "thm20": (2, 13),
                "eq1": (1, 13), "gf": (0, 13), "thT1": (1, 7),
                "fubini": (1, 13), "li-binomial": (2, 13), "counts": (1, 13)}
@@ -136,7 +137,34 @@ def run(argv: list[str]) -> dict:
             "stderr": _sha(err.getvalue().encode()), "file": written}
 
 
+def changed_fields(old: dict, new: dict) -> list[str]:
+    """The recorded fields in which two entries of one request differ."""
+    return [k for k in ("code", "stdout", "stderr", "file")
+            if old[k] != new[k]]
+
+
+def changes(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per request that differs between two entry lists, matched
+    by argv: each changed request with the fields that changed, in
+    ``new``'s order, then each added one, then each removed one."""
+    before = {tuple(e["argv"]): e for e in old}
+    after = {tuple(e["argv"]): e for e in new}
+    lines = []
+    for argv, entry in after.items():
+        fields = changed_fields(before[argv], entry) if argv in before else []
+        if fields:
+            lines.append(f"changed {', '.join(fields)}: {' '.join(argv)}")
+    lines += [f"added: {' '.join(argv)}"
+              for argv in after if argv not in before]
+    lines += [f"removed: {' '.join(argv)}"
+              for argv in before if argv not in after]
+    return lines
+
+
 def record() -> None:
+    """Run every request, write the corpus and print what it changed."""
+    old = (json.loads(CORPUS.read_text(encoding="utf-8"))
+           if CORPUS.exists() else [])
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -148,6 +176,8 @@ def record() -> None:
     CORPUS.write_text("[\n" + ",\n".join(
         json.dumps(e, separators=(",", ":")) for e in entries) + "\n]\n",
         encoding="utf-8")
+    for line in changes(old, entries):
+        print(line)
     print(f"wrote {len(entries)} requests to {CORPUS.name}")
 
 

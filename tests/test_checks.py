@@ -2,7 +2,7 @@ import pytest
 
 from eulerlab import checks, detformula, distributions, gfengine, perms
 from eulerlab import symmetry
-from eulerlab.checks import _RANGES, CHECKS, run_checks
+from eulerlab.checks import CHECKS, run_checks
 from eulerlab.cli import main
 from eulerlab.distributions import eulerian_st
 
@@ -10,8 +10,9 @@ from eulerlab.distributions import eulerian_st
 def test_registry_tokens():
     assert set(CHECKS) == {"macmahon", "thm01", "thm20", "eq1", "gf",
                            "thT1", "fubini", "li-binomial", "counts"}
-    for name, (fn, description) in CHECKS.items():
-        assert callable(fn) and description
+    for name, (fn, (first, default, top)) in CHECKS.items():
+        assert callable(fn)
+        assert first <= default <= top, name
 
 
 def test_all_suites_pass_at_small_sizes():
@@ -189,14 +190,11 @@ def test_a_skewed_input_fails_its_line_with_its_witness(monkeypatch, name):
 
 
 def test_each_top_is_the_cap_of_its_route():
-    assert set(_RANGES) == set(CHECKS)
     for name in ("macmahon", "thm01", "thm20", "eq1", "gf", "fubini",
                  "li-binomial", "counts"):
-        assert _RANGES[name][2] == perms.MAX_ENUM_N, name
+        assert CHECKS[name][1][2] == perms.MAX_ENUM_N, name
     # the top the table sets itself stays inside its route's cap
-    assert _RANGES["thT1"][2] <= perms.MAX_ENUM_N
-    for first, default, top in _RANGES.values():
-        assert first <= default <= top
+    assert CHECKS["thT1"][1][2] <= perms.MAX_ENUM_N
     # one above a route's cap, the route refuses on its own
     with pytest.raises(ValueError):
         eulerian_st(perms.MAX_ENUM_N + 1)
@@ -221,7 +219,7 @@ def _labels(name, first, max_n):
     ("fubini", None), ("li-binomial", None), ("eq1", None), ("thT1", None),
     ("macmahon", None), ("thm01", 6), ("counts", None)])
 def test_suite_checks_exactly_first_to_max_n(name, max_n):
-    first, _, top = _RANGES[name]
+    first, _, top = CHECKS[name][1]
     max_n = top if max_n is None else max_n
     (res,) = run_checks(name, max_n=max_n)
     assert res.passed, res.witness

@@ -92,6 +92,15 @@ def test_table_formats(capsys):
     assert code == 0 and "eulerian" in out.splitlines()[0]
 
 
+@pytest.mark.parametrize("command", ["table", "scan"])
+def test_csv_lines_end_in_a_bare_newline(capsys, command):
+    # a shell reading the last column must not see a trailing \r
+    code, out, _ = run_cli(capsys, command, "--max-n", "3",
+                           "--format", "csv")
+    assert code == 0
+    assert "\r" not in out and out.count("\n") == 4
+
+
 def test_table_refuses_before_any_build(capsys, cache_sizes, tmp_path):
     out_file = str(tmp_path / "p.json")
     requests = [(1, "table", "--max-n", "14"),
@@ -327,7 +336,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     def broken(max_n):
         return CheckResult("macmahon", False,
                            ("macmahon n=1: FAIL",), "n=1: forced failure")
-    monkeypatch.setitem(CHECKS, "macmahon", (broken, "forced"))
+    monkeypatch.setitem(CHECKS, "macmahon", (broken, CHECKS["macmahon"][1]))
     code, out, _ = run_cli(capsys, "verify", "--check", "macmahon")
     assert code == 1
     assert "macmahon witness: n=1: forced failure" in out

@@ -24,8 +24,7 @@ def test_cli_requests_keep_their_recorded_bytes(monkeypatch, tmp_path):
     for order, entries in (("forward", corpus), ("reverse", corpus[::-1])):
         for want in entries:
             got = cli_corpus.run(want["argv"])
-            changed = [k for k in ("code", "stdout", "stderr", "file")
-                       if got[k] != want[k]]
+            changed = cli_corpus.changed_fields(want, got)
             if changed:
                 differ.append(f"{order} {' '.join(want['argv'])}: "
                               f"{', '.join(changed)} differ")
@@ -71,3 +70,22 @@ def test_corpus_covers_every_command_format_and_former_ci_check():
     missing += [argv for argv in _CI_ARGVS
                 if vars(parser.parse_args(argv.split())) not in parsed]
     assert not missing, "no corpus request for: " + "; ".join(missing)
+
+
+def _entry(argv, code=0, stdout="a", stderr="e", file=None):
+    return {"argv": argv.split(), "code": code, "stdout": stdout,
+            "stderr": stderr, "file": file}
+
+
+def test_recorder_names_each_changed_added_and_removed_request():
+    old = [_entry("table --max-n 7 --format csv"), _entry("scan"),
+           _entry("det --n 14", code=2), _entry("verify")]
+    new = [_entry("verify"), _entry("det --n 14", code=0, stdout="b"),
+           _entry("table --max-n 7 --format csv", stdout="c"),
+           _entry("export --n 4 --out out.json", file="f")]
+    assert cli_corpus.changes(old, new) == [
+        "changed code, stdout: det --n 14",
+        "changed stdout: table --max-n 7 --format csv",
+        "added: export --n 4 --out out.json",
+        "removed: scan"]
+    assert cli_corpus.changes(new, new) == []

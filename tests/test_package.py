@@ -223,9 +223,9 @@ def test_checks_imports_its_suite_modules_eagerly():
 
 
 def test_verify_loads_no_dataclasses_or_series_oracle():
-    from eulerlab.checks import _RANGES
+    from eulerlab.checks import CHECKS
     jobs = [["verify", "--check", name, "--max-n", str(first)]
-            for name, (first, _, _) in _RANGES.items()]
+            for name, (_, (first, _, _)) in CHECKS.items()]
     got = _jobs(jobs)
     assert not got["dataclasses"]
     assert "eulerlab.series" not in got["loaded"]

@@ -35,6 +35,11 @@ def test_enumeration_guards():
     for n in (11, MAX_ENUM_N):
         with pytest.raises(ValueError, match="between 1 and 10"):
             enumerate_perms(n)
+    # a bool or a float is refused as every other size guard refuses it,
+    # not listed as S_1 or failed in range()
+    for n in (True, 2.0):
+        with pytest.raises(ValueError, match="between 1 and 10"):
+            enumerate_perms(n)
 
 
 #: every library entry point that takes an n, as (name, lowest n, call)
