@@ -182,9 +182,9 @@ def check_thT1(max_n: int) -> CheckResult:
     The determinant half starts at n = 0 and the reconstruction half at
     thT1's first n in ``CHECKS``.  The reconstruction half reaches
     max_n; the determinant half stops one below the top of thT1's range
-    when max_n is that top.  A division that the kernels find inexact
-    means the identity is broken: it fails that n, with the error as
-    the witness.
+    when max_n is that top, and a closing note line says so.  A
+    division that the kernels find inexact means the identity is
+    broken: it fails that n, with the error as the witness.
     """
     from .symmetry import a_part
 
@@ -211,7 +211,10 @@ def check_thT1(max_n: int) -> CheckResult:
             for n in range(0, min(max_n, top - 1) + 1)]
     rebuilt = [(f"thT1 reconstruct a_{n}", reconstruct_case(n), None)
                for n in range(first, max_n + 1)]
-    return _run("thT1", dets + rebuilt)
+    note = [("thT1 note", None,
+             f"determinant half stops at n={top - 1}, one below the top; "
+             f"reconstruction reaches {top}")] if max_n == top else []
+    return _run("thT1", dets + rebuilt + note)
 
 
 _FUBINI_FIRST = (1, 3, 13, 75, 541)

@@ -60,7 +60,7 @@ def _cmd_table(args) -> int:
 
     check_n(args.max_n, 1)  # before any build
     rows = [(n, factorial(n), subfactorial(n), fubini_number(n),
-             [str(c) for c in classic_eulerian(n).to_dense("x")])
+             classic_eulerian(n).to_dense("x"))
             for n in range(1, args.max_n + 1)]
     if args.format == "json":
         import json
@@ -71,12 +71,12 @@ def _cmd_table(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_TABLE_FIELDS)
         for *counts, eulerian in rows:
-            writer.writerow([*counts, ";".join(eulerian)])
+            writer.writerow([*counts, ";".join(map(str, eulerian))])
     else:
         print(f"{'n':>2} {'perms':>9} {'derange':>9} {'ordered':>9}  eulerian")
         for n, perms, derange, ordered, eulerian in rows:
             print(f"{n:>2} {perms:>9} {derange:>9} {ordered:>9}  "
-                  f"{' '.join(eulerian)}")
+                  f"{' '.join(map(str, eulerian))}")
     return 0
 
 

@@ -36,7 +36,6 @@ chain upstream is broken and a DivisibilityError says so.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from math import comb
 
 from .mpoly import DivisibilityError, MPoly
@@ -58,6 +57,13 @@ def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
     DivisibilityError.  Zero pivots are handled by row swaps (with the
     sign flip); if no nonzero pivot exists below, the determinant is
     zero.
+
+    Step k rewrites entry (i, j) below and right of the pivot only when
+    the cross term m[i][k] * m[k][j] is nonzero or the pivot differs
+    from the previous one; otherwise Sylvester's identity leaves it
+    unchanged.  On the Cramer matrix of :func:`det_at` every pivot is 1
+    and each pivot row is zero right of the pivot but in the last
+    column, so only that column is rewritten.
     """
     if type(matrix) is not list or any(type(row) is not list
                                        for row in matrix):
@@ -84,12 +90,14 @@ def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
                     break
             else:
                 return []
+        pivot = m[k][k]
         for i in range(k + 1, size):
+            row, lead = m[i], m[i][k]
             for j in range(k + 1, size):
-                m[i][j] = int_div(int_sub(int_mul(m[k][k], m[i][j]),
-                                          int_mul(m[i][k], m[k][j])), prev)
-            m[i][k] = []
-        prev = m[k][k]
+                if (lead and m[k][j]) or pivot != prev:
+                    row[j] = int_div(int_sub(int_mul(pivot, row[j]),
+                                             int_mul(lead, m[k][j])), prev)
+        prev = pivot
     det = m[size - 1][size - 1]
     return det if sign == 1 else [-c for c in det]
 
@@ -119,7 +127,6 @@ def f_at(n: int, r: int) -> tuple[int, ...]:
     return tuple(last[-1])
 
 
-@lru_cache(maxsize=None, typed=True)
 def det_at(n: int, r: int) -> tuple[int, ...]:
     """The Cramer determinant at integer r >= 0, by Bareiss over Z[t]."""
     _check_naturals(n, r)

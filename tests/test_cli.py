@@ -86,7 +86,7 @@ def test_table_formats(capsys):
     rows = json.loads(out)
     assert [r["n"] for r in rows] == [1, 2, 3, 4]
     assert rows[3]["derangements"] == 9
-    assert rows[3]["eulerian"] == ["1", "11", "11", "1"]
+    assert rows[3]["eulerian"] == [1, 11, 11, 1]
 
     code, out, _ = run_cli(capsys, "table", "--max-n", "3")
     assert code == 0 and "eulerian" in out.splitlines()[0]

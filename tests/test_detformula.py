@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import comb
 
@@ -119,6 +120,15 @@ def test_unsigned_layout_differs():
         assert wrong != list(f_at(1, r))
 
 
+def _sparse_matrix(rng, size):
+    """A random square matrix over Z[t] with most entries zero."""
+    def entry():
+        if rng.random() < 0.6:
+            return []
+        return [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
 def test_bareiss_matches_cofactor():
     for n in range(5):
         for r in range(n + 1):
@@ -126,6 +136,13 @@ def test_bareiss_matches_cofactor():
             want = _cofactor(m)
             assert det_bareiss(m) == want, (n, r)
             assert list(det_at(n, r)) == want, (n, r)
+    # Bareiss rewrites an entry only when its cross term is nonzero or
+    # the pivot differs from the previous one; these matrices reach each
+    # of the four cases, zero pivots swapped away and singular ones
+    rng = random.Random(1)
+    for _ in range(200):
+        m = _sparse_matrix(rng, rng.randint(1, 5))
+        assert det_bareiss(m) == _cofactor(m), m
 
 
 def test_bareiss_edge_cases():
@@ -229,9 +246,6 @@ def test_det_guards():
         reconstruct_a(0)
     with pytest.raises(ValueError):
         reconstruct_a(14)
-    # on a cold cache a float r reached the kernels and raised TypeError;
-    # on a warm one it hit the entry of the equal int and returned it
-    det_at.cache_clear()
     with pytest.raises(ValueError, match="^expected an int, got 2.0$"):
         det_at(3, 2.0)
     assert det_at(3, 2) == f_at(3, 2) == (1, 10, 19, 10, 1)
