@@ -120,6 +120,22 @@ _SKEWED = {
         'n=2: des={"vars":["x"],"terms":[{"e":[0],"n":"1","d":"1"},'
         '{"e":[1],"n":"1","d":"1"}]} exc={"vars":["x"],"terms":['
         '{"e":[0],"n":"2","d":"1"},{"e":[1],"n":"2","d":"1"}]}'),
+    # the left side gains a constant term; the slice readings still agree
+    "thm01": (
+        5, _skew(checks, "derangement_lhs", lambda n: n == 4,
+                 lambda p: p + 1),
+        [f"thm01 n={n}: {verdict} (literal and transposed slice filters "
+         f"agree)" for n, verdict in ((2, "PASS"), (3, "PASS"), (4, "FAIL"),
+                                      (5, "PASS"))],
+        'n=4: lhs={"vars":["t","p","q"],"terms":[{"e":[0,0,0],"n":"1",'
+        '"d":"1"},{"e":[1,1,0],"n":"1","d":"1"},{"e":[2,1,0],"n":"2",'
+        '"d":"1"},{"e":[2,2,1],"n":"1","d":"1"},{"e":[2,2,2],"n":"2",'
+        '"d":"1"},{"e":[2,2,3],"n":"1","d":"1"},{"e":[2,3,4],"n":"1",'
+        '"d":"1"},{"e":[3,1,0],"n":"1","d":"1"}]} rhs={"vars":["t","p",'
+        '"q"],"terms":[{"e":[1,1,0],"n":"1","d":"1"},{"e":[2,1,0],"n":"2",'
+        '"d":"1"},{"e":[2,2,1],"n":"1","d":"1"},{"e":[2,2,2],"n":"2",'
+        '"d":"1"},{"e":[2,2,3],"n":"1","d":"1"},{"e":[2,3,4],"n":"1",'
+        '"d":"1"},{"e":[3,1,0],"n":"1","d":"1"}]}'),
     "thm20": (
         4, _skew(symmetry, "verify_thm20", lambda n: n == 3,
                  lambda witnesses: witnesses + ["b skewed", "a skewed"]),
