@@ -19,10 +19,9 @@ from math import comb, factorial
 # a verify process loads only the modules of its suites.  detformula stays
 # here: perfbench's tracer reaches it as an attribute of the package after
 # importing only checks and series.
-from . import detformula
+from . import detformula, distributions
 from .distributions import (classic_eulerian, derangement_lhs,
-                            derangement_poly, eulerian_st, exc_slice, xi,
-                            xi_transposed)
+                            derangement_poly, eulerian_st, exc_slice)
 from .mpoly import DivisibilityError, MPoly
 from .perms import MAX_ENUM_N
 from .qanalog import fubini_number, subfactorial
@@ -87,33 +86,33 @@ def check_thm01(max_n: int) -> CheckResult:
     """Derangement refinement expands over the sparse-descent slices.
 
     Compares the derangement-restricted (exc, des, maj-exc) polynomial
-    against sum_i xi(n, i) * t**i * (1 + t)**(n - 2i).  The slice filter
-    is applied to the permutation itself (weights on its inverse) by the
-    xi fold; the transposed filter, applied to the inverse, is computed
-    independently from MacMahon's formula and compared at every n.  A
-    line reads PASS only when the expansion holds and both readings
-    agree; when they do not, the witness names the first slice i that
-    differs, with both readings serialized.
+    against sum_i xi(n, i) * t**i * (1 + t)**(n - 2i), expanded in ints
+    by the binomial theorem.  The slice filter is applied to the
+    permutation itself (weights on its inverse) by the xi fold; the
+    transposed filter, applied to the inverse, is computed independently
+    from MacMahon's formula, and the two tables are compared whole at
+    every n, each read once.  A line reads PASS only when the expansion
+    holds and both readings agree; when they do not, the witness names
+    the first slice i that differs, with both readings serialized.
     """
-    vars3 = ("t", "p", "q")
-    t = MPoly.variable("t", vars3)
-
     def case(n):
         lhs = derangement_lhs(n)
-        rhs = MPoly.zero(vars3)
-        differs = None
-        for i in range(1, n // 2 + 1):
-            literal, transposed = xi(n, i), xi_transposed(n, i)
-            if differs is None and transposed != literal:
-                differs = (f"n={n} i={i}: xi={literal.dumps()} "
-                           f"transposed={transposed.dumps()}")
-            rhs = rhs + (literal.with_vars(vars3) * t ** i
-                         * (1 + t) ** (n - 2 * i))
+        literal = distributions._xi_slices(n)
+        transposed = distributions._macmahon_slices(n)
+        rhs = MPoly(("t", "p", "q"), (
+            ((i + j, a, b), c * comb(n - 2 * i, j))
+            for i, terms in literal.items() for (a, b), c in terms.items()
+            for j in range(n - 2 * i + 1)))
         witnesses = ([] if lhs == rhs else
                      [f"n={n}: lhs={lhs.dumps()} rhs={rhs.dumps()}"])
-        if differs is None:
+        if literal == transposed:
             return witnesses, "(literal and transposed slice filters agree)"
-        return witnesses + [differs], "(slice filters DISAGREE)"
+        i = min(k for k in literal.keys() | transposed.keys()
+                if literal.get(k) != transposed.get(k))
+        xi_i, transposed_i = (MPoly(("p", "q"), table.get(i, {})).dumps()
+                              for table in (literal, transposed))
+        witnesses.append(f"n={n} i={i}: xi={xi_i} transposed={transposed_i}")
+        return witnesses, "(slice filters DISAGREE)"
     return _per_n("thm01", max_n, case)
 
 

@@ -327,7 +327,6 @@ def _check_slice(n: int, i: int) -> None:
         raise ValueError(f"i must lie in 1..{n // 2} for n={n}, got {i}")
 
 
-@lru_cache(maxsize=None)
 def _xi_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
     """``{i: {(1 + des, maj): count}}`` for every slice i, from one fold."""
     slices: dict[int, dict[tuple[int, int], int]] = {}
@@ -394,7 +393,6 @@ def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
 def _macmahon_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
     """``{i: {(1 + des, maj): count}}`` for every slice i, with no S_n pass.
 

@@ -104,6 +104,9 @@ def requests() -> list[list[str]]:
              "--format", "json"],
             ["det", "--n", "5", "--format", "text"],
             ["gamma", "--family", "derangement", "--n", "6", "--d", "6"]]
+    # an ambient degree above n is refused before any build
+    out += [[command, "--family", "des_exc", "--n", "5", "--d", "6"]
+            for command in ("decompose", "gamma")]
     return out
 
 

@@ -65,13 +65,13 @@ def test_thm01_lines_up_to_the_top_name_both_readings():
 def test_thm01_transposed_disagreement_fails_its_line(capsys, monkeypatch):
     # the literal expansion still holds at n = 5; only the transposed
     # table is skewed, and the line must not read PASS beside it.  Both
-    # slices i = 1, 2 are skewed, and the witness names the first.
+    # slices i = 1, 2 are skewed, and the witness names the first.  Each
+    # call builds a new table, so it is skewed in place.
     real = distributions._macmahon_slices
 
     def skewed(n):
         slices = real(n)
         if n == 5:
-            slices = {i: dict(weights) for i, weights in slices.items()}
             for weights in slices.values():
                 weights[min(weights)] += 1
         return slices
@@ -93,6 +93,30 @@ def test_thm01_transposed_disagreement_fails_its_line(capsys, monkeypatch):
     assert "thm01 n=5: FAIL (slice filters DISAGREE)" in out
     assert out[-3:] == ["thm01: FAIL", f"thm01 witness: {witness}",
                         "result: FAIL"]
+
+
+def test_thm01_builds_each_table_once_per_n(monkeypatch):
+    # per n, one fold for the xi slices and one for the derangement
+    # table, and one MacMahon table: no slice is built on its own
+    folds, tables = [], []
+    transfer = distributions._transfer
+    macmahon = distributions._macmahon_slices
+
+    def spy_transfer(n, *args):
+        folds.append(n)
+        return transfer(n, *args)
+
+    def spy_macmahon(n):
+        tables.append(n)
+        return macmahon(n)
+
+    distributions._trivariate_table.cache_clear()
+    monkeypatch.setattr(distributions, "_transfer", spy_transfer)
+    monkeypatch.setattr(distributions, "_macmahon_slices", spy_macmahon)
+    (res,) = run_checks("thm01", max_n=7)
+    assert res.passed, res.witness
+    assert folds == [n for n in range(2, 8) for _ in range(2)]
+    assert tables == list(range(2, 8))
 
 
 def _skew(owner, attr, hit, change):

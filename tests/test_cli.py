@@ -195,12 +195,13 @@ def test_split_at_a_given_ambient_degree(capsys):
 
 
 @pytest.mark.parametrize("command", ["decompose", "gamma"])
-@pytest.mark.parametrize("d", ["-1", "-5"])
-def test_negative_ambient_degree_is_a_usage_error(capsys, command, d):
+@pytest.mark.parametrize("d", ["-1", "-5", "2", "1000000"])
+def test_ambient_degree_outside_0_to_n_is_a_usage_error(capsys, command, d):
     code, out, err = run_cli(capsys, command, "--family", "derangement",
                              "--n", "1", "--d", d)
     assert code == 2 and out == ""
-    assert err == f"error: ambient degree must be nonnegative, got {d}\n"
+    bound = "nonnegative" if int(d) < 0 else "at most n=1"
+    assert err == f"error: ambient degree must be {bound}, got {d}\n"
 
 
 def test_gamma_expands_the_parts_decompose_prints(capsys):
