@@ -86,14 +86,13 @@ def check_thm01(max_n: int) -> CheckResult:
     """Derangement refinement expands over the sparse-descent slices.
 
     Compares the derangement-restricted (exc, des, maj-exc) polynomial
-    against sum_i xi(n, i) * t**i * (1 + t)**(n - 2i), expanded in ints
-    by the binomial theorem.  The slice filter is applied to the
-    permutation itself (weights on its inverse) by the xi fold; the
-    transposed filter, applied to the inverse, is computed independently
-    from MacMahon's formula, and the two tables are compared whole at
-    every n, each read once.  A line reads PASS only when the expansion
-    holds and both readings agree; when they do not, the witness names
-    the first slice i that differs, with both readings serialized.
+    against sum_i xi(n, i) * t**i * (1 + t)**(n - 2i), expanded in ints.
+    The xi fold filters the permutation itself (weights on its inverse);
+    MacMahon's formula filters the inverse, independently.  Each slice
+    table is read once per n and the two are compared whole.  A line
+    reads PASS only when the expansion holds and both readings agree;
+    else the witness names the first slice i that differs, with both
+    readings serialized.
     """
     def case(n):
         lhs = derangement_lhs(n)

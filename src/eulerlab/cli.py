@@ -100,9 +100,7 @@ def _split(args) -> SymDecomp:
     """The family at --n, specialized at --s/--p/--q, split at --d or n-1."""
     from .symmetry import sym_decompose
 
-    # every family has degree at most n - 1 in its split variable and n is
-    # the widest ambient degree in use; the split's cost grows with d, so a
-    # larger one is refused before the build
+    # each family's degree in its split variable is below n; cost grows with d
     if args.d is not None and args.d > args.n:
         raise ValueError(
             f"ambient degree must be at most n={args.n}, got {args.d}")

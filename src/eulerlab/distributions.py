@@ -25,15 +25,14 @@ about 0.65 s, in fresh processes on a 2-core x86 machine) where listing
 13! permutations would take hours.  Each family only
 supplies the move that reads its statistics off one placed value.
 :func:`eulerian_st`, whose polynomial several consumers read within one
-command, is cached.  So are the per-n tables that several public
-readers share: the slice tables that every slice of :func:`xi` and
-:func:`xi_transposed` reads, and the integer table of the
-three-variable fold (:func:`_trivariate_table`) behind
-:func:`trivariate`, :func:`derangement_lhs` and ``scan``.  Those tables
-are private and their caches untyped, so each public reader checks n
-with ``perms.check_n`` before it reads one.  No command asks
-:func:`classic_eulerian`, :func:`derangement_poly` or the word table
-:func:`_word_des_maj` for the same arguments twice.
+command, is cached.  So is the integer table of the three-variable fold
+(:func:`_trivariate_table`) behind :func:`trivariate`,
+:func:`derangement_lhs` and ``scan``; it is private and its cache
+untyped, so each public reader checks n with ``perms.check_n`` before
+it reads it.  No command asks :func:`classic_eulerian`,
+:func:`derangement_poly`, the word table :func:`_word_des_maj` or a
+slice table (:func:`_xi_slices`, :func:`_macmahon_slices`) for the same
+arguments twice: thm01 reads each slice table once per n.
 
 :func:`xi_transposed` reads the xi slices a second way, with no pass over
 S_n: MacMahon's formula for the (des, maj) distribution of words, with
@@ -344,8 +343,8 @@ def xi(n: int, i: int) -> MPoly:
 
     Sums ``p ** (1 + des(w)) * q ** maj(w)`` over the inverses w of the
     permutations whose descent set lies inside [2, n-2], contains no two
-    consecutive positions, and has exactly i - 1 members.  One fold per n
-    serves every slice, with no per-slice pruning.
+    consecutive positions, and has exactly i - 1 members.  It folds every
+    slice at once, with no per-slice pruning, and keeps slice i.
     """
     _check_slice(n, i)
     return MPoly(("p", "q"), _xi_slices(n).get(i, {}))
@@ -438,8 +437,8 @@ def xi_transposed(n: int, i: int) -> MPoly:
     Equal to :func:`xi` because inversion is a bijection of S_n; computed
     from MacMahon's formula for the (des, maj) distribution of words
     (:func:`_macmahon_slices`), so the equality is checked rather than
-    assumed, by a route that shares nothing with the xi fold.  One table
-    per n serves every slice.
+    assumed, by a route that shares nothing with the xi fold.  It builds
+    every slice's table and keeps slice i.
     """
     _check_slice(n, i)
     return MPoly(("p", "q"), _macmahon_slices(n).get(i, {}))

@@ -29,12 +29,12 @@ MAX_ENUM_N = 13
 
 def check_n(n: int, lo: int) -> None:
     """Refuse an n that is not an int in lo..MAX_ENUM_N; every S_n route
-    checks here.  The cached public builders use
+    checks here.  The cached public builder, ``eulerian_st``, uses
     ``lru_cache(typed=True)``, so a float n never hits the entry of the
-    equal int and always reaches this check.  The cached per-n tables of
-    ``distributions`` are private and untyped, so every public reader,
-    ``symmetry.conjecture_scan`` included, calls this check before it
-    reads one."""
+    equal int and always reaches this check.  The cached per-n table of
+    ``distributions``, ``_trivariate_table``, is private and untyped, so
+    every public reader, ``symmetry.conjecture_scan`` included, calls
+    this check before it reads it."""
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
     if not lo <= n <= MAX_ENUM_N:
