@@ -1,8 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification suite found a failing
-identity (the witness is printed), 2 on usage errors.  All rational
-inputs are given as ``a/b`` strings so nothing ever round-trips through
+identity (the witness is printed), 2 when the request was refused: an
+``error:`` line goes to stderr and nothing to stdout.  Each command
+returns its exit code and its whole stdout, and :func:`main` alone
+prints it, after the command has returned.  A fault inside a kernel,
+such as an inexact division, is a bug and raises.  All rational inputs
+are given as ``a/b`` strings so nothing ever round-trips through
 floating point.
 """
 
@@ -20,8 +24,6 @@ from .perms import check_n
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .symmetry import SymDecomp
 
 # Each command imports the modules it runs, so building the parser loads
 # only what poly and export need.  verify's choices are therefore spelled
@@ -41,21 +43,54 @@ def _rational(text: str) -> Fraction:
 
 
 def _render(poly: MPoly, fmt: str) -> str:
-    if fmt == "json":
-        return poly.dumps()
-    if fmt == "latex":
-        return poly.latex()
-    return poly.text()
+    return {"json": poly.dumps, "latex": poly.latex}.get(fmt, poly.text)()
 
 
-# ----------------------------------------------------------------------
-# table
+_DIGITS_HELP = (
+    "A value a/b has digits(a/b) = max(len(str(|a|)), len(str(b))).  "
+    "Values are refused if digits(n! * 2^(1 + (d+1)^2 // 4)) plus, for each "
+    "variable given a value, the family's degree in it times digits(value) "
+    "exceeds sys.get_int_max_str_digits() (4300 by default), d being the "
+    "ambient degree: that sum bounds the digits of every printed integer.")
+
+
+def _check_digits(poly: MPoly, n: int, d: int, values: dict) -> None:
+    """Refuse, before any work, values whose output could hold an int
+    too long to print.  ``poly``'s coefficients are ints summing to at
+    most n!, so over the common denominator prod b**k of the values a/b,
+    k the degree of ``poly`` in each, the specialized coefficients have
+    int numerators whose sizes sum to at most n! * prod max(|a|, b)**k.
+    The split's prefix sums at most double that, and each gamma step
+    m = d, d - 2, ... multiplies the largest entry by at most
+    1 + C(m, m // 2) <= 2**m: hence the bound of ``_DIGITS_HELP``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = len(str(factorial(n) * 2 ** (1 + (d + 1) ** 2 // 4))) + sum(
+        poly.degree(v) * len(str(max(abs(x.numerator), x.denominator)))
+        for v, x in values.items())
+    if limit and bound > limit:
+        raise ValueError(
+            f"the values given could make the output print ints of up to "
+            f"{bound} digits, above the limit of {limit} "
+            f"(sys.get_int_max_str_digits()); see --help")
+
 
 _TABLE_FIELDS = ("n", "permutations", "derangements",
                  "ordered_set_partitions", "eulerian")
 
 
-def _cmd_table(args) -> int:
+def _csv(header, rows) -> str:
+    """The header and rows as CSV lines, each ending in a bare newline,
+    without the final one."""
+    import csv
+    import io
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()[:-1]
+
+
+def _cmd_table(args) -> tuple[int, str]:
     from .qanalog import fubini_number, subfactorial
 
     check_n(args.max_n, 1)  # before any build
@@ -64,40 +99,30 @@ def _cmd_table(args) -> int:
             for n in range(1, args.max_n + 1)]
     if args.format == "json":
         import json
-        print(json.dumps([dict(zip(_TABLE_FIELDS, r)) for r in rows],
-                         separators=(",", ":")))
-    elif args.format == "csv":
-        import csv
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_TABLE_FIELDS)
-        for *counts, eulerian in rows:
-            writer.writerow([*counts, ";".join(map(str, eulerian))])
-    else:
-        print(f"{'n':>2} {'perms':>9} {'derange':>9} {'ordered':>9}  eulerian")
-        for n, perms, derange, ordered, eulerian in rows:
-            print(f"{n:>2} {perms:>9} {derange:>9} {ordered:>9}  "
-                  f"{' '.join(map(str, eulerian))}")
-    return 0
+        return 0, json.dumps([dict(zip(_TABLE_FIELDS, r)) for r in rows],
+                             separators=(",", ":"))
+    if args.format == "csv":
+        return 0, _csv(_TABLE_FIELDS, [(*counts, ";".join(map(str, eulerian)))
+                                       for *counts, eulerian in rows])
+    return 0, "\n".join(
+        [f"{'n':>2} {'perms':>9} {'derange':>9} {'ordered':>9}  eulerian"]
+        + [f"{n:>2} {perms:>9} {derange:>9} {ordered:>9}  "
+           f"{' '.join(map(str, eulerian))}"
+           for n, perms, derange, ordered, eulerian in rows])
 
 
-# ----------------------------------------------------------------------
-# poly
-
-def _cmd_poly(args) -> int:
+def _cmd_poly(args) -> tuple[int, str]:
     poly = build_distribution(args.family, args.n, args.i, args.k)
-    print(_render(poly, args.format))
-    return 0
+    return 0, _render(poly, args.format)
 
-
-# ----------------------------------------------------------------------
-# decompose / gamma
 
 _DECOMP_VAR = {"des_exc": "t", "trivariate": "t",
                "classic_eulerian": "x", "derangement": "x"}
 
 
-def _split(args) -> SymDecomp:
-    """The family at --n, specialized at --s/--p/--q, split at --d or n-1."""
+def _split(args):
+    """The family at --n, specialized at --s/--p/--q, split at --d or n-1,
+    as a ``symmetry.SymDecomp``."""
     from .symmetry import sym_decompose
 
     # each family's degree in its split variable is below n; cost grows with d
@@ -105,82 +130,66 @@ def _split(args) -> SymDecomp:
         raise ValueError(
             f"ambient degree must be at most n={args.n}, got {args.d}")
     poly = build_distribution(args.family, args.n)
-    assignments = {}
-    for name in ("s", "p", "q"):
-        value = getattr(args, name)
-        if value is None:
-            continue
+    values = {name: getattr(args, name) for name in ("s", "p", "q")
+              if getattr(args, name) is not None}
+    for name in values:
         if name not in poly.vars:
             raise ValueError(
                 f"--{name} does not apply to family {args.family!r}")
-        assignments[name] = value
-    if assignments:
-        poly = poly.subs(assignments)
     d = args.d if args.d is not None else args.n - 1
-    return sym_decompose(poly, _DECOMP_VAR[args.family], d)
+    _check_digits(poly, args.n, d, values)
+    return sym_decompose(poly.subs(values), _DECOMP_VAR[args.family], d)
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[int, str]:
     a, b, var, d = _split(args)
-    print(f"a ({var}-palindromic, ambient degree {d}): "
-          f"{_render(a, args.format)}")
-    print(f"b ({var}-palindromic, ambient degree {d - 1}): "
-          f"{_render(b, args.format)}")
-    return 0
+    return 0, (f"a ({var}-palindromic, ambient degree {d}): "
+               f"{_render(a, args.format)}\n"
+               f"b ({var}-palindromic, ambient degree {d - 1}): "
+               f"{_render(b, args.format)}")
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args) -> tuple[int, str]:
     from .symmetry import gamma_expand
 
     a, b, var, d = _split(args)
+    lines = []
     for label, part, amb in (("a", a, d), ("b", b, d - 1)):
         if part.is_zero():
-            print(f"gamma[{label}]: zero polynomial, empty expansion")
+            lines.append(f"gamma[{label}]: zero polynomial, empty expansion")
             continue
-        expansion = gamma_expand(part, var, amb)
-        for i, g in enumerate(expansion.gammas):
-            print(f"gamma[{label}][{i}] = {_render(g, args.format)}")
-    return 0
+        lines += [f"gamma[{label}][{i}] = {_render(g, args.format)}"
+                  for i, g in enumerate(gamma_expand(part, var, amb).gammas)]
+    return 0, "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# det
-
-def _cmd_det(args) -> int:
+def _cmd_det(args) -> tuple[int, str]:
     from .detformula import det_Mnr, reconstruct_a
 
     det = det_Mnr(args.n)
     fmts = ("latex", "json") if args.format == "all" else (args.format,)
-    for fmt in fmts:
-        print(f"det ({fmt}): {_render(det, fmt)}")
+    lines = [f"det ({fmt}): {_render(det, fmt)}" for fmt in fmts]
     if args.n >= 1:
         rec = reconstruct_a(args.n)
-        for fmt in fmts:
-            print(f"reconstructed_a ({fmt}): {_render(rec, fmt)}")
-    return 0
+        lines += [f"reconstructed_a ({fmt}): {_render(rec, fmt)}"
+                  for fmt in fmts]
+    return 0, "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# verify
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     from .checks import run_checks
 
     results = run_checks(args.check, max_n=args.max_n)
-    failed = False
+    lines = []
     for res in results:
-        for line in res.lines:
-            print(line)
-        print(f"{res.name}: {'PASS' if res.passed else 'FAIL'}")
+        lines += [*res.lines,
+                  f"{res.name}: {'PASS' if res.passed else 'FAIL'}"]
         if not res.passed:
-            failed = True
-            print(f"{res.name} witness: {res.witness}")
-    print("result: " + ("FAIL" if failed else "PASS"))
-    return 1 if failed else 0
+            lines.append(f"{res.name} witness: {res.witness}")
+    failed = not all(res.passed for res in results)
+    lines.append("result: " + ("FAIL" if failed else "PASS"))
+    return int(failed), "\n".join(lines)
 
-
-# ----------------------------------------------------------------------
-# scan
 
 def _cell(value):
     """A scan value as a row shows it: a tuple joined by ';', a bool or
@@ -190,33 +199,20 @@ def _cell(value):
     return value if isinstance(value, int) else str(value)
 
 
-def _scan_rows(args):
-    from .symmetry import conjecture_scan
+def _cmd_scan(args) -> tuple[int, str]:
+    from .symmetry import ScanReport, conjecture_scan
 
     check_n(args.max_n, 1)  # before any build
-    for n in range(1, args.max_n + 1):
-        rep = conjecture_scan(n, args.p, args.q, force=args.force)
-        yield {k: _cell(v) for k, v in rep._asdict().items()}
-
-
-def _cmd_scan(args) -> int:
-    from .symmetry import ScanReport
-
-    rows = list(_scan_rows(args))
+    _check_digits(build_distribution("trivariate", args.max_n), args.max_n,
+                  args.max_n - 1, {"p": args.p, "q": args.q})
+    reports = [conjecture_scan(n, args.p, args.q, force=args.force)
+               for n in range(1, args.max_n + 1)]
+    rows = [{k: _cell(v) for k, v in r._asdict().items()} for r in reports]
     if args.format == "json":
         import json
-        print(json.dumps(rows, separators=(",", ":")))
-    else:
-        import csv
-        writer = csv.DictWriter(sys.stdout, fieldnames=ScanReport._fields,
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    return 0
+        return 0, json.dumps(rows, separators=(",", ":"))
+    return 0, _csv(ScanReport._fields, [row.values() for row in rows])
 
-
-# ----------------------------------------------------------------------
-# export
 
 #: the families only export writes: family -> (module, builder of n),
 #: the module imported on use
@@ -227,7 +223,7 @@ _EXPORT_ONLY = {
 }
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> tuple[int, str]:
     if args.family in _EXPORT_ONLY:
         if args.i is not None or args.k is not None:
             raise ValueError(f"family {args.family!r} takes no --i/--k")
@@ -239,12 +235,8 @@ def _cmd_export(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(poly.dumps())
         fh.write("\n")
-    print(f"wrote {args.out}")
-    return 0
+    return 0, f"wrote {args.out}"
 
-
-# ----------------------------------------------------------------------
-# parser
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -273,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     decomp_help = ("The palindromic split is taken in t (or x for the "
                    "single-statistic families) at ambient degree n-1 "
                    "unless --d overrides it.  The recursion this feeds "
-                   "seeds with the zero polynomial at n = 0.")
+                   "seeds with the zero polynomial at n = 0.  "
+                   + _DIGITS_HELP)
     for name, help_, fn in (
             ("decompose", "palindromic decomposition", _cmd_decompose),
             ("gamma", "gamma vectors of both parts", _cmd_gamma)):
@@ -304,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("scan", help="shape scan of the specialized "
-                                    "three-variable refinement")
+                                    "three-variable refinement",
+                       epilog="The family is trivariate at n = --max-n, "
+                              "with d = n - 1.  " + _DIGITS_HELP)
     p.add_argument("--max-n", type=int, default=7)
     p.add_argument("--p", type=_rational, default="2")
     p.add_argument("--q", type=_rational, default="1")
@@ -327,13 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+        code, text = args.fn(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text)
+    return code
 
 
 def entry() -> None:

@@ -107,6 +107,14 @@ def requests() -> list[list[str]]:
     # an ambient degree above n is refused before any build
     out += [[command, "--family", "des_exc", "--n", "5", "--d", "6"]
             for command in ("decompose", "gamma")]
+    # values whose output could pass Python's int-to-str digit limit are
+    # refused before any work, with nothing on stdout
+    for digits in (60, 4000):
+        x = ("1234567890" * 400)[:digits]
+        values = ["--p", f"{x}/3", "--q", f"{x}/7"]
+        out += [[command, "--family", "trivariate", "--n", "13", *values]
+                for command in ("decompose", "gamma")]
+        out.append(["scan", "--max-n", "13", *values])
     return out
 
 

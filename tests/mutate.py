@@ -1,22 +1,24 @@
 """Run the mutation register: every mutant in ``tests/mutants.json`` must
 make one of its listed tests fail.
 
-A mutant is a one-line change to the code under ``src/``.  An entry gives
-the file, the old line's text without its indentation, the new text, and
-the test ids expected to fail; an equivalent mutant gives, in place of
-the tests, the reason it changes no behaviour.  The script copies
-``src/`` to a temporary directory once.  For each mutant it replaces the
-one line of the copied file whose text is the old line, keeping its
-indentation, runs only the listed tests against the copy with ``python
--m pytest -x -q -p no:cacheprovider``, one process at a time, and puts
-the line back.  The mutant is killed when pytest reports a failing test
-(exit code 1) and survives when the tests pass; any other exit code, a
-test id that is not found say, is an error.  An old line that matches no
-line of its file, or more than one, is an error too, so a refactor
-updates or retires the mutant.  Equivalent mutants are skipped, after
-the check that their old line is still there.  First of all, every
-listed test must pass on the unchanged copy, or no kill would mean
-anything.
+A mutant is a one-line change to the code under ``src/``, or to a test
+helper under ``tests/``.  An entry gives the file, the old line's text
+without its indentation, the new text, and the test ids expected to
+fail; an equivalent mutant gives, in place of the tests, the reason it
+changes no behaviour.  The script copies ``src/`` and ``tests/`` side by
+side to a temporary directory once; nothing else is copied, so a listed
+test may not read the README, the demos or perfbench.  For each mutant
+it replaces the one line of the copied file whose text is the old line,
+keeping its indentation, runs only the listed tests of the copy against
+the copied package with ``python -m pytest -x -q -p no:cacheprovider``,
+one process at a time, and puts the line back.  The mutant is killed
+when pytest reports a failing test (exit code 1) and survives when the
+tests pass; any other exit code, a test id that is not found say, is an
+error.  An old line that matches no line of its file, or more than one,
+is an error too, so a refactor updates or retires the mutant.
+Equivalent mutants are skipped, after the check that their old line is
+still there.  First of all, every listed test must pass on the unchanged
+copy, or no kill would mean anything.
 
 Stdlib only; run it from any directory::
 
@@ -53,12 +55,14 @@ def mutate(text: str, old: str, new: str) -> str | None:
     return "".join(lines)
 
 
-def run_tests(src: Path, tests: list[str]) -> int:
-    """pytest's exit code for ``tests`` against the package in ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+def run_tests(copy: Path, tests: list[str]) -> int:
+    """pytest's exit code for ``tests`` run in ``copy``, against the
+    package in its ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         *tests], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+         *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL).returncode
 
 
@@ -66,16 +70,18 @@ def main() -> int:
     mutants = json.loads(REGISTER.read_text(encoding="utf-8"))
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        shutil.copytree(ROOT / "src", Path(tmp, "src"),
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
         listed = sorted({t for m in mutants for t in m.get("tests", ())})
-        code = run_tests(Path(tmp, "src"), listed)
+        code = run_tests(copy, listed)
         if code:
             print(f"error: the listed tests exit {code} on the unchanged "
                   f"code")
             return 1
         for m in mutants:
-            path = Path(tmp, m["file"])
+            path = copy / m["file"]
             text = path.read_text(encoding="utf-8")
             mutated = mutate(text, m["old"], m["new"])
             label = f"{m['file']}: {m['old']} -> {m['new']}"
@@ -85,7 +91,7 @@ def main() -> int:
                 verdict = "equivalent, skipped"
             else:
                 path.write_text(mutated, encoding="utf-8")
-                code = run_tests(Path(tmp, "src"), m["tests"])
+                code = run_tests(copy, m["tests"])
                 path.write_text(text, encoding="utf-8")
                 verdict = {0: "SURVIVED", 1: "killed"}.get(
                     code, f"ERROR, pytest exit {code}")

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import sys
+from math import factorial
 
 import pytest
 
-from eulerlab import cli, detformula
+from eulerlab import cli, detformula, symmetry
 from eulerlab.checks import CHECKS, CheckResult
 from eulerlab.cli import main
 from eulerlab.detformula import det_Mnr
@@ -456,3 +460,105 @@ def test_export_bad_path(tmp_path, capsys):
                            str(tmp_path / "missing_dir" / "f.json"))
     assert code == 2
     assert "error:" in err
+
+
+def test_a_kernel_fault_raises_with_nothing_on_stdout(capsys, monkeypatch):
+    # an inexact division inside a kernel is a bug, not a refused request;
+    # it leaves main after det's first half was built, and prints nothing
+    def inexact(n):
+        raise DivisibilityError("forced inexact division")
+    monkeypatch.setattr(detformula, "reconstruct_a", inexact)
+    with pytest.raises(DivisibilityError, match="forced inexact division"):
+        main(["det", "--n", "3"])
+    assert capsys.readouterr().out == ""
+
+
+_EVERY_COMMAND = [
+    *(("table", "--max-n", "5", "--format", fmt)
+      for fmt in ("text", "csv", "json")),
+    ("poly", "--family", "trivariate", "--n", "4"),
+    ("decompose", "--n", "4", "--s", "3/2"),
+    ("gamma", "--family", "trivariate", "--n", "5", "--p", "2"),
+    ("det", "--n", "3"),
+    ("verify", "--check", "thm20", "--max-n", "5"),
+    *(("scan", "--max-n", "4", "--format", fmt) for fmt in ("csv", "json")),
+    ("export", "--family", "des_exc", "--n", "4", "--out", "out.json"),
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=" ".join)
+def test_commands_return_their_text_and_only_main_prints_it(
+        capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    args = cli.build_parser().parse_args(argv)
+    written = io.StringIO()
+    with contextlib.redirect_stdout(written):
+        code, text = args.fn(args)
+    assert written.getvalue() == ""
+    assert text and not text.endswith("\n")
+    assert run_cli(capsys, *argv) == (code, text + "\n", "")
+
+
+def _digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python prints ints of any length")
+    return limit
+
+
+@pytest.mark.parametrize("digits", [60, 4000])
+@pytest.mark.parametrize("command", ["decompose", "gamma", "scan"])
+def test_values_too_long_to_print_are_refused_before_any_work(
+        capsys, monkeypatch, command, digits):
+    _digit_limit()
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began on a refused request")
+    for owner, name in ((MPoly, "subs"), (symmetry, "sym_decompose"),
+                        (symmetry, "conjecture_scan")):
+        monkeypatch.setattr(owner, name, work)
+    x = ("1234567890" * 400)[:digits]
+    argv = ["scan", "--max-n", "13"] if command == "scan" else [
+        command, "--family", "trivariate", "--n", "13"]
+    code, out, err = run_cli(capsys, *argv, "--p", f"{x}/3", "--q", f"{x}/7")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the values given could make the output "
+                          "print ints of up to ")
+
+
+# requests at n = 13 whose family's variables the test gives values:
+# trivariate has degree 12 in p and 72 in q, des_exc degree 12 in s
+_AT_THE_BOUND = ["decompose --family trivariate --n 13",
+                 "gamma --family trivariate --n 13", "scan --max-n 13",
+                 "decompose --family des_exc --n 13",
+                 "gamma --family des_exc --n 13"]
+
+
+@pytest.mark.parametrize("request_line", _AT_THE_BOUND)
+def test_the_largest_values_the_digit_bound_admits_print(capsys,
+                                                          request_line):
+    # the bound at the default ambient degree d = 12 is
+    # digits(13! * 2^(1 + 13^2 // 4)) + degree * digits(value)
+    limit = _digit_limit()
+    options, degree = (("--s",), 12) if "des_exc" in request_line else (
+        ("--p", "--q"), 84)
+    top = (limit - len(str(factorial(13) * 2 ** 43))) // degree
+    for digits, want in ((top, 0), (top + 1, 2)):
+        nines = "9" * digits
+        # the largest integer, then a fraction of two such ints
+        values = (nines, f"{nines}/{nines[:-1]}8")
+        code, out, err = run_cli(capsys, *request_line.split(), *(
+            f"{option}={value}" for option, value in zip(options, values)))
+        assert code == want, (digits, err)
+        assert bool(out) == (want == 0) and bool(err) == (want == 2)
+
+
+@pytest.mark.parametrize("command", ["decompose", "gamma", "scan"])
+def test_the_digit_bound_is_stated_in_help(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("digits(n! * 2^(1 + (d+1)^2 // 4)) plus, for each variable "
+            "given a value, the family's degree in it times digits(value) "
+            "exceeds sys.get_int_max_str_digits()") in text

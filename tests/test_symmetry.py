@@ -499,6 +499,55 @@ def test_q_analogue_of_thm20_by_brute_force():
         prev = a
 
 
+# The first-letter split, measured from counting and cited as measured,
+# not proved here: R_n = (T_n - (1 - p) T_(n-1)(t, pq, q)) / p, with T_n
+# = trivariate(n).  The pi with pi(1) = 1 are 1 + pi' with the exc and
+# des of pi' and maj raised by des(pi'), which gives T_(n-1)(t, pq, q);
+# so R_n sums t^exc p^(des - [pi(1) != 1]) q^(maj - exc) over S_n.
+
+def _first_letter_rest(n):
+    """R_n as {(exc, des, gap): count}, from the fold's tables at n and
+    n - 1."""
+    r = {}
+    for e, d, g, c in distributions._trivariate_table(n, False)[2]:
+        r[e, d, g] = r.get((e, d, g), 0) + c
+    for e, d, g, c in distributions._trivariate_table(n - 1, False)[2]:
+        for key, sign in (((e, d, g + d), -1), ((e, d + 1, g + d), 1)):
+            r[key] = r.get(key, 0) + sign * c
+    r = {key: c for key, c in r.items() if c}
+    assert all(d for _, d, _ in r), f"R_{n} times p has a term free of p"
+    return {(e, d - 1, g): c for (e, d, g), c in r.items()}
+
+
+def test_first_letter_rest_by_brute_force():
+    # n = 2..8, 40,320 permutations at 8
+    for n in range(2, 9):
+        counted = {}
+        for perm in enumerate_perms(n):
+            st = stats(perm)
+            key = (st.exc, st.des - (perm[0] != 1), st.maj - st.exc)
+            counted[key] = counted.get(key, 0) + 1
+        assert _first_letter_rest(n) == counted, n
+
+
+def test_first_letter_rest_is_positive_and_t_palindromic():
+    for n in range(2, 14):
+        r = _first_letter_rest(n)
+        assert all(c > 0 for c in r.values()), n
+        assert {(n - 1 - e, d, g): c for (e, d, g), c in r.items()} == r, n
+
+
+def test_a_part_three_term_recurrence_from_the_first_letter_split():
+    # at q = 1 and p = s: a_n = s R_n + (1 - s)(1 + t) a_(n-1)
+    #                           - (1 - s)^2 t a_(n-2)
+    for n in range(3, 14):
+        r = MPoly(("s", "t"), [((d, e), c) for (e, d, _), c
+                               in _first_letter_rest(n).items()])
+        want = (S * r + (1 - S) * (1 + T) * a_part(n - 1)
+                - (1 - S) ** 2 * T * a_part(n - 2))
+        assert a_part(n) == want, n
+
+
 def test_scan_b_half_is_the_a_half_one_n_down():
     # with p > 1 and q >= 1, (pq, q) is in the zone too, so the b half of
     # the scan's question is the a half at n - 1
