@@ -29,10 +29,10 @@ _EXPORTS = {
     "perms": ("MAX_ENUM_N", "stable_subsets"),
     "qanalog": ("binom_poly", "fubini_number", "gen_binomial", "stirling2",
                 "subfactorial"),
-    "symmetry": ("GammaExpansion", "ScanReport", "ShapeFlags", "SymDecomp",
-                 "a_part", "conjecture_scan", "gamma_expand",
-                 "gamma_expand_coeffs", "is_palindromic", "shape_checks",
-                 "sym_decompose", "verify_thm20"),
+    "symmetry": ("ScanReport", "ShapeFlags", "SymDecomp", "a_part",
+                 "conjecture_scan", "gamma_expand", "gamma_expand_coeffs",
+                 "is_palindromic", "shape_checks", "sym_decompose",
+                 "verify_thm20"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -121,8 +120,8 @@ _DECOMP_VAR = {"des_exc": "t", "trivariate": "t",
 
 
 def _split(args):
-    """The family at --n, specialized at --s/--p/--q, split at --d or n-1,
-    as a ``symmetry.SymDecomp``."""
+    """The family at --n, specialized at --s/--p/--q, split at --d or n-1:
+    the parts a and b, the split variable and the ambient degree."""
     from .symmetry import sym_decompose
 
     # each family's degree in its split variable is below n; cost grows with d
@@ -138,7 +137,9 @@ def _split(args):
                 f"--{name} does not apply to family {args.family!r}")
     d = args.d if args.d is not None else args.n - 1
     _check_digits(poly, args.n, d, values)
-    return sym_decompose(poly.subs(values), _DECOMP_VAR[args.family], d)
+    var = _DECOMP_VAR[args.family]
+    a, b = sym_decompose(poly.subs(values), var, d)
+    return a, b, var, d
 
 
 def _cmd_decompose(args) -> tuple[int, str]:
@@ -159,7 +160,7 @@ def _cmd_gamma(args) -> tuple[int, str]:
             lines.append(f"gamma[{label}]: zero polynomial, empty expansion")
             continue
         lines += [f"gamma[{label}][{i}] = {_render(g, args.format)}"
-                  for i, g in enumerate(gamma_expand(part, var, amb).gammas)]
+                  for i, g in enumerate(gamma_expand(part, var, amb))]
     return 0, "\n".join(lines)
 
 
@@ -200,9 +201,10 @@ def _cell(value):
 
 
 def _cmd_scan(args) -> tuple[int, str]:
-    from .symmetry import ScanReport, conjecture_scan
+    from .symmetry import ScanReport, _check_zone, conjecture_scan
 
     check_n(args.max_n, 1)  # before any build
+    _check_zone(args.p, args.q, args.force)
     _check_digits(build_distribution("trivariate", args.max_n), args.max_n,
                   args.max_n - 1, {"p": args.p, "q": args.q})
     reports = [conjecture_scan(n, args.p, args.q, force=args.force)
@@ -214,22 +216,18 @@ def _cmd_scan(args) -> tuple[int, str]:
     return 0, _csv(ScanReport._fields, [row.values() for row in rows])
 
 
-#: the families only export writes: family -> (module, builder of n),
-#: the module imported on use
-_EXPORT_ONLY = {
-    "det": ("detformula", "det_Mnr"),
-    "a_part": ("symmetry", "a_part"),
-    "reconstruct_a": ("detformula", "reconstruct_a"),
-}
+#: the families only export writes: family -> the package's exported
+#: builder of n, whose module the package imports on first use
+_EXPORT_ONLY = {"det": "det_Mnr", "a_part": "a_part",
+                "reconstruct_a": "reconstruct_a"}
 
 
 def _cmd_export(args) -> tuple[int, str]:
     if args.family in _EXPORT_ONLY:
         if args.i is not None or args.k is not None:
             raise ValueError(f"family {args.family!r} takes no --i/--k")
-        module, builder = _EXPORT_ONLY[args.family]
-        poly = getattr(import_module(f".{module}", __package__),
-                       builder)(args.n)
+        builder = getattr(sys.modules[__package__], _EXPORT_ONLY[args.family])
+        poly = builder(args.n)
     else:
         poly = build_distribution(args.family, args.n, args.i, args.k)
     with open(args.out, "w", encoding="utf-8") as fh:

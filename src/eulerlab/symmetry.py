@@ -16,8 +16,10 @@ the scan command hunts for.
 One kernel on coefficient lists (:func:`_split_ints`,
 :func:`_gamma_ints`) serves ``verify``, ``scan``, ``decompose`` and
 ``gamma``: :func:`sym_decompose` and :func:`gamma_expand` run it on each
-row of f, the list in x of one monomial in the other variables.  It
-takes exact values as they come, ints or Fractions; only
+row of f, the list in x of one monomial in the other variables, and
+return only what it computed, the pair (a, b) and the tuple of gammas:
+the caller already holds x and d.  The kernel takes exact values as
+they come, ints or Fractions; only
 :func:`conjecture_scan` scales to ints, for the cost its docstring gives.
 The division route above and top-down elimination are its test reference.
 
@@ -41,13 +43,8 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class SymDecomp(namedtuple("SymDecomp", "a b var ambient_degree")):
-    """The pair (a, b) with f = a + var * b, both parts palindromic."""
-    __slots__ = ()
-
-    def recombined(self) -> MPoly:
-        x = MPoly.variable(self.var, self.a.vars)
-        return self.a + x * self.b
+#: the pair (a, b) with f = a + var * b, both parts palindromic
+SymDecomp = namedtuple("SymDecomp", "a b")
 
 
 def _rows(f: MPoly, var: str, d: int) -> dict[tuple, list]:
@@ -94,8 +91,7 @@ def sym_decompose(f: MPoly, var: str, d: int) -> SymDecomp:
     _check_degree(d)
     if d < 0:
         raise ValueError(f"ambient degree must be nonnegative, got {d}")
-    a, b = _by_rows(f, var, d, _split_ints, 2)
-    return SymDecomp(a=a, b=b, var=var, ambient_degree=d)
+    return SymDecomp(*_by_rows(f, var, d, _split_ints, 2))
 
 
 def a_part(n: int) -> MPoly:
@@ -136,26 +132,10 @@ def verify_thm20(n: int) -> list[str]:
 # ----------------------------------------------------------------------
 # gamma expansion
 
-class GammaExpansion(namedtuple("GammaExpansion",
-                                "var ambient_degree gammas")):
-    """Coefficients against the basis var**i * (1 + var)**(d - 2*i)."""
-    __slots__ = ()
-
-    def reconstructed(self) -> MPoly:
-        if not self.gammas:
-            raise ValueError("empty expansion has no variable context")
-        vars = self.gammas[0].vars
-        x = MPoly.variable(self.var, vars)
-        d = self.ambient_degree
-        acc = MPoly.zero(vars)
-        for i, g in enumerate(self.gammas):
-            acc = acc + g * x ** i * (1 + x) ** (d - 2 * i)
-        return acc
-
-
-def gamma_expand(f: MPoly, var: str, d: int) -> GammaExpansion:
+def gamma_expand(f: MPoly, var: str, d: int) -> tuple[MPoly, ...]:
     """Expand a palindromic f in the gamma basis at ambient degree d.
 
+    Returns the coefficients g_i of f = sum g_i var**i (1 + var)**(d - 2i).
     Gamma i is a polynomial in the other variables: each row of f is
     expanded by :func:`_gamma_ints`.  Raises ValueError when f is not
     palindromic at ambient degree d (the basis only spans those): a
@@ -166,10 +146,10 @@ def gamma_expand(f: MPoly, var: str, d: int) -> GammaExpansion:
     """
     _check_degree(d)
     if f.is_zero() and d >= -1:
-        return GammaExpansion(var=var, ambient_degree=d, gammas=())
+        return ()
     gammas = _by_rows(f, var, d, lambda cs: [[g] for g in _gamma_ints(cs)],
                       d // 2 + 1)
-    return GammaExpansion(var=var, ambient_degree=d, gammas=tuple(gammas))
+    return tuple(gammas)
 
 
 def gamma_expand_coeffs(coeffs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
@@ -294,6 +274,18 @@ ScanReport = namedtuple(
     "alternatingly_increasing unimodal mode_indices in_hypothesis")
 
 
+def _check_zone(p: Fraction, q: Fraction, force: bool) -> bool:
+    """Whether (p, q) lies in the hypothesis zone p > 1, q >= 1; a point
+    outside it is refused unless ``force``.  ``eulerlab scan`` calls it
+    once before it builds anything, and :func:`conjecture_scan` before it
+    reads the table."""
+    in_zone = p.numerator > p.denominator and q.numerator >= q.denominator
+    if not (in_zone or force):
+        raise ValueError(f"(p, q) = ({p}, {q}) is outside p > 1, q >= 1; "
+                         f"pass --force, or force=True to conjecture_scan")
+    return in_zone
+
+
 def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     """Decompose the specialized refinement and report its shape.
 
@@ -321,13 +313,10 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     why the scan alone scales to ints.
     """
     Fraction = _fraction()
-    p, q = Fraction(_coefficient(p)), Fraction(_coefficient(q))
-    a, b, c, e = p.numerator, p.denominator, q.numerator, q.denominator
-    in_hyp = a > b and c >= e  # p > 1 and q >= 1, as b, e > 0
-    if not in_hyp and not force:
-        raise ValueError(
-            f"(p, q) = ({p}, {q}) is outside p > 1, q >= 1; pass force=True")
     check_n(n, 1)
+    p, q = Fraction(_coefficient(p)), Fraction(_coefficient(q))
+    in_hyp = _check_zone(p, q, force)
+    a, b, c, e = p.numerator, p.denominator, q.numerator, q.denominator
     top_des, top_gap, terms = _trivariate_table(n, False)
     p_pow = [a ** k * b ** (top_des - k) for k in range(top_des + 1)]
     q_pow = [c ** k * e ** (top_gap - k) for k in range(top_gap + 1)]

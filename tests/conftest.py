@@ -13,14 +13,16 @@ def acceptance_log():
 @pytest.fixture
 def cache_sizes():
     """A function returning the size of every lru_cache of the modules
-    that build polynomials, keyed by module and name."""
-    from eulerlab import detformula, distributions, symmetry
+    that define one, keyed by module and name; a cache another module
+    imports is read once, from the module that defines it."""
+    from eulerlab import distributions, mpoly
 
     def sizes():
         return {(m.__name__, name): obj.cache_info().currsize
-                for m in (distributions, symmetry, detformula)
+                for m in (distributions, mpoly)
                 for name, obj in vars(m).items()
-                if hasattr(obj, "cache_info")}
+                if hasattr(obj, "cache_info")
+                and obj.__module__ == m.__name__}
     return sizes
 
 

@@ -2,23 +2,25 @@
 make one of its listed tests fail.
 
 A mutant is a one-line change to the code under ``src/``, or to a test
-helper under ``tests/``.  An entry gives the file, the old line's text
-without its indentation, the new text, and the test ids expected to
-fail; an equivalent mutant gives, in place of the tests, the reason it
-changes no behaviour.  The script copies ``src/`` and ``tests/`` side by
-side to a temporary directory once; nothing else is copied, so a listed
-test may not read the README, the demos or perfbench.  For each mutant
-it replaces the one line of the copied file whose text is the old line,
-keeping its indentation, runs only the listed tests of the copy against
-the copied package with ``python -m pytest -x -q -p no:cacheprovider``,
-one process at a time, and puts the line back.  The mutant is killed
-when pytest reports a failing test (exit code 1) and survives when the
-tests pass; any other exit code, a test id that is not found say, is an
-error.  An old line that matches no line of its file, or more than one,
-is an error too, so a refactor updates or retires the mutant.
-Equivalent mutants are skipped, after the check that their old line is
-still there.  First of all, every listed test must pass on the unchanged
-copy, or no kill would mean anything.
+helper under ``tests/``; no other file may be mutated.  An entry gives
+the file, the old line's text without its indentation, the new text,
+and the test ids expected to fail; an equivalent mutant gives, in place
+of the tests, the reason it changes no behaviour.  The script copies
+``src/``, ``tests/``, ``demos/``, ``perfbench/`` and ``README.md`` side
+by side to a temporary directory once, so a listed test may read the
+demos, the README or perfbench as it does in the repository; those
+copies are only read.  For each mutant it replaces the one line of the
+copied file whose text is the old line, keeping its indentation, runs
+only the listed tests of the copy against the copied package with
+``python -m pytest -x -q -p no:cacheprovider``, one process at a time,
+and puts the line back.  The mutant is killed when pytest reports a
+failing test (exit code 1) and survives when the tests pass; any other
+exit code, a test id that is not found say, is an error.  An old line
+that matches no line of its file, or more than one, is an error too, so
+a refactor updates or retires the mutant.  Equivalent mutants are
+skipped, after the check that their old line is still there.  First of
+all, every listed test must pass on the unchanged copy, or no kill
+would mean anything.
 
 Stdlib only; run it from any directory::
 
@@ -40,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REGISTER = Path(__file__).with_name("mutants.json")
+MUTABLE = ("src/", "tests/")
 
 
 def mutate(text: str, old: str, new: str) -> str | None:
@@ -71,9 +74,10 @@ def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "demos", "perfbench"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "README.md", copy)
         listed = sorted({t for m in mutants for t in m.get("tests", ())})
         code = run_tests(copy, listed)
         if code:
@@ -85,7 +89,9 @@ def main() -> int:
             text = path.read_text(encoding="utf-8")
             mutated = mutate(text, m["old"], m["new"])
             label = f"{m['file']}: {m['old']} -> {m['new']}"
-            if mutated is None:
+            if not m["file"].startswith(MUTABLE):
+                verdict = "ERROR, only src/ and tests/ may be mutated"
+            elif mutated is None:
                 verdict = "ERROR, old line not found exactly once"
             elif "equivalent" in m:
                 verdict = "equivalent, skipped"

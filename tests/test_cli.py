@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from eulerlab import cli, detformula, symmetry
+from eulerlab import cli, detformula, distributions, symmetry
 from eulerlab.checks import CHECKS, CheckResult
 from eulerlab.cli import main
 from eulerlab.detformula import det_Mnr
@@ -216,7 +216,7 @@ def test_gamma_expands_the_parts_decompose_prints(capsys):
     want = []
     for label, part, amb in zip("ab", parts, (4, 3)):
         want += [f"gamma[{label}][{i}] = {g.dumps()}"
-                 for i, g in enumerate(gamma_expand(part, "t", amb).gammas)]
+                 for i, g in enumerate(gamma_expand(part, "t", amb))]
     code, out, _ = run_cli(capsys, "gamma", *argv)
     assert code == 0 and out.splitlines() == want
 
@@ -416,6 +416,20 @@ def test_scan_outside_hypothesis_needs_force(capsys):
                            "--force")
     assert code == 0
     assert "False" in out  # in_hypothesis column
+
+
+def test_scan_refuses_a_point_outside_the_zone_before_any_build(
+        capsys, cache_sizes):
+    # the library's conjecture_scan refuses too, but only after the
+    # command has built trivariate(max_n) for the digit bound
+    distributions._trivariate_table.cache_clear()
+    before = cache_sizes()
+    code, out, err = run_cli(capsys, "scan", "--max-n", "7", "--p", "1",
+                             "--q", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: (p, q) = (1, 1) is outside p > 1, q >= 1; "
+                   "pass --force, or force=True to conjecture_scan\n")
+    assert cache_sizes() == before
 
 
 def test_scan_rejects_bad_rational(capsys):
