@@ -305,10 +305,8 @@ def _suite_gamma_reconstruction(rng, cases):
         d = rng.randint(0, 8)
         gammas = [F(rng.randint(-5, 5), rng.randint(1, 2))
                   for _ in range(d // 2 + 1)]
-        f = MPoly.zero(("t",))
         t = MPoly.variable("t")
-        for i, g in enumerate(gammas):
-            f = f + MPoly.const(("t",), g) * t ** i * (1 + t) ** (d - 2 * i)
+        f = _from_gammas([MPoly.const(("t",), g) for g in gammas], t, d)
         if f.is_zero():
             assert all(g == 0 for g in gammas)
             continue

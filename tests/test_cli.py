@@ -420,8 +420,8 @@ def test_scan_outside_hypothesis_needs_force(capsys):
 
 def test_scan_refuses_a_point_outside_the_zone_before_any_build(
         capsys, cache_sizes):
-    # the library's conjecture_scan refuses too, but only after the
-    # command has built trivariate(max_n) for the digit bound
+    # conjecture_scan refuses such a point with the same message, so only
+    # the caches tell a refusal before the build from one after it
     distributions._trivariate_table.cache_clear()
     before = cache_sizes()
     code, out, err = run_cli(capsys, "scan", "--max-n", "7", "--p", "1",
