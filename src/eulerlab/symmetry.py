@@ -110,7 +110,7 @@ def verify_thm20(n: int) -> list[str]:
     """Check the decomposition recursion at one n; return its witnesses.
 
     Confirms that the antisymmetric part of the joint polynomial equals
-    (s - 1) times the previous palindromic part, and that the recombined
+    (s - 1) times the previous palindromic part, and that the whole
     identity A_n = a_n + (s - 1) * t * a_{n-1} holds exactly.  Each
     failing half gives one witness, its serialized part against the
     expected value: the b part against (s - 1) * a_{n-1} first, then the
@@ -291,8 +291,8 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
 
     Specializes the (exc, des, maj-exc) polynomial at rational p, q,
     splits it in t at ambient degree n - 1, and reports the gamma
-    vectors of both parts together with shape flags of the recombined
-    coefficient list.  The hypothesis zone is p > 1, q >= 1; points
+    vectors of both parts together with shape flags of the t-vector
+    itself.  The hypothesis zone is p > 1, q >= 1; points
     outside it need ``force=True``.  n takes the range of
     :func:`trivariate`.  p and q are exact: a float or complex raises
     ValueError.  Reports never raise on a shape violation; they record it.
