@@ -5,24 +5,23 @@ identity (the witness is printed), 2 when the request was refused: an
 ``error:`` line goes to stderr and nothing to stdout.  Each command
 returns its exit code and its whole stdout, and :func:`main` alone
 prints it, after the command has returned.  A fault inside a kernel,
-such as an inexact division, is a bug and raises.  All rational inputs
-are given as ``a/b`` strings so nothing ever round-trips through
-floating point.
+such as an inexact division, is a bug and raises.  A rational argument
+is an integer, ``a/b`` or a decimal such as ``1.5`` (the rational 3/2),
+parsed exactly by :func:`eulerlab.mpoly._coefficient`, so nothing ever
+round-trips through floating point; the exponent form (``1e9``) is a
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import factorial
-from typing import TYPE_CHECKING
 
 from .distributions import FAMILIES, build_distribution, classic_eulerian
-from .mpoly import MPoly
+from .mpoly import MPoly, Scalar, _coefficient
 from .perms import check_n
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # Each command imports the modules it runs, so building the parser loads
 # only what poly and export need.  verify's choices are therefore spelled
@@ -32,10 +31,9 @@ _SUITES = ("macmahon", "thm01", "thm20", "eq1", "gf", "thT1", "fubini",
            "li-binomial", "counts")
 
 
-def _rational(text: str) -> Fraction:
-    from fractions import Fraction
+def _rational(text: str) -> Scalar:
     try:
-        return Fraction(text)
+        return _coefficient(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a rational like 3/2 or 2, got {text!r}")
@@ -53,6 +51,25 @@ _DIGITS_HELP = (
     "ambient degree: that sum bounds the digits of every printed integer.")
 
 
+#: floor(log10(2) * 2**128).  b * _LOG10_2 >> 128 is floor(b * log10(2))
+#: for every b below 2**64: log10(2) - _LOG10_2 / 2**128 < 2**-131, so
+#: the error is below 2**-67, and the fractional part of b * log10(2) is
+#: above 2**-65 (its least value over b < 2**64 sits at a lower
+#: intermediate fraction of log10(2)'s continued fraction).
+_LOG10_2 = 0x4D104D427DE7FBCC47C4ACD605BE48BC
+
+
+def _digits(x: int) -> int:
+    """len(str(abs(x))), counted without the string, which Python will
+    not build past sys.get_int_max_str_digits() digits.  With b the bit
+    length of x > 0 and e = floor(b * log10(2)), 10**(e - 1) < 2**(b - 1)
+    <= x < 2**b < 10**(e + 1), so x has e or e + 1 digits, and one
+    comparison tells which."""
+    x = abs(x) or 1
+    e = x.bit_length() * _LOG10_2 >> 128
+    return e + (x >= 10 ** e)
+
+
 def _check_digits(poly: MPoly, n: int, d: int, values: dict) -> None:
     """Refuse, before any work, values whose output could hold an int
     too long to print.  ``poly``'s coefficients are ints summing to at
@@ -61,10 +78,12 @@ def _check_digits(poly: MPoly, n: int, d: int, values: dict) -> None:
     int numerators whose sizes sum to at most n! * prod max(|a|, b)**k.
     The split's prefix sums at most double that, and each gamma step
     m = d, d - 2, ... multiplies the largest entry by at most
-    1 + C(m, m // 2) <= 2**m: hence the bound of ``_DIGITS_HELP``."""
+    1 + C(m, m // 2) <= 2**m: hence the bound of ``_DIGITS_HELP``.
+    Digits are counted by :func:`_digits`, so a value too long to print
+    is refused too."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bound = len(str(factorial(n) * 2 ** (1 + (d + 1) ** 2 // 4))) + sum(
-        poly.degree(v) * len(str(max(abs(x.numerator), x.denominator)))
+    bound = _digits(factorial(n) * 2 ** (1 + (d + 1) ** 2 // 4)) + sum(
+        poly.degree(v) * _digits(max(abs(x.numerator), x.denominator))
         for v, x in values.items())
     if limit and bound > limit:
         raise ValueError(
@@ -223,13 +242,21 @@ _EXPORT_ONLY = {"det": "det_Mnr", "a_part": "a_part",
 
 
 def _cmd_export(args) -> tuple[int, str]:
-    if args.family in _EXPORT_ONLY:
-        if args.i is not None or args.k is not None:
-            raise ValueError(f"family {args.family!r} takes no --i/--k")
-        builder = getattr(sys.modules[__package__], _EXPORT_ONLY[args.family])
-        poly = builder(args.n)
-    else:
-        poly = build_distribution(args.family, args.n, args.i, args.k)
+    only = _EXPORT_ONLY.get(args.family)
+    if only and (args.i is not None or args.k is not None):
+        raise ValueError(f"family {args.family!r} takes no --i/--k")
+    # open the path before the build, so a bad --out is refused up front;
+    # "a" neither truncates nor replaces a file that is already there,
+    # and a refused build removes only a file this call created
+    existed = os.path.exists(args.out)
+    open(args.out, "a", encoding="utf-8").close()
+    try:
+        poly = (getattr(sys.modules[__package__], only)(args.n) if only
+                else build_distribution(args.family, args.n, args.i, args.k))
+    except BaseException:
+        if not existed:
+            os.remove(args.out)
+        raise
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(poly.dumps())
         fh.write("\n")
@@ -328,10 +355,6 @@ def main(argv=None) -> int:
         return 2
     print(text)
     return code
-
-
-def entry() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -420,11 +420,23 @@ def _is_scalar(value) -> bool:
 def _coefficient(value) -> Scalar:
     """``value`` as a coefficient: an ``int`` as it is, anything else as
     an exact ``Fraction``, collapsed to an ``int`` when its denominator
-    is 1.  An inexact number (a float or complex) raises ValueError."""
+    is 1.  An inexact number (a float or complex) raises ValueError.
+
+    This is the one parser of an exact value given as text, for the
+    library and the command line alike.  It reads an integer, ``'a/b'``
+    or a decimal such as ``'1.5'`` (the rational 3/2) as ``Fraction``
+    does, at a cost bounded by the text's length.  It refuses, with
+    ValueError, the exponent form (``'1e9'``, ``'2.5E3'``), whose cost
+    grows with the exponent's value: ``'1e-10000000'`` builds a power of
+    ten with ten million digits."""
     if type(value) is int:
         return value
     fractions = sys.modules.get("fractions")
     if fractions is None or not isinstance(value, fractions.Fraction):
+        if isinstance(value, str) and ("e" in value or "E" in value):
+            raise ValueError(
+                f"{value!r} is not an integer, 'a/b' or a decimal without "
+                f"an exponent: give an int, a Fraction or 'a/b'")
         from numbers import Complex, Rational
         if isinstance(value, Complex) and not isinstance(value, Rational):
             raise ValueError(

@@ -115,6 +115,12 @@ def requests() -> list[list[str]]:
         out += [[command, "--family", "trivariate", "--n", "13", *values]
                 for command in ("decompose", "gamma")]
         out.append(["scan", "--max-n", "13", *values])
+    # a decimal with 4300 digits on each side of the point parses, and the
+    # same bound refuses it: its numerator is too long to print
+    x = "1234567890" * 430
+    out += [["scan", "--max-n", "3", "--p", f"{x}.{x}"],
+            ["decompose", "--family", "trivariate", "--n", "3",
+             "--p", f"{x}.{x}"]]
     return out
 
 

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+import eulerlab
 from eulerlab import cli, detformula, distributions, symmetry
 from eulerlab.checks import CHECKS, CheckResult
 from eulerlab.cli import main
@@ -444,6 +445,23 @@ def test_scan_rejects_bad_rational(capsys):
     assert "3/2" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--p", "1e-100000"), ("scan", "--max-n", "3", "--q", "2.5E3"),
+    ("decompose", "--n", "3", "--s", "15e-1"),
+    ("gamma", "--family", "trivariate", "--n", "3", "--p", "1e9")],
+    ids=" ".join)
+def test_the_exponent_form_is_a_usage_error(capsys, argv):
+    # refused as it is parsed: 1e1000000000 would build a power of ten
+    # with a billion digits before any check
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected a rational like 3/2 or 2, got {argv[-1]!r}" in (
+        captured.err)
+
+
 def test_export_round_trip(tmp_path, capsys):
     out_file = tmp_path / "joint4.json"
     code, out, _ = run_cli(capsys, "export", "--family", "des_exc",
@@ -468,12 +486,45 @@ def test_export_determinant_family(tmp_path, capsys):
     assert MPoly.loads(out_file.read_text()) == det_Mnr(2)
 
 
-def test_export_bad_path(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "export", "--family", "des_exc",
-                           "--n", "3", "--out",
-                           str(tmp_path / "missing_dir" / "f.json"))
-    assert code == 2
-    assert "error:" in err
+def test_export_bad_path(tmp_path, capsys, monkeypatch):
+    # refused before any builder runs: xi at n = 13 would fold first
+    def builder(*args):
+        raise AssertionError("a builder ran before the path was opened")
+    monkeypatch.setattr(cli, "build_distribution", builder)
+    monkeypatch.setattr(eulerlab, "a_part", builder)
+    for family, extra in (("xi", ("--i", "3")), ("a_part", ())):
+        for out in (tmp_path / "missing_dir" / "f.json", tmp_path):
+            code, stdout, err = run_cli(capsys, "export", "--family", family,
+                                        "--n", "13", *extra,
+                                        "--out", str(out))
+            assert code == 2 and stdout == ""
+            assert err.startswith("error: [Errno "), err
+
+
+def test_a_refused_export_leaves_its_path_as_it_was(capsys, monkeypatch,
+                                                    tmp_path):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+    build = cli.build_distribution
+    monkeypatch.setattr(cli, "build_distribution", spy)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for path in (new, old):
+        code, out, err = run_cli(capsys, "export", "--family", "des_exc",
+                                 "--n", "14", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: n must be between 1 and 13, got 14\n"
+    assert len(calls) == 2  # the builder itself refused n = 14
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+    # an export that is not refused replaces the whole file
+    old.write_text("x" * 1000)
+    assert run_cli(capsys, "export", "--family", "des_exc", "--n", "2",
+                   "--out", str(old))[0] == 0
+    assert old.read_text() == eulerian_st(2).dumps() + "\n"
 
 
 def test_a_kernel_fault_raises_with_nothing_on_stdout(capsys, monkeypatch):
@@ -535,6 +586,42 @@ def test_values_too_long_to_print_are_refused_before_any_work(
     argv = ["scan", "--max-n", "13"] if command == "scan" else [
         command, "--family", "trivariate", "--n", "13"]
     code, out, err = run_cli(capsys, *argv, "--p", f"{x}/3", "--q", f"{x}/7")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the values given could make the output "
+                          "print ints of up to ")
+
+
+def test_digit_count_is_the_printed_length():
+    # 10**k - 1 prints as k nines and 10**k + 1 in k + 1 digits; str()
+    # confirms it at every k below 300 and around Python's digit limit,
+    # which it has to lift there (str() at every k to 5000 took 2 s
+    # on a 2-core x86)
+    for k in range(1, 5001):
+        assert cli._digits(10 ** k - 1) == k, k
+        assert cli._digits(10 ** k + 1) == cli._digits(-10 ** k - 1) == k + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for x in [0, 9, 10] + [10 ** k + d for k in (*range(300), 4299,
+                                                     4300, 4301, 5000)
+                               for d in (-1, 1)]:
+            assert cli._digits(x) == cli._digits(-x) == len(str(x)), x
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command", ["decompose", "gamma", "scan"])
+def test_a_value_too_long_to_print_gets_the_digit_bound_refusal(
+        capsys, command):
+    # it parses: an integer part and a decimal part of `limit` digits
+    # each, whose numerator Python would refuse to print
+    limit = _digit_limit()
+    x = "9" * limit
+    argv = ["scan", "--max-n", "3"] if command == "scan" else [
+        command, "--family", "trivariate", "--n", "3"]
+    code, out, err = run_cli(capsys, *argv, "--p", f"{x}.{x}")
     assert code == 2 and out == ""
     assert err.startswith("error: the values given could make the output "
                           "print ints of up to ")

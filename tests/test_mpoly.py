@@ -7,9 +7,9 @@ import pytest
 from eulerlab.detformula import det_Mnr, reconstruct_a
 from eulerlab.distributions import (FAMILIES, build_distribution,
                                     eulerian_st, trivariate)
-from eulerlab.mpoly import (DivisibilityError, MPoly, canonical_vars,
-                            exact_divide)
-from eulerlab.symmetry import a_part
+from eulerlab.mpoly import (DivisibilityError, MPoly, _coefficient,
+                            canonical_vars, exact_divide)
+from eulerlab.symmetry import a_part, conjecture_scan, gamma_expand_coeffs
 
 
 def test_canonical_vars_ordering():
@@ -71,6 +71,26 @@ def test_constructor_refuses_inexact_coefficients():
     # exact non-int inputs still read as Fractions
     x = MPoly.variable("x")
     assert MPoly(("x",), {(1,): "3/2"}) == x * F(3, 2)
+
+
+def test_text_is_read_exactly():
+    for text, want in (("1.5", F(3, 2)), ("-3/7", F(-3, 7)), ("2", 2),
+                       ("-4/2", -2), ("0.25", F(1, 4))):
+        got = _coefficient(text)
+        assert got == want and type(got) is type(want), text
+
+
+def test_the_exponent_form_is_refused():
+    # its cost grows with the exponent's value, not the text's length;
+    # each library entry point that reads an exact value given as text
+    for reader in (_coefficient, lambda x: MPoly(("x",), {(1,): x}),
+                   lambda x: MPoly.const(("x",), x),
+                   lambda x: MPoly.variable("x").subs({"x": x}),
+                   lambda x: conjecture_scan(3, x, 1),
+                   lambda x: gamma_expand_coeffs([1, x, 1])):
+        for text in ("15e-1", "1e3", "1e9", "2.5E3", "-1e-100000"):
+            with pytest.raises(ValueError, match="without an exponent"):
+                reader(text)
 
 
 def test_const_refuses_inexact_values():
