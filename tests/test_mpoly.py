@@ -9,7 +9,8 @@ from eulerlab.distributions import (FAMILIES, build_distribution,
                                     eulerian_st, trivariate)
 from eulerlab.mpoly import (DivisibilityError, MPoly, _coefficient,
                             canonical_vars, exact_divide)
-from eulerlab.symmetry import a_part, conjecture_scan, gamma_expand_coeffs
+from eulerlab.symmetry import (a_part, conjecture_scan, gamma_expand_coeffs,
+                               shape_checks)
 
 
 def test_canonical_vars_ordering():
@@ -87,7 +88,8 @@ def test_the_exponent_form_is_refused():
                    lambda x: MPoly.const(("x",), x),
                    lambda x: MPoly.variable("x").subs({"x": x}),
                    lambda x: conjecture_scan(3, x, 1),
-                   lambda x: gamma_expand_coeffs([1, x, 1])):
+                   lambda x: gamma_expand_coeffs([1, x, 1]),
+                   lambda x: shape_checks([1, x, 1])):
         for text in ("15e-1", "1e3", "1e9", "2.5E3", "-1e-100000"):
             with pytest.raises(ValueError, match="without an exponent"):
                 reader(text)
