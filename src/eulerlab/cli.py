@@ -76,7 +76,8 @@ def _check_digits(poly: MPoly, n: int, d: int, values: dict) -> None:
     most n!, so over the common denominator prod b**k of the values a/b,
     k the degree of ``poly`` in each, the specialized coefficients have
     int numerators whose sizes sum to at most n! * prod max(|a|, b)**k.
-    The split's prefix sums at most double that, and each gamma step
+    Each entry of the split's parts a and b is a difference of two sums
+    of those numerators, so at most double that, and each gamma step
     m = d, d - 2, ... multiplies the largest entry by at most
     1 + C(m, m // 2) <= 2**m: hence the bound of ``_DIGITS_HELP``.
     Digits are counted by :func:`_digits`, so a value too long to print
@@ -97,15 +98,10 @@ _TABLE_FIELDS = ("n", "permutations", "derangements",
 
 
 def _csv(header, rows) -> str:
-    """The header and rows as CSV lines, each ending in a bare newline,
-    without the final one."""
-    import csv
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()[:-1]
+    """The header and rows as CSV lines joined by bare newlines.  No
+    field holds a comma, quote, CR or LF (ints, bools, 'a/b' rationals and
+    ';'-joined tuples), so none needs quoting."""
+    return "\n".join(",".join(map(str, row)) for row in (header, *rows))
 
 
 def _cmd_table(args) -> tuple[int, str]:

@@ -428,11 +428,16 @@ def _coefficient(value) -> Scalar:
     does, at a cost bounded by the text's length.  It refuses, with
     ValueError, the exponent form (``'1e9'``, ``'2.5E3'``), whose cost
     grows with the exponent's value: ``'1e-10000000'`` builds a power of
-    ten with ten million digits."""
+    ten with ten million digits.  A ``Decimal`` is read by its own text,
+    ``str(value)``: ``Decimal('0.1')`` is 1/10, and ``Decimal('1e-7')``
+    and ``Decimal('0.0000001')``, both of text ``'1E-7'``, are refused."""
     if type(value) is int:
         return value
     fractions = sys.modules.get("fractions")
     if fractions is None or not isinstance(value, fractions.Fraction):
+        decimal = sys.modules.get("decimal")
+        if decimal is not None and isinstance(value, decimal.Decimal):
+            value = str(value)
         if isinstance(value, str) and ("e" in value or "E" in value):
             raise ValueError(
                 f"{value!r} is not an integer, 'a/b' or a decimal without "

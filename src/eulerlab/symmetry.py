@@ -5,9 +5,9 @@ deg_x(f) <= d splits uniquely as f = a + x*b where a is palindromic at
 ambient degree d and b is palindromic at ambient degree d - 1:
 
     a = (f - x**(d+1) * f(1/x)) / (1 - x)
-    b = (x**d * f(1/x) - f) / (1 - x)
+    b = (f - a) / x
 
-Both divisions are exact for every input, so a failure here is a bug,
+The division is exact for every input, so a failure here is a bug,
 not a data error.  A palindromic polynomial at ambient degree d has a
 unique expansion in the basis x**i * (1 + x)**(d - 2*i); nonnegativity
 of those expansion coefficients is the gamma-positivity property that
@@ -21,7 +21,7 @@ return only what it computed, the pair (a, b) and the tuple of gammas:
 the caller already holds x and d.  The kernel takes exact values as
 they come, ints or Fractions; only
 :func:`conjecture_scan` scales to ints, for the cost its docstring gives.
-The division route above and top-down elimination are its test reference.
+Two divisions by 1 - x and top-down elimination are its test reference.
 
 The joint descent/excedance polynomial has ambient degree n - 1 in the
 excedance variable.  Its palindromic part satisfies a two-term recursion
@@ -177,22 +177,19 @@ def gamma_expand_coeffs(coeffs: Sequence[Fraction | int]) -> tuple[Fraction, ...
 def _split_ints(f: list) -> tuple[list, list]:
     """The palindromic parts (a, b) of f = a + x*b at degree len(f) - 1.
 
-    a has len(f) entries and b one fewer.  Each division by 1 - x is a
-    prefix sum whose final entry is the remainder.
+    a has len(f) entries and b one fewer.  a = (f - x*flip(f))/(1 - x) is
+    a prefix sum whose final entry is the remainder; b = (f - a)/x, so
+    a + x*b = f by construction, and the check that pins the split is
+    the palindromy of a and b.
     """
-    flip = f[::-1]
     a, acc = [], 0
-    for fi, prev in zip(f + [0], [0] + flip):  # f - x * flip(f)
+    for fi, prev in zip(f + [0], [0] + f[::-1]):  # f - x * flip(f)
         acc += fi - prev
         a.append(acc)
-    b, acc = [], 0
-    for fi, ri in zip(f, flip):  # flip(f) - f
-        acc += ri - fi
-        b.append(acc)
-    if a.pop() or b.pop():
+    if a.pop():
         raise DivisibilityError("division by 1 - x left a remainder")
-    assert [ai + bi for ai, bi in zip(a, [0] + b)] == f, \
-        "decomposition failed to recombine"
+    b = [fi - ai for fi, ai in zip(f[1:], a[1:])]
+    assert a == a[::-1] and b == b[::-1], "split parts are not palindromic"
     return a, b
 
 

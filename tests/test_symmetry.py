@@ -1,3 +1,5 @@
+import random
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 from math import lcm
@@ -151,6 +153,22 @@ def test_row_kernel_matches_reference_route(n):
     for f in polys:
         for d in (n - 1, n):
             _assert_matches_reference(f, "t", d)
+
+
+def test_split_kernel_matches_the_division_route_on_random_lists():
+    # rows no counting polynomial produces: negative ints, Fractions and
+    # zeros, at every length 1..12, zero top entries included
+    rng = random.Random(1)
+    for _ in range(1500):
+        f = [rng.choice((0, rng.randint(-99, 99),
+                         F(rng.randint(-99, 99), rng.randint(1, 12))))
+             for _ in range(rng.randint(1, 12))]
+        a, b = symmetry._split_ints(f)
+        assert (len(a), len(b)) == (len(f), len(f) - 1), f
+        ref_a, ref_b = _division_split(MPoly(("t",), {
+            (k,): c for k, c in enumerate(f)}), "t", len(f) - 1)
+        assert MPoly(("t",), {(k,): c for k, c in enumerate(a)}) == ref_a, f
+        assert MPoly(("t",), {(k,): c for k, c in enumerate(b)}) == ref_b, f
 
 
 def test_verify_thm20_reports_a_corrupted_b_part(monkeypatch):
@@ -351,6 +369,19 @@ def test_coefficient_lists_refuse_inexact_values():
     # a Decimal is exact, and taken at its exact value
     assert gamma_expand_coeffs([1, Decimal("0.1"), 1]) == (1, F(-19, 10))
     assert shape_checks([1, Decimal("0.1"), 1]).palindromic
+
+
+def test_a_decimal_in_exponent_form_is_refused_at_once():
+    # Fraction would build 10**1000000 first, at a cost that grows with
+    # the exponent; the refusal reads the Decimal's text, '1E-1000000'
+    x = Decimal("1e-1000000")
+    start = time.perf_counter()
+    for call in (lambda: gamma_expand_coeffs([1, x, 1]),
+                 lambda: shape_checks([x]),
+                 lambda: conjecture_scan(3, 2, x)):
+        with pytest.raises(ValueError, match="without an exponent"):
+            call()
+    assert time.perf_counter() - start < 0.05
 
 
 def _sparse_scan(n, p, q):
