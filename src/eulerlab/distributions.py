@@ -10,18 +10,17 @@ that read excedances or fixed points, since a smaller value can be
 neither at any later position; all of them for :func:`xi`, which reads
 whether v + 1 is placed; none for the descent count.  The other
 remaining values are inert, kept only as a count; they rank below every
-exact one.  The state also keeps a tag: the rank of the last value among
-the remaining ones for the families that read descents, with the
-descent count so far for the three-variable refinements and :func:`xi`,
-and nothing for the excedance counts.  The fold alone lays out the tag,
-with a field for the descent count sized from n, so it is exact at
-every n and ``perms.MAX_ENUM_N`` caps n for cost alone.  Each merged
-state holds one packed int over the remaining statistics, and since a
-family reads the last value only through the descent test, each value
-is placed once after all the prefixes ending below it and once after
-those ending above it.  So n = 13 takes well under a second
-(``trivariate(13)`` about 0.05 s, and one ``xi`` fold for all slices
-about 0.65 s, in fresh processes on a 2-core x86 machine) where listing
+exact one.  The families that read descents also keep the rank of the
+last value among the remaining ones, and the three-variable refinements
+and :func:`xi` the descent count so far.  No part of a state has a
+size limit, so the fold is exact at every n and ``perms.MAX_ENUM_N``
+caps n for cost alone.  Each merged state holds one packed int over the
+remaining statistics, and since a family reads the last value only
+through the descent test, each value is placed once after all the
+prefixes ending below it and once after those ending above it.  So
+n = 13 takes well under a second
+(``trivariate(13)`` about 0.04 s, and one ``xi`` fold for all slices
+about 0.45 s, in fresh processes on a 2-core x86 machine) where listing
 13! permutations would take hours.  Each family only
 supplies the move that reads its statistics off one placed value.
 :func:`eulerian_st`, whose polynomial several consumers read within one
@@ -72,33 +71,30 @@ def _transfer(n: int, move, tagged: bool,
     the ones the family's move must see exactly; the smaller ones are
     inert, seen only as a count.  A prefix is summarised by its state:
     the bit set ``free`` of its exact remaining values (bit v for value
-    v) and a ``tag`` = t << bits | rest, where t is the rank of the last
-    placed value among the remaining ones (how many of them lie below it;
-    0 when the family is not ``tagged``) and ``rest`` is whatever else
-    the family must remember.  Every move keeps its rest below n, so
-    ``bits`` = ``n.bit_length()`` holds it at every n.  Placing the
+    v), whatever else the family must remember (``rest``) and the rank t
+    of its last value among the remaining ones: how many of them lie
+    below it, or 0 when the family is not ``tagged``.  Placing the
     remaining value of rank rho puts a descent at pos - 1 exactly when
     t > rho, and leaves the new last value at rank rho.  An inert value
     lies below every exact one, and ``exact_from`` never falls, so the
     inert values hold the lowest ranks and a value that turns inert
-    keeps its rank.  Hence prefixes
-    with the same state have the same continuations, whichever inert
-    values they left, and merge: for the positional families every value
-    below pos is inert, since it can be neither an excedance (v > j) nor
-    a fixed point (v = j) at a later position j >= pos.
+    keeps its rank.  Hence prefixes with the same state have the same
+    continuations, whichever inert values they left, and merge: for the
+    positional families every value below pos is inert, since it can be
+    neither an excedance (v > j) nor a fixed point (v = j) at a later
+    position j >= pos.
 
-    A state holds one packed int: digit j, ``width`` bits wide, counts
-    its prefixes whose other tracked statistics encode to j, and raising
-    that code by d is a left shift by d digits.  A layer maps ``free`` to
-    ``{tag: packed}``; a set enters it only when some move reaches it.
-    For each free set the kernel groups the tags by rest, adds their ints
-    in ascending order of t, and places each remaining value at most twice
-    per rest: once after the prefixes with t <= rho (no descent) and once
-    after those with t > rho (a descent).  ``move(pos, rest, v, free,
-    descent)``, with v the exact value or 0 for an inert one, returns
-    ``(new_rest, rise)``: the prefixes move to the state with v out of
-    ``free`` and tag rho << bits | new_rest, and their code rises by
-    ``rise``; or None to drop them.
+    A layer maps ``free`` to ``{rest: row}``, and entry t of ``row``,
+    which ends at its highest rank reached, is one packed int over the
+    prefixes of rank t: digit j, ``width`` bits wide, counts those whose
+    other tracked statistics encode to j, and raising that code by d is
+    a left shift by d digits.  Sweeping the ranks upward, the kernel
+    places each remaining value at most twice per rest: once after the
+    prefixes of rank t <= rho (no descent) and once after the others (a
+    descent).  ``move(pos, rest, v, free, descent)``, with v the exact
+    value or 0 for an inert one, returns ``(new_rest, rise)``: the
+    prefixes move to rank rho of ``new_rest`` in the state with v out of
+    ``free``, and their code rises by ``rise``; or None to drop them.
 
     A state after pos values, like each sum below or above rho, covers
     at most n! / (n - pos)! <= n! prefixes, so ``width`` =
@@ -106,43 +102,31 @@ def _transfer(n: int, move, tagged: bool,
     ``{(rest, code): count}`` over S_n.
     """
     width = factorial(n).bit_length()
-    bits = n.bit_length()
-    mask = (1 << bits) - 1
     values = range(1, n + 1)
-    layer = {(1 << n + 1) - 2 & -(1 << exact_from(1)): {0: 1}}
+    layer = {(1 << n + 1) - 2 & -(1 << exact_from(1)): {0: [1]}}
     for pos in range(1, n + 1):
         keep = -(1 << exact_from(pos + 1))  # the bits still exact after
         left = n - pos + 1
         nxt: dict = {}
         while layer:
-            free, tags = layer.popitem()
+            free, rests = layer.popitem()
             # the remaining values by rank: the inert ones, then the rest
             ranked = [v for v in values if free >> v & 1]
             ranked[:0] = [0] * (left - len(ranked))
-            # outs[rho]: the state dict reached by placing rank rho,
-            # fetched or made by the first move into it, so every state
-            # dict is nonempty
+            # outs[rho]: the rest dict reached by placing rank rho,
+            # fetched or made by the first move into it
             outs = [None] * left
-            groups: dict = {}
-            for tag in sorted(tags):
-                group = groups.get(tag & mask)
-                if group is None:
-                    groups[tag & mask] = [tag]
-                else:
-                    group.append(tag)
-            for rest, group in groups.items():
-                total = 0
-                for tag in group:
-                    total += tags[tag]
-                m = len(group)
-                k = 0  # the first k tags of the group have t <= rho
-                below = 0
+            for rest, row in rests.items():
+                top = len(row) - 1  # a row ends at a rank it holds
+                # adding 0, like a shift or subtraction by 0, would copy
+                # the int
+                total = sum(filter(None, row))
+                below = 0  # the prefixes of rank t <= rho
                 for rho, v in enumerate(ranked):
-                    while k < m and group[k] >> bits <= rho:
-                        below += tags[group[k]]
-                        k += 1
-                    # a shift or subtraction by 0 would copy the int
-                    if k:
+                    if rho <= top and row[rho]:
+                        below += row[rho]
+                    t = rho if tagged else 0
+                    if below:
                         moved = move(pos, rest, v, free, False)
                         if moved is not None:
                             new_rest, rise = moved
@@ -151,35 +135,43 @@ def _transfer(n: int, move, tagged: bool,
                             if out is None:
                                 out = outs[rho] = nxt.setdefault(
                                     free & ~(1 << v) & keep, {})
-                            tag = rho << bits | new_rest if tagged else new_rest
-                            old = out.get(tag)
-                            out[tag] = packed if old is None else old + packed
-                    if k < m:
+                            new = out.get(new_rest)
+                            if new is None:
+                                new = out[new_rest] = [0] * (t + 1)
+                            elif len(new) <= t:
+                                new += [0] * (t + 1 - len(new))
+                            new[t] = new[t] + packed if new[t] else packed
+                    if rho < top:
                         moved = move(pos, rest, v, free, True)
                         if moved is not None:
                             new_rest, rise = moved
-                            packed = total - below if k else total
+                            packed = total - below if below else total
                             if rise:
                                 packed <<= rise * width
                             out = outs[rho]
                             if out is None:
                                 out = outs[rho] = nxt.setdefault(
                                     free & ~(1 << v) & keep, {})
-                            tag = rho << bits | new_rest  # t > 0: tagged
-                            old = out.get(tag)
-                            out[tag] = packed if old is None else old + packed
+                            new = out.get(new_rest)
+                            if new is None:
+                                new = out[new_rest] = [0] * (t + 1)
+                            elif len(new) <= t:
+                                new += [0] * (t + 1 - len(new))
+                            new[t] = new[t] + packed if new[t] else packed
         layer = nxt
     counts: dict[tuple[int, int], int] = {}
-    zero = "0" * width
-    for tags in layer.values():
-        for tag, packed in tags.items():
-            bits = format(packed, "b")
-            bits = zero[len(bits) % width or width:] + bits  # whole digits
-            for code, top in enumerate(range(len(bits), 0, -width)):
-                digit = bits[top - width:top]
-                if digit != zero:
-                    key = tag & mask, code
-                    counts[key] = counts.get(key, 0) + int(digit, 2)
+    digit = (1 << width) - 1
+    for rests in layer.values():
+        # no value is left to rank below the last one
+        for rest, (packed,) in rests.items():
+            code = 0
+            while packed:
+                count = packed & digit
+                if count:
+                    key = rest, code
+                    counts[key] = counts.get(key, 0) + count
+                packed >>= width
+                code += 1
     return counts
 
 
@@ -187,8 +179,8 @@ def _transfer(n: int, move, tagged: bool,
 # v, v is an excedance when v > pos and a fixed point when v == pos; an
 # inert value (v = 0) is neither.  The positional families see exactly
 # the values from pos up, des sees none and xi all.  The excedance counts
-# read nothing off the last value, so their folds are not tagged and run
-# over the free sets alone.
+# read nothing off the last value, so their folds are not tagged: every
+# prefix sits at rank 0.
 
 def _positional(pos):
     return pos

@@ -18,12 +18,12 @@ from typing import Iterator, Sequence
 
 #: Largest n of the S_n distribution builders, and the library's one size
 #: limit.  It is set by cost alone: the transfer kernel in
-#: ``distributions`` sizes its state from n and is exact at every n.  It
-#: builds eulerian_st(13) in about 0.02 s and trivariate(13) in about
-#: 0.05 s with a 16 MB peak; the slowest family, xi, folds all slices at
-#: n = 13 in about 0.65 s with a 44 MB peak (fresh processes, 2-core x86,
-#: Python 3.11).  Every public reader of a cached table checks n here
-#: before it reads the table.
+#: ``distributions`` bounds no part of its state, so it is exact at every
+#: n.  It builds eulerian_st(13) in about 0.01 s and trivariate(13) in
+#: about 0.04 s with a 16 MB peak; the slowest family, xi, folds all
+#: slices at n = 13 in about 0.45 s with a 45 MB peak (fresh processes,
+#: 2-core x86, Python 3.11).  Every public reader of a cached table checks
+#: n here before it reads the table.
 MAX_ENUM_N = 13
 
 

@@ -78,34 +78,21 @@ def test_top_n_digits_do_not_carry():
     assert des_row == des
 
 
-def test_rests_fit_the_tag_field():
-    # _transfer packs a tag as t << n.bit_length() | rest, so every rest
-    # must stay below 2 ** n.bit_length().  The tagged moves read v and
-    # the free set only for the rise and the fixed-point drop, so walking
-    # every rest a move can return, position by position, bounds the
-    # rests of its fold.  A descent sits at pos - 1 >= 1.  trivariate's
-    # rest is the descent count, up to n - 1.  xi's is 2 * (descents so
-    # far) + flag; its descents lie in [2, n-2] with no two consecutive,
-    # so there are at most n // 2 - 1, and the flag is set after the last
-    for n in range(4, 25):
-        moves = {
-            distributions._trivariate_move(n, False): n - 1,
-            distributions._trivariate_move(n, True): n - 1,
-            distributions._xi_move(n): 2 * (n // 2 - 1) + 1,
-        }
-        for move, bound in moves.items():
-            rests, reached = {0}, set()
-            for pos in range(1, n + 1):
-                nxt = set()
-                for rest in rests:
-                    for descent in (False, True) if pos > 1 else (False,):
-                        moved = move(pos, rest, 0, 0, descent)
-                        if moved is not None:
-                            nxt.add(moved[0])
-                reached |= nxt
-                rests = nxt
-            assert min(reached) >= 0
-            assert max(reached) == bound < 2 ** n.bit_length(), n
+def test_a_rest_is_any_int():
+    # a rest is only a key of its state, so no move needs to keep it
+    # small: the trivariate fold with every rest offset by 1000 counts
+    # as the plain one.  The kernel starts every fold at rest 0
+    n = 6
+    plain = distributions._trivariate_move(n, False)
+
+    def offset(pos, rest, v, free, descent):
+        moved = plain(pos, rest - 1000 if pos > 1 else rest, v, free,
+                      descent)
+        return None if moved is None else (moved[0] + 1000, moved[1])
+
+    want = distributions._transfer(n, plain, True, distributions._positional)
+    got = distributions._transfer(n, offset, True, distributions._positional)
+    assert {(rest - 1000, code): c for (rest, code), c in got.items()} == want
 
 
 def _spy(move, calls):
@@ -154,7 +141,7 @@ def test_transfer_layers_hold_free_sets_not_used_sets(monkeypatch):
         inert = n - pos + 1 - bin(free).count("1")
         assert count <= (inert if v == 0 else 1)
 
-    # the excedance fold keeps no tag: one state per free set, so each
+    # the excedance fold keeps no rank: one state per free set, so each
     # value is placed once per free set, never after a descent
     calls.clear()
     monkeypatch.setattr(distributions, "_exc_move",

@@ -137,11 +137,20 @@ def test_folds_against_fold_free_oracles(n):
 
 
 def test_fold_is_exact_above_the_cap():
-    # the fold sizes its tag from n, so past MAX_ENUM_N it still counts
-    # right.  n = 17 is the first n whose descent count, up to 16, needs
-    # a fifth bit.  About 1 s and 60 MB
+    # nothing in the fold is sized by MAX_ENUM_N but its digit width,
+    # taken from n, so past the cap it still counts right.  trivariate
+    # at 17, its descent count up to 16, takes about 1 s and 60 MB
     n = 17
     refined = distributions._trivariate_poly(n, False)
     assert _marginal(refined, ("p",)) == _eulerian_row(n)
     assert _marginal(refined, ("t", "q")) == _mahonian_row(n)
     assert refined.evaluate({"t": 1, "p": 1, "q": 1}) == factorial(n)
+    # the untagged folds, one row entry per state, about 30 ms each
+    n = 16
+    exc = distributions._transfer(n, distributions._exc_move, False,
+                                  distributions._positional)
+    assert [exc[0, k] for k in range(n)] == _eulerian_row(n)
+    assert len(exc) == n
+    derangements = distributions._transfer(
+        n, distributions._derangement_move, False, distributions._positional)
+    assert sum(derangements.values()) == subfactorial(n)
