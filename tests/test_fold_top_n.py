@@ -137,9 +137,9 @@ def test_folds_against_fold_free_oracles(n):
 
 
 def test_fold_is_exact_above_the_cap():
-    # nothing in the fold is sized by MAX_ENUM_N but its digit width,
-    # taken from n, so past the cap it still counts right.  trivariate
-    # at 17, its descent count up to 16, takes about 1 s and 60 MB
+    # the fold sizes nothing but its digit width, and that from n, so
+    # past MAX_ENUM_N it still counts right.  trivariate at 17, with up
+    # to 16 descents, takes about 1 s and 60 MB
     n = 17
     refined = distributions._trivariate_poly(n, False)
     assert _marginal(refined, ("p",)) == _eulerian_row(n)
