@@ -61,6 +61,11 @@ def requests() -> list[list[str]]:
                 for n in range(15) for fmt in _FORMATS]
     out += [["poly", "--family", "xi", "--n", "7", "--i", str(i)]
             for i in range(5)]
+    # every slice of xi at every n, with the refusals one past each end
+    xi_slices = [(n, i) for n in range(15) for i in range(n // 2 + 2)]
+    out += [["poly", "--family", "xi", "--n", str(n), "--i", str(i),
+             "--format", _FORMATS[j % 3]]
+            for j, (n, i) in enumerate(xi_slices)]
     out += [["poly", "--family", "exc_slice", "--n", "7", "--k", str(k)]
             for k in range(-1, 8)]
     out += [["det", "--n", str(n), "--format", "all"] for n in range(-1, 15)]
