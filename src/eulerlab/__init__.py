@@ -23,7 +23,7 @@ _EXPORTS = {
                    "reconstruct_a"),
     "distributions": ("FAMILIES", "build_distribution", "classic_eulerian",
                       "derangement_lhs", "derangement_poly", "eulerian_st",
-                      "exc_slice", "trivariate", "xi", "xi_transposed"),
+                      "exc_slice", "trivariate", "xi"),
     "gfengine": ("f_nkr", "f_nkr_closed", "verify_foata"),
     "mpoly": ("DivisibilityError", "MPoly", "VAR_ORDER"),
     "perms": ("MAX_ENUM_N", "stable_subsets"),

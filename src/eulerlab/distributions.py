@@ -1,43 +1,45 @@
 """Distribution polynomials over the symmetric group.
 
-Every builder runs one left-to-right transfer over S_n (:func:`_transfer`)
-and returns a sparse polynomial with integer coefficients.  The transfer
-is an exact reorganisation of enumerating S_n: it merges the prefixes
-that leave the same state, which is what the family must remember about
-a prefix.  A state keeps exactly only the remaining values that the
-family's move must still see: from the position on for the families
-that read excedances or fixed points, since a smaller value can be
-neither at any later position; all of them for :func:`xi`, which reads
-whether v + 1 is placed; none for the descent count.  The other
-remaining values are inert, kept only as a count; they rank below every
-exact one.  The families that read descents also keep the rank of the
-last value among the remaining ones, and the three-variable refinements
-and :func:`xi` the descent count so far.  No part of a state has a
-size limit, so the fold is exact at every n and ``perms.MAX_ENUM_N``
-caps n for cost alone.  Each merged state holds one packed int over the
-remaining statistics, and since a family reads the last value only
-through the descent test, each value is placed once after all the
-prefixes ending below it and once after those ending above it.  So
-n = 13 takes well under a second
-(``trivariate(13)`` about 0.04 s, and one ``xi`` fold for all slices
-about 0.45 s, in fresh processes on a 2-core x86 machine) where listing
-13! permutations would take hours.  Each family only
-supplies the move that reads its statistics off one placed value.
-:func:`eulerian_st`, whose polynomial several consumers read within one
-command, is cached.  So is the integer table of the three-variable fold
-(:func:`_trivariate_table`) behind :func:`trivariate`,
-:func:`derangement_lhs` and ``scan``; it is private and its cache
-untyped, so each public reader checks n with ``perms.check_n`` before
-it reads it.  No command asks :func:`classic_eulerian`,
-:func:`derangement_poly`, the word table :func:`_word_des_maj` or a
-slice table (:func:`_xi_slices`, :func:`_macmahon_slices`) for the same
-arguments twice: thm01 reads each slice table once per n.
+Every builder but :func:`xi` runs one left-to-right transfer over S_n
+(:func:`_transfer`) and returns a sparse polynomial with integer
+coefficients.  The transfer is an exact reorganisation of enumerating
+S_n: it merges the prefixes that leave the same state, which is what the
+family must remember about a prefix.  A state keeps exactly only the
+remaining values that the family's move must still see: from the
+position on for the families that read excedances or fixed points, since
+a smaller value can be neither at any later position; all of them for
+the xi fold (:func:`_xi_slices`), which reads whether v + 1 is placed;
+none for the descent count.  The other remaining values are inert, kept
+only as a count; they rank below every exact one.  The families that
+read descents also keep the rank of the last value among the remaining
+ones, and the three-variable refinements and the xi fold the descent
+count so far.  No part of a state has a size limit, so the fold is exact
+at every n and ``perms.MAX_ENUM_N`` caps n for cost alone.  Each merged
+state holds one packed int over the remaining statistics, and since a
+family reads the last value only through the descent test, each value is
+placed once after all the prefixes ending below it and once after those
+ending above it.  So n = 13 takes well under a second
+(``trivariate(13)`` about 0.04 s, and the xi fold for all slices about
+0.45 s, in fresh processes on a 2-core x86 machine) where listing 13!
+permutations would take hours.  Each family only supplies the move that
+reads its statistics off one placed value.  :func:`eulerian_st`, whose
+polynomial several consumers read within one command, is cached.  So is
+the integer table of the three-variable fold (:func:`_trivariate_table`)
+behind :func:`trivariate`, :func:`derangement_lhs` and ``scan``; it is
+private and its cache untyped, so each public reader checks n with
+``perms.check_n`` before it reads it.  No command asks
+:func:`classic_eulerian`, :func:`derangement_poly`, the word table
+:func:`_word_des_maj` or a slice table (:func:`_xi_slices`,
+:func:`_macmahon_slices`) for the same arguments twice: thm01 reads each
+slice table once per n, and :func:`xi` reads one per call.
 
-:func:`xi_transposed` reads the xi slices a second way, with no pass over
-S_n: MacMahon's formula for the (des, maj) distribution of words, with
-Moebius inversion over descent sets of the inverse.  Enumeration
-(:func:`perms.enumerate_perms` with :func:`perms.stats`) is the tests'
-route: they compare every family against it byte for byte at small n.
+:func:`xi` reads its slices with no pass over S_n
+(:func:`_macmahon_slices`): MacMahon's formula for the (des, maj)
+distribution of words, with Moebius inversion over descent sets of the
+inverse.  The xi fold remains only as thm01's literal reading, which it
+compares with MacMahon's whole.  Enumeration (:func:`perms.enumerate_perms`
+with :func:`perms.stats`) is the tests' route: they compare every family
+and both slice tables against it byte for byte at small n.
 
 Variable conventions (fixed package-wide):
 
@@ -312,14 +314,12 @@ def derangement_lhs(n: int) -> MPoly:
     return _trivariate_poly(n, True)
 
 
-def _check_slice(n: int, i: int) -> None:
-    check_n(n, 2)
-    if type(i) is not int or not 1 <= i <= n // 2:
-        raise ValueError(f"i must lie in 1..{n // 2} for n={n}, got {i}")
-
-
 def _xi_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
-    """``{i: {(1 + des, maj): count}}`` for every slice i, from one fold."""
+    """``{i: {(1 + des, maj): count}}`` for every slice i, from one fold.
+
+    This is thm01's literal reading of :func:`xi`, which it compares
+    whole with :func:`_macmahon_slices`; no builder reads it.
+    """
     slices: dict[int, dict[tuple[int, int], int]] = {}
     counts = _transfer(n, _xi_move(n), True, lambda pos: 1)
     for (rest, code), count in counts.items():
@@ -328,18 +328,6 @@ def _xi_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
         key = (1 + des, maj)
         weights[key] = weights.get(key, 0) + count
     return slices
-
-
-def xi(n: int, i: int) -> MPoly:
-    """Weight polynomial of the sparse-descent-set slice of S_n, in p, q.
-
-    Sums ``p ** (1 + des(w)) * q ** maj(w)`` over the inverses w of the
-    permutations whose descent set lies inside [2, n-2], contains no two
-    consecutive positions, and has exactly i - 1 members.  It folds every
-    slice at once, with no per-slice pruning, and keeps slice i.
-    """
-    _check_slice(n, i)
-    return MPoly(("p", "q"), _xi_slices(n).get(i, {}))
 
 
 def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
@@ -423,17 +411,23 @@ def _macmahon_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
             for i, counts in slices.items()}
 
 
-def xi_transposed(n: int, i: int) -> MPoly:
-    """Variant of :func:`xi` with the filter applied to the inverse instead.
+def xi(n: int, i: int) -> MPoly:
+    """Weight polynomial of the sparse-descent-set slice of S_n, in p, q.
 
-    Equal to :func:`xi` because inversion is a bijection of S_n; computed
-    from MacMahon's formula for the (des, maj) distribution of words
-    (:func:`_macmahon_slices`), so the equality is checked rather than
-    assumed, by a route that shares nothing with the xi fold.  It builds
-    every slice's table and keeps slice i.
+    Sums ``p ** (1 + des(w)) * q ** maj(w)`` over the inverses w of the
+    permutations whose descent set lies inside [2, n-2], contains no two
+    consecutive positions, and has exactly i - 1 members; by inversion,
+    the same sum over the permutations whose inverse has such a descent
+    set.  It reads slice i of :func:`_macmahon_slices`, with no S_n pass.
     """
-    _check_slice(n, i)
+    check_n(n, 2)
+    if type(i) is not int or not 1 <= i <= n // 2:
+        raise ValueError(f"i must lie in 1..{n // 2} for n={n}, got {i}")
     return MPoly(("p", "q"), _macmahon_slices(n).get(i, {}))
+
+
+# perfbench/tracer.py's _BUILDERS looks this name up when it installs
+xi_transposed = xi
 
 
 def exc_slice(n: int, k: int) -> MPoly:

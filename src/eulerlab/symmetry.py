@@ -309,8 +309,8 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     the table evaluated in Fractions took 13 ms against 0.7 ms, which is
     why the scan alone scales to ints.
     """
-    Fraction = _fraction()
     check_n(n, 1)
+    Fraction = _fraction()
     p, q = Fraction(_coefficient(p)), Fraction(_coefficient(q))
     in_hyp = _check_zone(p, q, force)
     a, b, c, e = p.numerator, p.denominator, q.numerator, q.denominator

@@ -16,9 +16,9 @@ import pytest
 
 from eulerlab.checks import run_checks
 from eulerlab.detformula import det_Mnr, f_at, reconstruct_a
+from eulerlab import distributions
 from eulerlab.distributions import (classic_eulerian, derangement_lhs,
-                                    eulerian_st, exc_slice, trivariate, xi,
-                                    xi_transposed)
+                                    eulerian_st, exc_slice, trivariate, xi)
 from eulerlab.gfengine import f_nkr, f_nkr_closed, verify_foata
 from eulerlab.mpoly import MPoly, exact_divide
 from eulerlab.symmetry import (a_part, conjecture_scan, gamma_expand,
@@ -118,17 +118,18 @@ def test_c04_derangement_slice_expansion(acceptance_log):
         for n in range(2, 8):
             lhs = derangement_lhs(n)
             rhs = MPoly.zero(("t", "p", "q"))
+            literal = distributions._xi_slices(n)  # the xi fold
             literal_equals_transposed = True
             for i in range(1, n // 2 + 1):
-                term = xi(n, i)
-                if xi_transposed(n, i) != term:
+                term = xi(n, i)  # MacMahon's slices: the transposed filter
+                if MPoly(("p", "q"), literal[i]) != term:
                     literal_equals_transposed = False
                 rhs = (rhs + term.with_vars(("t", "p", "q"))
                        * TT ** i * (1 + TT) ** (n - 2 * i))
             assert lhs == rhs, f"expansion fails at n={n}"
             readings.append(literal_equals_transposed)
-        # the report must say which reading held: the literal one did,
-        # and it coincides with the transposed reading at every n
+        # the report must say which reading held: the transposed one
+        # did, and the literal fold coincides with it at every n
         assert all(readings)
         (res,) = run_checks("thm01", max_n=7)
         assert res.passed, res.witness

@@ -5,6 +5,7 @@ from eulerlab import symmetry
 from eulerlab.checks import CHECKS, run_checks
 from eulerlab.cli import main
 from eulerlab.distributions import eulerian_st
+from eulerlab.mpoly import MPoly
 
 
 def test_registry_tokens():
@@ -82,8 +83,8 @@ def test_thm01_transposed_disagreement_fails_its_line(capsys, monkeypatch):
     assert [line.split(" (")[0] for line in res.lines] == [
         "thm01 n=2: PASS", "thm01 n=3: PASS", "thm01 n=4: PASS",
         "thm01 n=5: FAIL", "thm01 n=6: PASS"]
-    literal = distributions.xi(5, 1).dumps()
-    transposed = distributions.xi_transposed(5, 1).dumps()
+    literal = MPoly(("p", "q"), distributions._xi_slices(5)[1]).dumps()
+    transposed = distributions.xi(5, 1).dumps()
     assert literal != transposed
     witness = f"n=5 i=1: xi={literal} transposed={transposed}"
     assert res.witness == witness

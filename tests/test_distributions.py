@@ -7,8 +7,7 @@ import pytest
 from eulerlab import distributions
 from eulerlab.distributions import (build_distribution, classic_eulerian,
                                     derangement_lhs, derangement_poly,
-                                    eulerian_st, exc_slice, trivariate, xi,
-                                    xi_transposed)
+                                    eulerian_st, exc_slice, trivariate, xi)
 from eulerlab.mpoly import MPoly
 from eulerlab.perms import (MAX_ENUM_N, enumerate_perms, inverse,
                             stable_subsets, stats)
@@ -215,6 +214,17 @@ def test_xi_small_cases():
                         + PP ** 2 * QQ ** 3 + PP ** 3 * QQ ** 4)
 
 
+def test_xi_runs_no_fold(monkeypatch):
+    # xi reads MacMahon's slices; the S_n fold is only thm01's literal
+    # reading, which costs ten times as much at the cap
+    def fold(*args):
+        raise AssertionError("xi ran the S_n fold")
+
+    monkeypatch.setattr(distributions, "_transfer", fold)
+    for i in range(1, MAX_ENUM_N // 2 + 1):
+        assert not xi(MAX_ENUM_N, i).is_zero(), i
+
+
 def test_xi_guards():
     with pytest.raises(ValueError):
         xi(1, 1)
@@ -225,20 +235,9 @@ def test_xi_guards():
     # a float index in range was accepted silently
     with pytest.raises(ValueError, match="^i must lie in 1..3 for n=6, got 2.0$"):
         xi(6, 2.0)
-    with pytest.raises(ValueError):
-        xi(MAX_ENUM_N + 1, 1)
-    # both routes share the builders' cap
+    # xi shares the builders' cap, though MacMahon's slices need no fold
     with pytest.raises(ValueError, match=f"between 2 and {MAX_ENUM_N}"):
-        xi_transposed(MAX_ENUM_N + 1, 1)
-    with pytest.raises(ValueError):
-        xi_transposed(4, 3)
-
-
-def test_xi_transposed_agrees():
-    # MacMahon's formula against the xi fold, every slice, up to the cap
-    for n in range(2, MAX_ENUM_N + 1):
-        assert distributions._macmahon_slices(n) == \
-            distributions._xi_slices(n), n
+        xi(MAX_ENUM_N + 1, 1)
 
 
 def _reference_transposed_slices(n):
@@ -380,3 +379,7 @@ def test_builders_match_enumeration(n):
                                                   ("t", "p", "q"))
     for i in range(1, n // 2 + 1):
         assert xi(n, i).dumps() == want(("xi", i), ("p", "q"))
+    # the xi fold is thm01's literal reading; it too must match counting
+    if n >= 2:
+        assert distributions._xi_slices(n) == {
+            i: counts[("xi", i)] for i in range(1, n // 2 + 1)}

@@ -51,13 +51,16 @@ def test_test_oracles_are_not_exported():
 
 
 def test_names_the_tracer_wraps_still_resolve():
-    from eulerlab import gfengine, mpoly, perms, series, univariate
+    from eulerlab import (distributions, gfengine, mpoly, perms, series,
+                          univariate)
     for fn in (series.USeries.__mul__, series.USeries.inverse,
                univariate.poly_gcd, mpoly.exact_divide, mpoly.MPoly.__mul__,
                mpoly.MPoly.__rmul__, mpoly.MPoly.subs, mpoly.MPoly.dumps,
                mpoly.MPoly.text, mpoly.MPoly.latex, gfengine.binom_resum,
                perms.stats, perms.inverse):
         assert callable(fn)
+    # the tracer's builder list names xi twice; both must resolve
+    assert distributions.xi_transposed is distributions.xi
 
 
 def test_unknown_name_raises_attribute_error():

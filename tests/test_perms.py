@@ -53,7 +53,8 @@ _N_ENTRY_POINTS = [
     ("trivariate", 1, distributions.trivariate),
     ("derangement_lhs", 2, distributions.derangement_lhs),
     ("xi", 2, lambda n: distributions.xi(n, 1)),
-    ("xi_transposed", 2, lambda n: distributions.xi_transposed(n, 1)),
+    ("build_distribution-xi", 2,
+     lambda n: distributions.build_distribution("xi", n, 1)),
     ("exc_slice", 1, lambda n: distributions.exc_slice(n, 0)),
     ("det_Mnr", 0, detformula.det_Mnr),
     ("reconstruct_a", 1, detformula.reconstruct_a),
