@@ -20,10 +20,11 @@ from typing import Iterator, Sequence
 #: limit.  It is set by cost alone: the transfer kernel in
 #: ``distributions`` bounds no part of its state, so it is exact at every
 #: n.  It builds eulerian_st(13) in about 0.01 s and trivariate(13) in
-#: about 0.04 s with a 16 MB peak; the slowest family, xi, folds all
-#: slices at n = 13 in about 0.45 s with a 45 MB peak (fresh processes,
-#: 2-core x86, Python 3.11).  Every public reader of a cached table checks
-#: n here before it reads the table.
+#: about 0.04 s with a 16 MB peak, and xi reads MacMahon's slices at 13,
+#: with no fold, in about 0.04 s.  The costliest work at the cap is no
+#: build but thm01's literal reading, the xi fold: about 0.45 s with a
+#: 45 MB peak (fresh processes, 2-core x86, Python 3.11).  Every public
+#: reader of a cached table checks n here before it reads the table.
 MAX_ENUM_N = 13
 
 
