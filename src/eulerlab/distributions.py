@@ -36,10 +36,11 @@ slice table once per n, and :func:`xi` reads one per call.
 :func:`xi` reads its slices with no pass over S_n
 (:func:`_macmahon_slices`): MacMahon's formula for the (des, maj)
 distribution of words, with Moebius inversion over descent sets of the
-inverse.  The xi fold remains only as thm01's literal reading, which it
-compares with MacMahon's whole.  Enumeration (:func:`perms.enumerate_perms`
-with :func:`perms.stats`) is the tests' route: they compare every family
-and both slice tables against it byte for byte at small n.
+inverse.  The xi fold is left only as thm01's literal reading: thm01
+compares it whole with MacMahon's table.  Enumeration
+(:func:`perms.enumerate_perms` with :func:`perms.stats`) is the tests'
+route: they compare every family and both slice tables against it byte
+for byte at small n.
 
 Variable conventions (fixed package-wide):
 
@@ -317,8 +318,8 @@ def derangement_lhs(n: int) -> MPoly:
 def _xi_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
     """``{i: {(1 + des, maj): count}}`` for every slice i, from one fold.
 
-    This is thm01's literal reading of :func:`xi`, which it compares
-    whole with :func:`_macmahon_slices`; no builder reads it.
+    This is thm01's literal reading of :func:`xi`: thm01 compares it
+    whole with :func:`_macmahon_slices`, and no builder reads it.
     """
     slices: dict[int, dict[tuple[int, int], int]] = {}
     counts = _transfer(n, _xi_move(n), True, lambda pos: 1)

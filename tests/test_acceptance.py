@@ -14,9 +14,9 @@ from math import comb, factorial
 
 import pytest
 
+from eulerlab import distributions
 from eulerlab.checks import run_checks
 from eulerlab.detformula import det_Mnr, f_at, reconstruct_a
-from eulerlab import distributions
 from eulerlab.distributions import (classic_eulerian, derangement_lhs,
                                     eulerian_st, exc_slice, trivariate, xi)
 from eulerlab.gfengine import f_nkr, f_nkr_closed, verify_foata
