@@ -22,7 +22,7 @@ from math import comb, factorial
 from . import detformula, distributions
 from .distributions import (classic_eulerian, derangement_lhs,
                             derangement_poly, eulerian_st, exc_slice)
-from .mpoly import DivisibilityError, MPoly
+from .mpoly import DivisibilityError, MPoly, Refused
 from .perms import MAX_ENUM_N
 from .qanalog import fubini_number, subfactorial
 
@@ -282,12 +282,11 @@ CHECKS = {
 def run_checks(names, max_n: int | None = None) -> list[CheckResult]:
     """Run the named suites; ``all`` expands to every registered suite.
 
-    With ``max_n`` given, the same cap applies to each suite; a
-    ``max_n`` that is not an int, or lies outside a requested suite's
-    range (below its first n or above its top), raises ``ValueError``,
-    so no report claims a range it did not check.
-    Otherwise per-suite defaults chosen to finish in well under a minute
-    are used.
+    With ``max_n`` given, the same cap applies to each suite; a ``max_n``
+    that is not an int, or lies outside a requested suite's range (below
+    its first n or above its top), is ``Refused``, as is an unknown name,
+    so no report claims a range it did not check.  Otherwise per-suite
+    defaults chosen to finish in well under a minute are used.
     """
     if isinstance(names, str):
         names = [names]
@@ -298,16 +297,16 @@ def run_checks(names, max_n: int | None = None) -> list[CheckResult]:
         elif name in CHECKS:
             resolved.append(name)
         else:
-            raise ValueError(
+            raise Refused(
                 f"unknown check {name!r}; expected one of "
                 f"{', '.join(list(CHECKS) + ['all'])}")
     if max_n is not None:
         if type(max_n) is not int:
-            raise ValueError(f"max_n must be an int, got {max_n!r}")
+            raise Refused(f"max_n must be an int, got {max_n!r}")
         for name in resolved:
             first, _, top = CHECKS[name][1]
             if not first <= max_n <= top:
-                raise ValueError(
+                raise Refused(
                     f"max_n={max_n} is out of range for check {name!r}, "
                     f"which supports max_n from {first} up to {top}")
     return [suite(default if max_n is None else max_n)

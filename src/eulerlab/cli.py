@@ -1,15 +1,16 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification suite found a failing
-identity (the witness is printed), 2 when the request was refused: an
+identity (the witness is printed), 2 when the request was refused, by
+:class:`~eulerlab.mpoly.Refused` or an OSError on ``--out``: an
 ``error:`` line goes to stderr and nothing to stdout.  Each command
 returns its exit code and its whole stdout, and :func:`main` alone
 prints it, after the command has returned.  A fault inside a kernel,
-such as an inexact division, is a bug and raises.  A rational argument
-is an integer, ``a/b`` or a decimal such as ``1.5`` (the rational 3/2),
-parsed exactly by :func:`eulerlab.mpoly._coefficient`, so nothing ever
-round-trips through floating point; the exponent form (``1e9``) is a
-usage error.
+an inexact division or any other ValueError, is a bug and raises.  A
+rational argument is an integer, ``a/b`` or a decimal such as ``1.5``
+(the rational 3/2), parsed exactly by :func:`eulerlab.mpoly._coefficient`,
+so nothing ever round-trips through floating point; the exponent form
+(``1e9``) is a usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from math import factorial
 
 from .distributions import FAMILIES, build_distribution, classic_eulerian
-from .mpoly import MPoly, Scalar, _coefficient
+from .mpoly import MPoly, Refused, Scalar, _coefficient
 from .perms import check_n
 
 # Each command imports the modules it runs, so building the parser loads
@@ -87,7 +88,7 @@ def _check_digits(poly: MPoly, n: int, d: int, values: dict) -> None:
         poly.degree(v) * _digits(max(abs(x.numerator), x.denominator))
         for v, x in values.items())
     if limit and bound > limit:
-        raise ValueError(
+        raise Refused(
             f"the values given could make the output print ints of up to "
             f"{bound} digits, above the limit of {limit} "
             f"(sys.get_int_max_str_digits()); see --help")
@@ -140,16 +141,15 @@ def _split(args):
     from .symmetry import sym_decompose
 
     # each family's degree in its split variable is below n; cost grows with d
-    if args.d is not None and args.d > args.n:
-        raise ValueError(
-            f"ambient degree must be at most n={args.n}, got {args.d}")
+    if args.d is not None and not 0 <= args.d <= args.n:
+        bound = "nonnegative" if args.d < 0 else f"at most n={args.n}"
+        raise Refused(f"ambient degree must be {bound}, got {args.d}")
     poly = build_distribution(args.family, args.n)
     values = {name: getattr(args, name) for name in ("s", "p", "q")
               if getattr(args, name) is not None}
     for name in values:
         if name not in poly.vars:
-            raise ValueError(
-                f"--{name} does not apply to family {args.family!r}")
+            raise Refused(f"--{name} does not apply to family {args.family!r}")
     d = args.d if args.d is not None else args.n - 1
     _check_digits(poly, args.n, d, values)
     var = _DECOMP_VAR[args.family]
@@ -240,7 +240,7 @@ _EXPORT_ONLY = {"det": "det_Mnr", "a_part": "a_part",
 def _cmd_export(args) -> tuple[int, str]:
     only = _EXPORT_ONLY.get(args.family)
     if only and (args.i is not None or args.k is not None):
-        raise ValueError(f"family {args.family!r} takes no --i/--k")
+        raise Refused(f"family {args.family!r} takes no --i/--k")
     # open the path before the build, so a bad --out is refused up front;
     # "a" neither truncates nor replaces a file that is already there,
     # and a refused build removes only a file this call created
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, text = args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (Refused, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

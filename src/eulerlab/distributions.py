@@ -61,7 +61,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .mpoly import DivisibilityError, MPoly
+from .mpoly import DivisibilityError, MPoly, Refused
 from .perms import check_n, stable_subsets
 
 
@@ -254,7 +254,7 @@ def eulerian_st(n: int) -> MPoly:
 def classic_eulerian(n: int, stat: str = "des") -> MPoly:
     """Single-statistic distribution over S_n in the variable x."""
     if stat not in ("des", "exc"):
-        raise ValueError(f"stat must be 'des' or 'exc', got {stat!r}")
+        raise Refused(f"stat must be 'des' or 'exc', got {stat!r}")
     check_n(n, 1)
     if stat == "des":
         counts = _transfer(n, _des_move, True, lambda pos: n + 1)
@@ -331,6 +331,17 @@ def _xi_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
     return slices
 
 
+def _over_one_minus(row: list, k: int) -> list:
+    """row / (1 - x^k) in place: a prefix sum with stride k, whose top k
+    entries are the remainder; DivisibilityError unless they are zero."""
+    for i in range(k, len(row)):
+        row[i] += row[i - k]
+    if any(row[-k:]):
+        raise DivisibilityError(f"division by 1 - x^{k} left a remainder")
+    del row[-k:]
+    return row
+
+
 def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
     """(des, maj) over the words of the given content: entry d holds, as
     q-coefficients, the maj distribution of the words with d descents.
@@ -340,24 +351,18 @@ def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
     n - 1 descents, so everything is cut after t^(n-1).  R_0 = 1, and
     each block a takes R_k to R_(k+1) by the ratio
     [a + k + 1 choose a]_q / [a + k choose a]_q
-    = (1 - q^(a+k+1)) / (1 - q^(k+1)): a shift-subtract, then a prefix
-    sum with stride k + 1 whose top k + 1 entries are the remainder.
+    = (1 - q^(a+k+1)) / (1 - q^(k+1)): a shift-subtract, then
+    :func:`_over_one_minus` with stride k + 1.
     """
     n = sum(content)
     row = [1]
     rows = [row]
-    for k in range(n - 1):
-        stride = k + 1
+    for stride in range(1, n):
         for a in content:
             # times 1 - q^shift, then divided exactly by 1 - q^stride
-            shift = a + k + 1
-            row = [x - y for x, y in zip(row + [0] * shift, [0] * shift + row)]
-            for i in range(stride, len(row)):
-                row[i] += row[i - stride]
-            if any(row[-stride:]):
-                raise DivisibilityError(
-                    f"division by 1 - q^{stride} left a remainder")
-            del row[-stride:]
+            shift = a + stride
+            row = _over_one_minus([x - y for x, y in zip(
+                row + [0] * shift, [0] * shift + row)], stride)
         rows.append(row)
     for j in range(n + 1):
         # times 1 - t q^j, in place from the top row down so each reads
@@ -423,7 +428,7 @@ def xi(n: int, i: int) -> MPoly:
     """
     check_n(n, 2)
     if type(i) is not int or not 1 <= i <= n // 2:
-        raise ValueError(f"i must lie in 1..{n // 2} for n={n}, got {i}")
+        raise Refused(f"i must lie in 1..{n // 2} for n={n}, got {i}")
     return MPoly(("p", "q"), _macmahon_slices(n).get(i, {}))
 
 
@@ -435,7 +440,7 @@ def exc_slice(n: int, k: int) -> MPoly:
     """Descent distribution over the excedance-k slice of S_n, in s."""
     check_n(n, 1)
     if type(k) is not int or not 0 <= k <= n - 1:
-        raise ValueError(f"k must lie in 0..{n - 1} for n={n}, got {k}")
+        raise Refused(f"k must lie in 0..{n - 1} for n={n}, got {k}")
     return eulerian_st(n).coeff_of("t", k)
 
 
@@ -461,16 +466,16 @@ def build_distribution(family: str, n: int, i: int | None = None,
     """The member of ``family`` at n; i is the slice index of xi and k
     the excedance level of exc_slice, and no other family takes either."""
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; "
+        raise Refused(f"unknown family {family!r}; "
                          f"expected one of {', '.join(FAMILIES)}")
     builder, index = _BUILDERS[family]
     if index is None:
         if i is not None or k is not None:
-            raise ValueError(f"family {family!r} takes no --i/--k")
+            raise Refused(f"family {family!r} takes no --i/--k")
         return builder(n)
     value, other, extra = (i, "k", k) if index == "i" else (k, "i", i)
     if value is None:
-        raise ValueError(f"family {family!r} needs --{index}")
+        raise Refused(f"family {family!r} needs --{index}")
     if extra is not None:
-        raise ValueError(f"family {family!r} takes no --{other}")
+        raise Refused(f"family {family!r} takes no --{other}")
     return builder(n, value)

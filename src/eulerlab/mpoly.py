@@ -47,6 +47,10 @@ class DivisibilityError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
 
 
+class Refused(ValueError):
+    """A refused request, not a fault: the command line exits 2 on it."""
+
+
 def _var_key(name: str):
     try:
         return (0, VAR_ORDER.index(name), "")
@@ -420,13 +424,13 @@ def _is_scalar(value) -> bool:
 def _coefficient(value) -> Scalar:
     """``value`` as a coefficient: an ``int`` as it is, anything else as
     an exact ``Fraction``, collapsed to an ``int`` when its denominator
-    is 1.  An inexact number (a float or complex) raises ValueError.
+    is 1.  An inexact number (a float or complex) is :class:`Refused`.
 
     This is the one parser of an exact value given as text, for the
     library and the command line alike.  It reads an integer, ``'a/b'``
     or a decimal such as ``'1.5'`` (the rational 3/2) as ``Fraction``
     does, at a cost bounded by the text's length.  It refuses, with
-    ValueError, the exponent form (``'1e9'``, ``'2.5E3'``), whose cost
+    :class:`Refused`, the exponent form (``'1e9'``, ``'2.5E3'``), whose cost
     grows with the exponent's value: ``'1e-10000000'`` builds a power of
     ten with ten million digits.  A ``Decimal`` is read by its own text,
     ``str(value)``: ``Decimal('0.1')`` is 1/10, and ``Decimal('1e-7')``
@@ -439,12 +443,12 @@ def _coefficient(value) -> Scalar:
         if decimal is not None and isinstance(value, decimal.Decimal):
             value = str(value)
         if isinstance(value, str) and ("e" in value or "E" in value):
-            raise ValueError(
+            raise Refused(
                 f"{value!r} is not an integer, 'a/b' or a decimal without "
                 f"an exponent: give an int, a Fraction or 'a/b'")
         from numbers import Complex, Rational
         if isinstance(value, Complex) and not isinstance(value, Rational):
-            raise ValueError(
+            raise Refused(
                 f"inexact value {value!r}: give an int, a Fraction or 'a/b'")
         value = _fraction()(value)
     return value.numerator if value.denominator == 1 else value

@@ -16,6 +16,8 @@ from collections import namedtuple
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
+from .mpoly import Refused
+
 #: Largest n of the S_n distribution builders, and the library's one size
 #: limit.  It is set by cost alone: the transfer kernel in
 #: ``distributions`` bounds no part of its state, so it is exact at every
@@ -37,9 +39,9 @@ def check_n(n: int, lo: int) -> None:
     every public reader, ``symmetry.conjecture_scan`` included, calls
     this check before it reads it."""
     if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
+        raise Refused(f"n must be an int, got {n!r}")
     if not lo <= n <= MAX_ENUM_N:
-        raise ValueError(f"n must be between {lo} and {MAX_ENUM_N}, got {n}")
+        raise Refused(f"n must be between {lo} and {MAX_ENUM_N}, got {n}")
 
 #: Largest n that :func:`enumerate_perms` lists.  Listing S_11 alone takes
 #: about 6.5 s and each further n multiplies the cost by about n.  No

@@ -35,8 +35,8 @@ from collections import namedtuple
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-from .distributions import _trivariate_table, eulerian_st
-from .mpoly import DivisibilityError, MPoly, _coefficient, _fraction
+from .distributions import _over_one_minus, _trivariate_table, eulerian_st
+from .mpoly import MPoly, Refused, _coefficient, _fraction
 from .perms import check_n
 
 if TYPE_CHECKING:
@@ -51,7 +51,7 @@ def _rows(f: MPoly, var: str, d: int) -> dict[tuple, list]:
     """f's coefficient list in var, of length d + 1, for each monomial in
     the other variables, keyed by its exponents before and after var."""
     if f.degree(var) > d:
-        raise ValueError(
+        raise Refused(
             f"degree {f.degree(var)} in {var!r} exceeds ambient degree {d}")
     i = f.vars.index(var)
     rows: dict[tuple, list] = {}
@@ -167,27 +167,17 @@ def gamma_expand_coeffs(coeffs: Sequence[Fraction | int]) -> tuple[Fraction, ...
 
 
 # ----------------------------------------------------------------------
-# coefficient-list kernel
-#
-# Splitting and gamma expansion of a polynomial in one variable, ambient
-# degree len(list) - 1.  The kernel only adds, subtracts and multiplies by
-# ints, so it is exact on ints and Fractions as they come: ints stay ints.
-# Only conjecture_scan scales to ints first, for the cost it states.
+# coefficient-list kernel, in one variable at ambient degree len(list) - 1:
+# it only adds, subtracts and multiplies by ints, so ints stay ints
 
 def _split_ints(f: list) -> tuple[list, list]:
     """The palindromic parts (a, b) of f = a + x*b at degree len(f) - 1.
 
-    a has len(f) entries and b one fewer.  a = (f - x*flip(f))/(1 - x) is
-    a prefix sum whose final entry is the remainder; b = (f - a)/x, so
-    a + x*b = f by construction, and the check that pins the split is
-    the palindromy of a and b.
+    a has len(f) entries and b one fewer.  a = (f - x*flip(f))/(1 - x)
+    and b = (f - a)/x, so a + x*b = f by construction, and the check
+    that pins the split is the palindromy of a and b.
     """
-    a, acc = [], 0
-    for fi, prev in zip(f + [0], [0] + f[::-1]):  # f - x * flip(f)
-        acc += fi - prev
-        a.append(acc)
-    if a.pop():
-        raise DivisibilityError("division by 1 - x left a remainder")
+    a = _over_one_minus([x - y for x, y in zip(f + [0], [0] + f[::-1])], 1)
     b = [fi - ai for fi, ai in zip(f[1:], a[1:])]
     assert a == a[::-1] and b == b[::-1], "split parts are not palindromic"
     return a, b
@@ -278,7 +268,7 @@ def _check_zone(p: Fraction, q: Fraction, force: bool) -> bool:
     reads the table."""
     in_zone = p.numerator > p.denominator and q.numerator >= q.denominator
     if not (in_zone or force):
-        raise ValueError(f"(p, q) = ({p}, {q}) is outside p > 1, q >= 1; "
+        raise Refused(f"(p, q) = ({p}, {q}) is outside p > 1, q >= 1; "
                          f"pass --force, or force=True to conjecture_scan")
     return in_zone
 

@@ -12,7 +12,7 @@ from eulerlab.checks import CHECKS, CheckResult
 from eulerlab.cli import main
 from eulerlab.detformula import det_Mnr
 from eulerlab.distributions import eulerian_st
-from eulerlab.mpoly import DivisibilityError, MPoly
+from eulerlab.mpoly import DivisibilityError, MPoly, Refused
 from eulerlab.symmetry import gamma_expand
 
 
@@ -201,7 +201,10 @@ def test_split_at_a_given_ambient_degree(capsys):
 
 @pytest.mark.parametrize("command", ["decompose", "gamma"])
 @pytest.mark.parametrize("d", ["-1", "-5", "2", "1000000"])
-def test_ambient_degree_outside_0_to_n_is_a_usage_error(capsys, command, d):
+def test_ambient_degree_outside_0_to_n_is_a_usage_error(capsys, monkeypatch,
+                                                        command, d):
+    # refused before the family is built
+    monkeypatch.setattr(cli, "build_distribution", None)
     code, out, err = run_cli(capsys, command, "--family", "derangement",
                              "--n", "1", "--d", d)
     assert code == 2 and out == ""
@@ -537,6 +540,39 @@ def test_a_kernel_fault_raises_with_nothing_on_stdout(capsys, monkeypatch):
         main(["det", "--n", "3"])
     assert capsys.readouterr().out == ""
 
+
+
+def test_a_kernel_value_error_raises_with_nothing_on_stdout(capsys,
+                                                            monkeypatch):
+    # only a Refused request exits 2: a ValueError from a kernel, after
+    # the build and the split, is a bug and leaves main
+    def broken(cs):
+        raise ValueError("forced kernel fault")
+    monkeypatch.setattr(symmetry, "_gamma_ints", broken)
+    with pytest.raises(ValueError, match="forced kernel fault"):
+        main(["gamma", "--family", "des_exc", "--n", "4"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: eulerlab.perms.check_n(14, 1),
+    lambda: eulerlab.checks.run_checks("nope"),
+    lambda: eulerlab.checks.run_checks("gf", max_n=99),
+    lambda: distributions.build_distribution("xi", 6),
+    lambda: distributions.classic_eulerian(3, "inv"),
+    lambda: distributions.xi(6, 4),
+    lambda: distributions.exc_slice(4, 4),
+    lambda: eulerlab.mpoly._coefficient(1.5),
+    lambda: symmetry.sym_decompose(eulerian_st(3), "t", 1),
+    lambda: symmetry.conjecture_scan(3, 1, 1),
+], ids=["check_n", "run_checks-name", "run_checks-max_n", "family-index",
+        "stat", "xi-i", "exc_slice-k", "coefficient", "ambient-degree",
+        "zone"])
+def test_a_refusal_is_refused_and_still_a_value_error(refuse):
+    # main exits 2 on Refused alone; library callers may catch ValueError
+    with pytest.raises(Refused):
+        refuse()
+    assert issubclass(Refused, ValueError)
 
 _EVERY_COMMAND = [
     *(("table", "--max-n", "5", "--format", fmt)

@@ -8,7 +8,7 @@ from eulerlab import distributions
 from eulerlab.distributions import (build_distribution, classic_eulerian,
                                     derangement_lhs, derangement_poly,
                                     eulerian_st, exc_slice, trivariate, xi)
-from eulerlab.mpoly import MPoly
+from eulerlab.mpoly import DivisibilityError, MPoly
 from eulerlab.perms import (MAX_ENUM_N, enumerate_perms, inverse,
                             stable_subsets, stats)
 from eulerlab.qanalog import fubini_number, int_trim, subfactorial
@@ -280,6 +280,23 @@ def test_word_table_matches_brute_force():
                 counts[len(descents)][sum(descents)] += 1
             want = tuple(int_trim(row) for row in counts)
             assert distributions._word_des_maj(content) == want, content
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_division_by_one_minus_x_to_the_k(k):
+    # both callers divide exactly by identity, so only this test reaches
+    # the remainder branch
+    quotient = [3, -1, 0, F(1, 2), 4, 2]
+    row = quotient + [0] * k
+    for i, c in enumerate(quotient):  # times 1 - x^k
+        row[i + k] -= c
+    exact = list(row)
+    assert distributions._over_one_minus(exact, k) is exact
+    assert exact == quotient
+    row[1] += 1  # plus x, which 1 - x^k does not divide
+    message = f"^division by 1 - x\\^{k} left a remainder$"
+    with pytest.raises(DivisibilityError, match=message):
+        distributions._over_one_minus(row, k)
 
 
 def test_exc_slice():
