@@ -467,7 +467,7 @@ def build_distribution(family: str, n: int, i: int | None = None,
     the excedance level of exc_slice, and no other family takes either."""
     if family not in FAMILIES:
         raise Refused(f"unknown family {family!r}; "
-                         f"expected one of {', '.join(FAMILIES)}")
+                      f"expected one of {', '.join(FAMILIES)}")
     builder, index = _BUILDERS[family]
     if index is None:
         if i is not None or k is not None:

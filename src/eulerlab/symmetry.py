@@ -269,7 +269,7 @@ def _check_zone(p: Fraction, q: Fraction, force: bool) -> bool:
     in_zone = p.numerator > p.denominator and q.numerator >= q.denominator
     if not (in_zone or force):
         raise Refused(f"(p, q) = ({p}, {q}) is outside p > 1, q >= 1; "
-                         f"pass --force, or force=True to conjecture_scan")
+                      f"pass --force, or force=True to conjecture_scan")
     return in_zone
 
 
