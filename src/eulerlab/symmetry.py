@@ -7,11 +7,12 @@ ambient degree d and b is palindromic at ambient degree d - 1:
     a = (f - x**(d+1) * f(1/x)) / (1 - x)
     b = (f - a) / x
 
-The division is exact for every input, so a failure here is a bug,
-not a data error.  A palindromic polynomial at ambient degree d has a
-unique expansion in the basis x**i * (1 + x)**(d - 2*i); nonnegativity
-of those expansion coefficients is the gamma-positivity property that
-the scan command hunts for.
+With F_i = f_0 + ... + f_i, the quotient is a_i = F_i + F_(d-i) - F_d,
+so the split takes one prefix sum and divides by nothing; a + x*b = f
+holds for every input.  A palindromic polynomial at ambient degree d
+has a unique expansion in the basis x**i * (1 + x)**(d - 2*i);
+nonnegativity of those expansion coefficients is the gamma-positivity
+property that the scan command hunts for.
 
 One kernel on coefficient lists (:func:`_split_ints`,
 :func:`_gamma_ints`) serves ``verify``, ``scan``, ``decompose`` and
@@ -32,10 +33,11 @@ that recursion at n = 0 is the zero polynomial by convention.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-from .distributions import _over_one_minus, _trivariate_table, eulerian_st
+from .distributions import _trivariate_table, eulerian_st
 from .mpoly import MPoly, Refused, _coefficient, _fraction
 from .perms import check_n
 
@@ -173,12 +175,20 @@ def gamma_expand_coeffs(coeffs: Sequence[Fraction | int]) -> tuple[Fraction, ...
 def _split_ints(f: list) -> tuple[list, list]:
     """The palindromic parts (a, b) of f = a + x*b at degree len(f) - 1.
 
-    a has len(f) entries and b one fewer.  a = (f - x*flip(f))/(1 - x)
-    and b = (f - a)/x, so a + x*b = f by construction, and the check
-    that pins the split is the palindromy of a and b.
+    a has len(f) entries and b one fewer, none for an empty f.
+    a = (f - x*flip(f))/(1 - x)
+    in closed form: with d = len(f) - 1 and the prefix sums
+    F_i = f_0 + ... + f_i, a_i = F_i + F_(d-i) - F_d, and
+    b_i = f_(d-i) - a_i for i < d.  Then a_i - a_(i-1) = f_i - f_(d+1-i),
+    so a + x*b = f by construction, and the check that pins the split
+    is the palindromy of a and b.
     """
-    a = _over_one_minus([x - y for x, y in zip(f + [0], [0] + f[::-1])], 1)
-    b = [fi - ai for fi, ai in zip(f[1:], a[1:])]
+    if not f:
+        return [], []
+    prefix = list(accumulate(f))
+    top = prefix[-1]
+    a = [x + y - top for x, y in zip(prefix, reversed(prefix))]
+    b = [x - y for x, y in zip(f[:0:-1], a)]
     assert a == a[::-1] and b == b[::-1], "split parts are not palindromic"
     return a, b
 

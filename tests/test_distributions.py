@@ -284,8 +284,8 @@ def test_word_table_matches_brute_force():
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_division_by_one_minus_x_to_the_k(k):
-    # both callers divide exactly by identity, so only this test reaches
-    # the remainder branch
+    # its one caller divides exactly by identity, so only this test
+    # reaches the remainder branch
     quotient = [3, -1, 0, F(1, 2), 4, 2]
     row = quotient + [0] * k
     for i, c in enumerate(quotient):  # times 1 - x^k

@@ -157,18 +157,37 @@ def test_row_kernel_matches_reference_route(n):
 
 def test_split_kernel_matches_the_division_route_on_random_lists():
     # rows no counting polynomial produces: negative ints, Fractions and
-    # zeros, at every length 1..12, zero top entries included
+    # zeros, at every length 0..12, zero top entries included; the empty
+    # row splits into two empty lists
     rng = random.Random(1)
     for _ in range(1500):
         f = [rng.choice((0, rng.randint(-99, 99),
                          F(rng.randint(-99, 99), rng.randint(1, 12))))
-             for _ in range(rng.randint(1, 12))]
+             for _ in range(rng.randint(0, 12))]
         a, b = symmetry._split_ints(f)
-        assert (len(a), len(b)) == (len(f), len(f) - 1), f
+        assert (len(a), len(b)) == (len(f), max(len(f) - 1, 0)), f
         ref_a, ref_b = _division_split(MPoly(("t",), {
             (k,): c for k, c in enumerate(f)}), "t", len(f) - 1)
         assert MPoly(("t",), {(k,): c for k, c in enumerate(a)}) == ref_a, f
         assert MPoly(("t",), {(k,): c for k, c in enumerate(b)}) == ref_b, f
+
+
+def test_the_split_divides_by_nothing(monkeypatch):
+    # the split is a prefix sum in closed form: with the division by
+    # 1 - x^k made to raise, its consumers still give their results
+    def results():
+        return (sym_decompose(trivariate(6), "t", 5),
+                [conjecture_scan(n, F(3, 2), F(5, 4)) for n in range(1, 10)],
+                verify_thm20(9))
+
+    want = results()
+
+    def refuse(row, k):
+        raise AssertionError(f"divided by 1 - x^{k}")
+
+    monkeypatch.setattr(distributions, "_over_one_minus", refuse)
+    assert not hasattr(symmetry, "_over_one_minus")
+    assert results() == want and want[2] == []
 
 
 def test_verify_thm20_reports_a_corrupted_b_part(monkeypatch):
