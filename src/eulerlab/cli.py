@@ -5,8 +5,11 @@ identity (the witness is printed), 2 when the request was refused, by
 :class:`~eulerlab.mpoly.Refused` or an OSError on ``--out``: an
 ``error:`` line goes to stderr and nothing to stdout.  Each command
 returns its exit code and its whole stdout, and :func:`main` alone
-prints it, after the command has returned.  A fault inside a kernel,
-an inexact division or any other ValueError, is a bug and raises.  A
+prints it, after the command has returned.  A stdout whose reader has
+gone (``eulerlab table | head -1``) exits 2 as well, with one ``error:``
+line and no traceback, so that 1 still means only a failing identity.
+A fault inside a kernel, an inexact division or any other ValueError,
+is a bug and raises.  A
 rational argument is an integer, ``a/b`` or a decimal such as ``1.5``
 (the rational 3/2), parsed exactly by :func:`eulerlab.mpoly._coefficient`,
 so nothing ever round-trips through floating point; the exponent form
@@ -349,7 +352,16 @@ def main(argv=None) -> int:
     except (Refused, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # stdout's reader is gone: point its descriptor at devnull, so the
+        # interpreter's last flush of what stays in the buffer is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

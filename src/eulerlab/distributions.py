@@ -61,7 +61,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .mpoly import DivisibilityError, MPoly, Refused
+from .mpoly import MPoly, Refused
 from .perms import check_n, stable_subsets
 
 
@@ -331,17 +331,6 @@ def _xi_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
     return slices
 
 
-def _over_one_minus(row: list, k: int) -> list:
-    """row / (1 - x^k) in place: a prefix sum with stride k, whose top k
-    entries are the remainder; DivisibilityError unless they are zero."""
-    for i in range(k, len(row)):
-        row[i] += row[i - k]
-    if any(row[-k:]):
-        raise DivisibilityError(f"division by 1 - x^{k} left a remainder")
-    del row[-k:]
-    return row
-
-
 def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
     """(des, maj) over the words of the given content: entry d holds, as
     q-coefficients, the maj distribution of the words with d descents.
@@ -351,18 +340,26 @@ def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
     n - 1 descents, so everything is cut after t^(n-1).  R_0 = 1, and
     each block a takes R_k to R_(k+1) by the ratio
     [a + k + 1 choose a]_q / [a + k choose a]_q
-    = (1 - q^(a+k+1)) / (1 - q^(k+1)): a shift-subtract, then
-    :func:`_over_one_minus` with stride k + 1.
+    = (1 - q^(a+k+1)) / (1 - q^(k+1)), in closed form: with stride
+    s = k + 1 and shift = a + s, pad the row with a zeros and take its
+    prefix sums P with stride s, the row over 1 - q^s as a series; the
+    new row is P_i - P_(i-shift), with P_j = 0 for j < 0.  That series is
+    the row times the ratio, again a product of q-binomials: a polynomial
+    with a more entries than the row, so it is zero past the padded
+    length and nothing is dropped.
     """
     n = sum(content)
     row = [1]
     rows = [row]
     for stride in range(1, n):
         for a in content:
-            # times 1 - q^shift, then divided exactly by 1 - q^stride
+            # times (1 - q^shift) / (1 - q^stride)
             shift = a + stride
-            row = _over_one_minus([x - y for x, y in zip(
-                row + [0] * shift, [0] * shift + row)], stride)
+            prefix = row + [0] * a
+            for i in range(stride, len(prefix)):
+                prefix[i] += prefix[i - stride]
+            row = prefix[:shift] + [
+                x - y for x, y in zip(prefix[shift:], prefix)]
         rows.append(row)
     for j in range(n + 1):
         # times 1 - t q^j, in place from the top row down so each reads

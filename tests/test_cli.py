@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -552,6 +555,26 @@ def test_a_kernel_value_error_raises_with_nothing_on_stdout(capsys,
     with pytest.raises(ValueError, match="forced kernel fault"):
         main(["gamma", "--family", "des_exc", "--n", "4"])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [("table", "--max-n", "3"), ("verify",)],
+                         ids=" ".join)
+def test_a_closed_stdout_exits_2_with_one_error_line(argv):
+    # the read end of stdout's pipe is closed, as once `| head -1` quits:
+    # a refusal, not a traceback and exit 1, which means a failing identity
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(eulerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "eulerlab.cli",
+             *argv], stdout=write, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("refuse", [

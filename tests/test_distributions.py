@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -8,10 +8,11 @@ from eulerlab import distributions
 from eulerlab.distributions import (build_distribution, classic_eulerian,
                                     derangement_lhs, derangement_poly,
                                     eulerian_st, exc_slice, trivariate, xi)
-from eulerlab.mpoly import DivisibilityError, MPoly
+from eulerlab.mpoly import MPoly
 from eulerlab.perms import (MAX_ENUM_N, enumerate_perms, inverse,
                             stable_subsets, stats)
-from eulerlab.qanalog import fubini_number, int_trim, subfactorial
+from eulerlab.qanalog import (fubini_number, int_add, int_mul, int_trim,
+                              subfactorial)
 
 S, T = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
 TT, P, Q = (MPoly.variable(v, ("t", "p", "q")) for v in ("t", "p", "q"))
@@ -262,17 +263,23 @@ def test_transposed_mask_matches_reference_filter():
                 == _reference_transposed_slices(n)), n
 
 
+def _contents(n):
+    """Every content of a word of length n: the sorted block sizes of n
+    cut at any subset of 1..n-1."""
+    contents = set()
+    for size in range(n):
+        for cuts in combinations(range(1, n), size):
+            bounds = (0, *cuts, n)
+            contents.add(tuple(sorted(
+                b - a for a, b in zip(bounds, bounds[1:]))))
+    return sorted(contents)
+
+
 def test_word_table_matches_brute_force():
     # every content to n = 7, blocks of size 1 included, which no slice
     # asks for, against the (des, maj) counts of its distinct words
     for n in range(1, 8):
-        contents = set()
-        for size in range(n):
-            for cuts in combinations(range(1, n), size):
-                bounds = (0, *cuts, n)
-                contents.add(tuple(sorted(
-                    b - a for a, b in zip(bounds, bounds[1:]))))
-        for content in contents:
+        for content in _contents(n):
             letters = [v for v, m in enumerate(content) for _ in range(m)]
             counts = [[0] * (n * (n - 1) // 2 + 1) for _ in range(n)]
             for word in set(permutations(letters)):
@@ -282,21 +289,35 @@ def test_word_table_matches_brute_force():
             assert distributions._word_des_maj(content) == want, content
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_division_by_one_minus_x_to_the_k(k):
-    # its one caller divides exactly by identity, so only this test
-    # reaches the remainder branch
-    quotient = [3, -1, 0, F(1, 2), 4, 2]
-    row = quotient + [0] * k
-    for i, c in enumerate(quotient):  # times 1 - x^k
-        row[i + k] -= c
-    exact = list(row)
-    assert distributions._over_one_minus(exact, k) is exact
-    assert exact == quotient
-    row[1] += 1  # plus x, which 1 - x^k does not divide
-    message = f"^division by 1 - x\\^{k} left a remainder$"
-    with pytest.raises(DivisibilityError, match=message):
-        distributions._over_one_minus(row, k)
+def test_word_table_sums_match_two_oracles_that_divide_by_nothing():
+    # every content above brute force, to one past the cap.  Over des
+    # the table sums to the q-multinomial, maj's distribution on words,
+    # here a product of q-binomials from q-Pascal:
+    # [m choose k] = [m - 1 choose k - 1] + q^k [m - 1 choose k].  At
+    # q = 1, row d sums to sum_{j <= d} (-1)^j C(n + 1, j) prod_a
+    # C(a + d - j, a), MacMahon's t-series at q = 1
+    top = MAX_ENUM_N + 1
+    q_binomials = [[[1]]]
+    for m in range(1, top + 1):
+        prev = q_binomials[-1] + [[]]
+        q_binomials.append([int_add(prev[k - 1] if k else [],
+                                    [0] * k + prev[k])
+                            for k in range(m + 1)])
+    for n in range(8, top + 1):
+        for content in _contents(n):
+            table = distributions._word_des_maj(content)
+            total, multinomial, size = [], [1], 0
+            for row in table:
+                total = int_add(total, row)
+            for a in content:
+                size += a
+                multinomial = int_mul(multinomial, q_binomials[size][a])
+            assert total == multinomial, content
+            for d, row in enumerate(table):
+                assert sum(row) == sum(
+                    (-1) ** j * comb(n + 1, j)
+                    * prod(comb(a + d - j, a) for a in content)
+                    for j in range(d + 1)), (content, d)
 
 
 def test_exc_slice():
