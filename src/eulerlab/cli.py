@@ -9,11 +9,10 @@ prints it, after the command has returned.  A stdout whose reader has
 gone (``eulerlab table | head -1``) exits 2 as well, with one ``error:``
 line and no traceback, so that 1 still means only a failing identity.
 A fault inside a kernel, an inexact division or any other ValueError,
-is a bug and raises.  A
-rational argument is an integer, ``a/b`` or a decimal such as ``1.5``
-(the rational 3/2), parsed exactly by :func:`eulerlab.mpoly._coefficient`,
-so nothing ever round-trips through floating point; the exponent form
-(``1e9``) is a usage error.
+is a bug and raises.  A rational argument is an integer, ``a/b`` or a
+decimal such as ``1.5`` (the rational 3/2), parsed exactly by
+:func:`eulerlab.mpoly._coefficient`, so nothing ever round-trips through
+floating point; the exponent form (``1e9``) is a usage error.
 """
 
 from __future__ import annotations

@@ -345,7 +345,7 @@ def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
     prefix sums P with stride s, the row over 1 - q^s as a series; the
     new row is P_i - P_(i-shift), with P_j = 0 for j < 0.  That series is
     the row times the ratio, again a product of q-binomials: a polynomial
-    with a more entries than the row, so it is zero past the padded
+    whose degree is the row's plus a, so it is zero past the padded
     length and nothing is dropped.
     """
     n = sum(content)
