@@ -20,18 +20,24 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import factorial
 
-from .distributions import FAMILIES, build_distribution, classic_eulerian
-from .mpoly import MPoly, Refused, Scalar, _coefficient
-from .perms import check_n
+from .distributions import FAMILIES, build_distribution
+from .mpoly import Refused, Scalar, _coefficient, _render_as
 
-# Each command imports the modules it runs, so building the parser loads
-# only what poly and export need.  verify's choices are therefore spelled
-# out here: the tokens of checks.CHECKS, in order (a test keeps the two
-# equal).
+#: every command, in the order --help lists them
+_COMMANDS = ("table", "poly", "decompose", "gamma", "det", "verify", "scan",
+             "export")
+
+# Each command imports the modules it runs, and main builds the parser of
+# the one command it runs, so a poly or export process loads and compiles
+# only what that command needs.  The choices that other modules define are
+# therefore spelled out here, and a test keeps each pair equal: verify's
+# are the tokens of checks.CHECKS, and decompose's and gamma's families
+# those of _commands._DECOMP_VAR, in order.
 _SUITES = ("macmahon", "thm01", "thm20", "eq1", "gf", "thT1", "fubini",
            "li-binomial", "counts")
+_DECOMP_FAMILIES = ("des_exc", "trivariate", "classic_eulerian",
+                    "derangement")
 
 
 def _rational(text: str) -> Scalar:
@@ -42,10 +48,6 @@ def _rational(text: str) -> Scalar:
             f"expected a rational like 3/2 or 2, got {text!r}")
 
 
-def _render(poly: MPoly, fmt: str) -> str:
-    return {"json": poly.dumps, "latex": poly.latex}.get(fmt, poly.text)()
-
-
 _DIGITS_HELP = (
     "A value a/b has digits(a/b) = max(len(str(|a|)), len(str(b))).  "
     "Values are refused if digits(n! * 2^(1 + (d+1)^2 // 4)) plus, for each "
@@ -54,144 +56,17 @@ _DIGITS_HELP = (
     "ambient degree: that sum bounds the digits of every printed integer.")
 
 
-#: floor(log10(2) * 2**128).  b * _LOG10_2 >> 128 is floor(b * log10(2))
-#: for every b below 2**64: log10(2) - _LOG10_2 / 2**128 < 2**-131, so
-#: the error is below 2**-67, and the fractional part of b * log10(2) is
-#: above 2**-65 (its least value over b < 2**64 sits at a lower
-#: intermediate fraction of log10(2)'s continued fraction).
-_LOG10_2 = 0x4D104D427DE7FBCC47C4ACD605BE48BC
-
-
-def _digits(x: int) -> int:
-    """len(str(abs(x))), counted without the string, which Python will
-    not build past sys.get_int_max_str_digits() digits.  With b the bit
-    length of x > 0 and e = floor(b * log10(2)), 10**(e - 1) < 2**(b - 1)
-    <= x < 2**b < 10**(e + 1), so x has e or e + 1 digits, and one
-    comparison tells which."""
-    x = abs(x) or 1
-    e = x.bit_length() * _LOG10_2 >> 128
-    return e + (x >= 10 ** e)
-
-
-def _check_digits(poly: MPoly, n: int, d: int, values: dict) -> None:
-    """Refuse, before any work, values whose output could hold an int
-    too long to print.  ``poly``'s coefficients are ints summing to at
-    most n!, so over the common denominator prod b**k of the values a/b,
-    k the degree of ``poly`` in each, the specialized coefficients have
-    int numerators whose sizes sum to at most n! * prod max(|a|, b)**k.
-    Each entry of the split's parts a and b is a difference of two sums
-    of those numerators, so at most double that, and each gamma step
-    m = d, d - 2, ... multiplies the largest entry by at most
-    1 + C(m, m // 2) <= 2**m: hence the bound of ``_DIGITS_HELP``.
-    Digits are counted by :func:`_digits`, so a value too long to print
-    is refused too."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bound = _digits(factorial(n) * 2 ** (1 + (d + 1) ** 2 // 4)) + sum(
-        poly.degree(v) * _digits(max(abs(x.numerator), x.denominator))
-        for v, x in values.items())
-    if limit and bound > limit:
-        raise Refused(
-            f"the values given could make the output print ints of up to "
-            f"{bound} digits, above the limit of {limit} "
-            f"(sys.get_int_max_str_digits()); see --help")
-
-
-_TABLE_FIELDS = ("n", "permutations", "derangements",
-                 "ordered_set_partitions", "eulerian")
-
-
-def _csv(header, rows) -> str:
-    """The header and rows as CSV lines joined by bare newlines.  No
-    field holds a comma, quote, CR or LF (ints, bools, 'a/b' rationals and
-    ';'-joined tuples), so none needs quoting."""
-    return "\n".join(",".join(map(str, row)) for row in (header, *rows))
-
-
-def _cmd_table(args) -> tuple[int, str]:
-    from .qanalog import fubini_number, subfactorial
-
-    check_n(args.max_n, 1)  # before any build
-    rows = [(n, factorial(n), subfactorial(n), fubini_number(n),
-             classic_eulerian(n).to_dense("x"))
-            for n in range(1, args.max_n + 1)]
-    if args.format == "json":
-        import json
-        return 0, json.dumps([dict(zip(_TABLE_FIELDS, r)) for r in rows],
-                             separators=(",", ":"))
-    if args.format == "csv":
-        return 0, _csv(_TABLE_FIELDS, [(*counts, ";".join(map(str, eulerian)))
-                                       for *counts, eulerian in rows])
-    return 0, "\n".join(
-        [f"{'n':>2} {'perms':>9} {'derange':>9} {'ordered':>9}  eulerian"]
-        + [f"{n:>2} {perms:>9} {derange:>9} {ordered:>9}  "
-           f"{' '.join(map(str, eulerian))}"
-           for n, perms, derange, ordered, eulerian in rows])
-
-
 def _cmd_poly(args) -> tuple[int, str]:
     poly = build_distribution(args.family, args.n, args.i, args.k)
-    return 0, _render(poly, args.format)
+    return 0, _render_as(poly, args.format)
 
 
-_DECOMP_VAR = {"des_exc": "t", "trivariate": "t",
-               "classic_eulerian": "x", "derangement": "x"}
-
-
-def _split(args):
-    """The family at --n, specialized at --s/--p/--q, split at --d or n-1:
-    the parts a and b, the split variable and the ambient degree."""
-    from .symmetry import sym_decompose
-
-    # each family's degree in its split variable is below n; cost grows with d
-    if args.d is not None and not 0 <= args.d <= args.n:
-        bound = "nonnegative" if args.d < 0 else f"at most n={args.n}"
-        raise Refused(f"ambient degree must be {bound}, got {args.d}")
-    poly = build_distribution(args.family, args.n)
-    values = {name: getattr(args, name) for name in ("s", "p", "q")
-              if getattr(args, name) is not None}
-    for name in values:
-        if name not in poly.vars:
-            raise Refused(f"--{name} does not apply to family {args.family!r}")
-    d = args.d if args.d is not None else args.n - 1
-    _check_digits(poly, args.n, d, values)
-    var = _DECOMP_VAR[args.family]
-    a, b = sym_decompose(poly.subs(values), var, d)
-    return a, b, var, d
-
-
-def _cmd_decompose(args) -> tuple[int, str]:
-    a, b, var, d = _split(args)
-    return 0, (f"a ({var}-palindromic, ambient degree {d}): "
-               f"{_render(a, args.format)}\n"
-               f"b ({var}-palindromic, ambient degree {d - 1}): "
-               f"{_render(b, args.format)}")
-
-
-def _cmd_gamma(args) -> tuple[int, str]:
-    from .symmetry import gamma_expand
-
-    a, b, var, d = _split(args)
-    lines = []
-    for label, part, amb in (("a", a, d), ("b", b, d - 1)):
-        if part.is_zero():
-            lines.append(f"gamma[{label}]: zero polynomial, empty expansion")
-            continue
-        lines += [f"gamma[{label}][{i}] = {_render(g, args.format)}"
-                  for i, g in enumerate(gamma_expand(part, var, amb))]
-    return 0, "\n".join(lines)
-
-
-def _cmd_det(args) -> tuple[int, str]:
-    from .detformula import det_Mnr, reconstruct_a
-
-    det = det_Mnr(args.n)
-    fmts = ("latex", "json") if args.format == "all" else (args.format,)
-    lines = [f"det ({fmt}): {_render(det, fmt)}" for fmt in fmts]
-    if args.n >= 1:
-        rec = reconstruct_a(args.n)
-        lines += [f"reconstructed_a ({fmt}): {_render(rec, fmt)}"
-                  for fmt in fmts]
-    return 0, "\n".join(lines)
+def _cmd_elsewhere(args) -> tuple[int, str]:
+    """Run table, decompose, gamma, det or scan: the function of the
+    command's name in :mod:`eulerlab._commands`, which no other command
+    compiles."""
+    from . import _commands
+    return getattr(_commands, args.command)(args)
 
 
 def _cmd_verify(args) -> tuple[int, str]:
@@ -207,30 +82,6 @@ def _cmd_verify(args) -> tuple[int, str]:
     failed = not all(res.passed for res in results)
     lines.append("result: " + ("FAIL" if failed else "PASS"))
     return int(failed), "\n".join(lines)
-
-
-def _cell(value):
-    """A scan value as a row shows it: a tuple joined by ';', a bool or
-    int as it is, a rational as its a/b string."""
-    if type(value) is tuple:
-        return ";".join(map(str, value))
-    return value if isinstance(value, int) else str(value)
-
-
-def _cmd_scan(args) -> tuple[int, str]:
-    from .symmetry import ScanReport, _check_zone, conjecture_scan
-
-    check_n(args.max_n, 1)  # before any build
-    _check_zone(args.p, args.q, args.force)
-    _check_digits(build_distribution("trivariate", args.max_n), args.max_n,
-                  args.max_n - 1, {"p": args.p, "q": args.q})
-    reports = [conjecture_scan(n, args.p, args.q, force=args.force)
-               for n in range(1, args.max_n + 1)]
-    rows = [{k: _cell(v) for k, v in r._asdict().items()} for r in reports]
-    if args.format == "json":
-        import json
-        return 0, json.dumps(rows, separators=(",", ":"))
-    return 0, _csv(ScanReport._fields, [row.values() for row in rows])
 
 
 #: the families only export writes: family -> the package's exported
@@ -261,40 +112,54 @@ def _cmd_export(args) -> tuple[int, str]:
     return 0, f"wrote {args.out}"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.  Either way
+    the top-level usage names every command, so a parser of one command
+    prints the same usage and errors for the arguments it accepts."""
     parser = argparse.ArgumentParser(
         prog="eulerlab",
         description="Exact joint descent/excedance polynomials, their "
                     "palindromic decompositions, and verification suites.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # argparse's own metavar for the full set, given only to a partial one:
+    # a metavar would also replace "command" in the full parser's
+    # "the following arguments are required" error
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
 
-    p = sub.add_parser("table", help="counting table for small n")
-    p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--format", choices=("text", "csv", "json"),
-                   default="text")
-    p.set_defaults(fn=_cmd_table)
+    def wanted(name: str) -> bool:
+        return command in (None, name)
 
-    p = sub.add_parser("poly", help="print one distribution polynomial")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, default=None,
-                   help="slice index for family xi")
-    p.add_argument("--k", type=int, default=None,
-                   help="excedance level for family exc_slice")
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default="text")
-    p.set_defaults(fn=_cmd_poly)
+    if wanted("table"):
+        p = sub.add_parser("table", help="counting table for small n")
+        p.add_argument("--max-n", type=int, default=7)
+        p.add_argument("--format", choices=("text", "csv", "json"),
+                       default="text")
+        p.set_defaults(fn=_cmd_elsewhere)
+
+    if wanted("poly"):
+        p = sub.add_parser("poly", help="print one distribution polynomial")
+        p.add_argument("--family", choices=FAMILIES, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--i", type=int, default=None,
+                       help="slice index for family xi")
+        p.add_argument("--k", type=int, default=None,
+                       help="excedance level for family exc_slice")
+        p.add_argument("--format", choices=("text", "json", "latex"),
+                       default="text")
+        p.set_defaults(fn=_cmd_poly)
 
     decomp_help = ("The palindromic split is taken in t (or x for the "
                    "single-statistic families) at ambient degree n-1 "
                    "unless --d overrides it.  The recursion this feeds "
                    "seeds with the zero polynomial at n = 0.  "
                    + _DIGITS_HELP)
-    for name, help_, fn in (
-            ("decompose", "palindromic decomposition", _cmd_decompose),
-            ("gamma", "gamma vectors of both parts", _cmd_gamma)):
+    for name, help_ in (("decompose", "palindromic decomposition"),
+                        ("gamma", "gamma vectors of both parts")):
+        if not wanted(name):
+            continue
         p = sub.add_parser(name, help=help_, epilog=decomp_help)
-        p.add_argument("--family", choices=tuple(_DECOMP_VAR),
+        p.add_argument("--family", choices=_DECOMP_FAMILIES,
                        default="des_exc")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--s", type=_rational, default=None,
@@ -305,47 +170,58 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ambient degree (default n-1)")
         p.add_argument("--format", choices=("text", "json", "latex"),
                        default="text")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_elsewhere)
 
-    p = sub.add_parser("det", help="determinant and the rebuilt a-part")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json", "latex", "all"),
-                   default="all")
-    p.set_defaults(fn=_cmd_det)
+    if wanted("det"):
+        p = sub.add_parser("det", help="determinant and the rebuilt a-part")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--format", choices=("text", "json", "latex", "all"),
+                       default="all")
+        p.set_defaults(fn=_cmd_elsewhere)
 
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--check", choices=_SUITES + ("all",),
-                   default="all")
-    p.add_argument("--max-n", type=int, default=None)
-    p.set_defaults(fn=_cmd_verify)
+    if wanted("verify"):
+        p = sub.add_parser("verify", help="run verification suites")
+        p.add_argument("--check", choices=_SUITES + ("all",),
+                       default="all")
+        p.add_argument("--max-n", type=int, default=None)
+        p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("scan", help="shape scan of the specialized "
-                                    "three-variable refinement",
-                       epilog="The family is trivariate at n = --max-n, "
-                              "with d = n - 1.  " + _DIGITS_HELP)
-    p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--p", type=_rational, default="2")
-    p.add_argument("--q", type=_rational, default="1")
-    p.add_argument("--force", action="store_true",
-                   help="allow p, q outside the hypothesis zone")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=_cmd_scan)
+    if wanted("scan"):
+        p = sub.add_parser("scan", help="shape scan of the specialized "
+                                        "three-variable refinement",
+                           epilog="The family is trivariate at n = --max-n, "
+                                  "with d = n - 1.  " + _DIGITS_HELP)
+        p.add_argument("--max-n", type=int, default=7)
+        p.add_argument("--p", type=_rational, default="2")
+        p.add_argument("--q", type=_rational, default="1")
+        p.add_argument("--force", action="store_true",
+                       help="allow p, q outside the hypothesis zone")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(fn=_cmd_elsewhere)
 
-    p = sub.add_parser("export", help="write one polynomial as canonical JSON")
-    p.add_argument("--family",
-                   choices=FAMILIES + tuple(_EXPORT_ONLY),
-                   required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_export)
+    if wanted("export"):
+        p = sub.add_parser("export",
+                           help="write one polynomial as canonical JSON")
+        p.add_argument("--family",
+                       choices=FAMILIES + tuple(_EXPORT_ONLY),
+                       required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--i", type=int, default=None)
+        p.add_argument("--k", type=int, default=None)
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=_cmd_export)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a first argument that names a command builds that command's parser
+    # alone; any other (none, -h, a typo) builds them all, for the
+    # top-level help and errors
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         code, text = args.fn(args)
     except (Refused, OSError) as exc:

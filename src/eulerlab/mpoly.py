@@ -24,8 +24,8 @@ a float or complex coefficient or value is refused with ValueError.
 ``fractions`` is imported on first need: the integer-first modules
 (this one, ``qanalog`` and ``symmetry``) get the class from
 :func:`_fraction`.  :meth:`MPoly.dumps` writes its canonical JSON text
-directly, term by term, and imports ``json`` only to escape the
-variable names.
+directly, term by term, and imports ``json`` only to escape a variable
+name that is not printable ASCII or holds ``"`` or ``\\``.
 """
 
 from __future__ import annotations
@@ -331,19 +331,18 @@ class MPoly:
         """Canonical JSON text: fixed key order, sorted terms, no whitespace.
 
         The text is written directly, one ``{"e":[..],"n":"..","d":".."}``
-        string per term in sorted exponent order; only the variable names
-        go through ``json``, which escapes them.  The bytes are those of
+        string per term in sorted exponent order, and each variable name
+        by :func:`_json_string`.  The bytes are those of
         ``json.dumps({"vars": [...], "terms": [...]}, separators=(",",
         ":"))`` without building that list of term dicts.
         """
-        import json
         terms = self.terms
         body = ",".join(
             f'{{"e":[{",".join(map(str, exp))}],'
             f'"n":"{terms[exp].numerator}","d":"{terms[exp].denominator}"}}'
             for exp in sorted(terms))
-        names = json.dumps(list(self.vars), separators=(",", ":"))
-        return f'{{"vars":{names},"terms":[{body}]}}'
+        names = ",".join(map(_json_string, self.vars))
+        return f'{{"vars":[{names}],"terms":[{body}]}}'
 
     @classmethod
     def loads(cls, text: str) -> "MPoly":
@@ -482,6 +481,22 @@ def _decimal(text) -> int:
     if not isinstance(text, str) or str(int(text)) != text:
         raise ValueError(f"{text!r} is not a canonical decimal string")
     return int(text)
+
+
+def _json_string(name: str) -> str:
+    """``json.dumps(name)``.  A name of printable ASCII with no ``"`` or
+    ``\\``, which JSON writes as it is, is quoted here, so the usual
+    names load no ``json``; any other name goes through ``json``."""
+    if (name.isascii() and name.isprintable()
+            and '"' not in name and "\\" not in name):
+        return f'"{name}"'
+    import json
+    return json.dumps(name)
+
+
+def _render_as(poly: MPoly, fmt: str) -> str:
+    """``poly`` in the CLI's ``--format`` ``fmt``: json, latex or text."""
+    return {"json": poly.dumps, "latex": poly.latex}.get(fmt, poly.text)()
 
 
 def _raw(vars: tuple[str, ...], terms: dict) -> MPoly:

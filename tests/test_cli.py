@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import eulerlab
-from eulerlab import cli, detformula, distributions, symmetry
+from eulerlab import _commands, cli, detformula, distributions, symmetry
 from eulerlab.checks import CHECKS, CheckResult
 from eulerlab.cli import main
 from eulerlab.detformula import det_Mnr
@@ -207,7 +208,7 @@ def test_split_at_a_given_ambient_degree(capsys):
 def test_ambient_degree_outside_0_to_n_is_a_usage_error(capsys, monkeypatch,
                                                         command, d):
     # refused before the family is built
-    monkeypatch.setattr(cli, "build_distribution", None)
+    monkeypatch.setattr(_commands, "build_distribution", None)
     code, out, err = run_cli(capsys, command, "--family", "derangement",
                              "--n", "1", "--d", d)
     assert code == 2 and out == ""
@@ -266,6 +267,11 @@ def test_verify_choices_are_the_registered_suites(capsys, monkeypatch):
     assert exc.value.code == 0
     usage = capsys.readouterr().out.splitlines()[0]
     assert "{" + ",".join([*CHECKS, "all"]) + "}" in usage
+
+
+def test_split_family_choices_are_the_split_table():
+    # cli spells the families out so the parser needs no _commands import
+    assert cli._DECOMP_FAMILIES == tuple(_commands._DECOMP_VAR)
 
 
 def test_verify_single_suite(capsys):
@@ -623,6 +629,51 @@ def test_commands_return_their_text_and_only_main_prints_it(
     assert run_cli(capsys, *argv) == (code, text + "\n", "")
 
 
+#: per command, arguments that parse, to which a test adds a bad one
+_PARSES = {"table": [], "poly": ["--family", "des_exc", "--n", "3"],
+           "decompose": ["--n", "3"], "gamma": ["--n", "3"],
+           "det": ["--n", "1"], "verify": [], "scan": [],
+           "export": ["--family", "des_exc", "--n", "3", "--out", "x.json"]}
+# main builds the parser of the command its first argument names; every
+# request that stops in argparse must end as it does in the full parser
+_PARSER_EXITS = [[], ["-h"], ["--help"], ["--nope"], ["nope"], ["pol"],
+                 ["-h", "poly"], ["--nope", "poly"]] + [
+    argv for name, args in _PARSES.items()
+    for argv in ([name, "--help"], [name, "--nope"],
+                 [name, *args, "--nope"], [name, *args, "extra"])]
+
+
+def _parser_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", _PARSER_EXITS,
+                         ids=lambda argv: " ".join(argv) or "no argument")
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parser_exit(capsys, cli.build_parser().parse_args, argv)
+    assert want[0] in (0, 2) and any(want[1:])
+    assert _parser_exit(capsys, main, argv) == want
+
+
+def test_main_reads_sys_argv_and_builds_one_subparser(capsys, monkeypatch):
+    # the console script and python -m call main() with no argv
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    monkeypatch.setattr(sys, "argv", ["eulerlab", "poly", "--family",
+                                      "des_exc", "--n", "3"])
+    assert main() == 0
+    assert built == ["poly"]
+    assert capsys.readouterr() == (eulerian_st(3).text() + "\n", "")
+
+
 def _digit_limit():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
@@ -655,9 +706,10 @@ def test_digit_count_is_the_printed_length():
     # confirms it at every k below 300 and around Python's digit limit,
     # which it has to lift there (str() at every k to 5000 took 2 s
     # on a 2-core x86)
+    digits = _commands._digits
     for k in range(1, 5001):
-        assert cli._digits(10 ** k - 1) == k, k
-        assert cli._digits(10 ** k + 1) == cli._digits(-10 ** k - 1) == k + 1
+        assert digits(10 ** k - 1) == k, k
+        assert digits(10 ** k + 1) == digits(-10 ** k - 1) == k + 1
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -665,7 +717,7 @@ def test_digit_count_is_the_printed_length():
         for x in [0, 9, 10] + [10 ** k + d for k in (*range(300), 4299,
                                                      4300, 4301, 5000)
                                for d in (-1, 1)]:
-            assert cli._digits(x) == cli._digits(-x) == len(str(x)), x
+            assert digits(x) == digits(-x) == len(str(x)), x
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

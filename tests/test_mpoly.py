@@ -7,8 +7,8 @@ import pytest
 from eulerlab.detformula import det_Mnr, reconstruct_a
 from eulerlab.distributions import (FAMILIES, build_distribution,
                                     eulerian_st, trivariate)
-from eulerlab.mpoly import (DivisibilityError, MPoly, _coefficient,
-                            canonical_vars, exact_divide)
+from eulerlab.mpoly import (VAR_ORDER, DivisibilityError, MPoly,
+                            _coefficient, canonical_vars, exact_divide)
 from eulerlab.symmetry import (a_part, conjecture_scan, gamma_expand_coeffs,
                                shape_checks)
 
@@ -266,6 +266,11 @@ def _export_polys():
 
 def test_dumps_matches_the_json_oracle_byte_for_byte():
     s, t = (MPoly.variable(v, ("s", "t")) for v in ("s", "t"))
+    # names dumps quotes itself and names it leaves to json: every ASCII
+    # character between two letters (controls, DEL, '"' and '\\'
+    # included), non-ASCII and astral characters, and the empty name
+    names = (*VAR_ORDER, *(f"a{chr(c)}b" for c in range(128)),
+             "\u03bb\u00e9", "\U0001d4ae", "x \U0001f600", "")
     edge = [
         MPoly.zero(("s", "t")),
         MPoly.zero(()),
@@ -273,6 +278,7 @@ def test_dumps_matches_the_json_oracle_byte_for_byte():
         (s - 2 * t) * F(-3, 4) + t ** 12 * 10 ** 40,
         MPoly(("\u03bb", "t"), {(2, 1): F(1, 3), (0, 0): -1}),
         MPoly(('a"b', "c\\d"), {(1, 0): 1, (0, 3): F(-5, 2)}),
+        MPoly(names, {(1,) * len(names): 3}),
     ]
     for f in edge:
         assert f.dumps() == _dumps_oracle(f), f

@@ -146,8 +146,38 @@ def test_poly_and_export_load_no_other_module(tmp_path):
         jobs.append(["export", *args, "--out", str(tmp_path / "p.json")])
     got = _jobs(jobs)
     assert got["loaded"] == STARTUP
-    assert got["lazy"] == ["json"]
+    assert got["lazy"] == []
     assert not got["dataclasses"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-n", "3"],
+    ["decompose", "--n", "4"],
+    ["gamma", "--n", "4"],
+    ["det", "--n", "2"],
+    ["scan", "--max-n", "3"],
+], ids=lambda argv: argv[0])
+def test_the_other_commands_load_their_module(argv):
+    got = _jobs([argv])
+    assert "eulerlab._commands" in got["loaded"]
+
+
+def test_the_commands_module_never_imports_cli():
+    # under python -m eulerlab.cli that module is __main__: importing it
+    # by name would compile it a second time
+    got = _probe("import json, sys\n"
+                 "import eulerlab._commands\n"
+                 "print(json.dumps(sorted(sys.modules)))")
+    assert "eulerlab.cli" not in got
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "eulerlab.cli", "table",
+         "--max-n", "2"], env=_env(), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()]
+    assert "eulerlab._commands" in imported
+    assert "eulerlab.cli" not in imported
 
 
 def test_integer_json_round_trip_loads_no_fractions():
@@ -231,6 +261,7 @@ def test_verify_loads_no_dataclasses_or_series_oracle():
             for name, (_, (first, _, _)) in CHECKS.items()]
     got = _jobs(jobs)
     assert not got["dataclasses"]
+    assert "eulerlab._commands" not in got["loaded"]
     assert "eulerlab.series" not in got["loaded"]
     assert "eulerlab.univariate" not in got["loaded"]
 
