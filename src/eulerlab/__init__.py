@@ -21,12 +21,12 @@ _EXPORTS = {
     "checks": ("CHECKS", "CheckResult", "run_checks"),
     "detformula": ("det_at", "det_bareiss", "det_Mnr", "f_at",
                    "reconstruct_a"),
-    "distributions": ("FAMILIES", "build_distribution", "classic_eulerian",
-                      "derangement_lhs", "derangement_poly", "eulerian_st",
-                      "exc_slice", "trivariate", "xi"),
+    "distributions": ("FAMILIES", "MAX_ENUM_N", "build_distribution",
+                      "classic_eulerian", "derangement_lhs",
+                      "derangement_poly", "eulerian_st", "exc_slice",
+                      "stable_subsets", "trivariate", "xi"),
     "gfengine": ("f_nkr", "f_nkr_closed", "verify_foata"),
     "mpoly": ("DivisibilityError", "MPoly", "VAR_ORDER"),
-    "perms": ("MAX_ENUM_N", "stable_subsets"),
     "qanalog": ("binom_poly", "fubini_number", "gen_binomial", "stirling2",
                 "subfactorial"),
     "symmetry": ("ScanReport", "ShapeFlags", "SymDecomp", "a_part",

@@ -14,9 +14,9 @@ from __future__ import annotations
 import sys
 from math import factorial
 
-from .distributions import build_distribution, classic_eulerian
-from .mpoly import MPoly, Refused, _render_as
-from .perms import check_n
+from .distributions import (_DECOMP_VAR, _trivariate_table,
+                            build_distribution, check_n, classic_eulerian)
+from .mpoly import Refused, _render_as
 
 #: floor(log10(2) * 2**128).  b * _LOG10_2 >> 128 is floor(b * log10(2))
 #: for every b below 2**64: log10(2) - _LOG10_2 / 2**128 < 2**-131, so
@@ -37,12 +37,12 @@ def _digits(x: int) -> int:
     return e + (x >= 10 ** e)
 
 
-def _check_digits(poly: MPoly, n: int, d: int, values: dict) -> None:
+def _check_digits(n: int, d: int, values: dict, degrees: dict) -> None:
     """Refuse, before any work, values whose output could hold an int
-    too long to print.  ``poly``'s coefficients are ints summing to at
+    too long to print.  The family's coefficients are ints summing to at
     most n!, so over the common denominator prod b**k of the values a/b,
-    k the degree of ``poly`` in each, the specialized coefficients have
-    int numerators whose sizes sum to at most n! * prod max(|a|, b)**k.
+    k = ``degrees[v]`` its degree in each v, the specialized coefficients
+    have int numerators whose sizes sum to at most n! * prod max(|a|, b)**k.
     Each entry of the split's parts a and b is a difference of two sums
     of those numerators, so at most double that, and each gamma step
     m = d, d - 2, ... multiplies the largest entry by at most
@@ -51,7 +51,7 @@ def _check_digits(poly: MPoly, n: int, d: int, values: dict) -> None:
     value too long to print is refused too."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     bound = _digits(factorial(n) * 2 ** (1 + (d + 1) ** 2 // 4)) + sum(
-        poly.degree(v) * _digits(max(abs(x.numerator), x.denominator))
+        degrees[v] * _digits(max(abs(x.numerator), x.denominator))
         for v, x in values.items())
     if limit and bound > limit:
         raise Refused(
@@ -92,12 +92,6 @@ def table(args) -> tuple[int, str]:
            for n, perms, derange, ordered, eulerian in rows])
 
 
-#: each family decompose and gamma split, and its split variable; cli
-#: spells out the same families, in this order, as --family's choices
-_DECOMP_VAR = {"des_exc": "t", "trivariate": "t",
-               "classic_eulerian": "x", "derangement": "x"}
-
-
 def _split(args):
     """The family at --n, specialized at --s/--p/--q, split at --d or n-1:
     the parts a and b, the split variable and the ambient degree."""
@@ -114,7 +108,7 @@ def _split(args):
         if name not in poly.vars:
             raise Refused(f"--{name} does not apply to family {args.family!r}")
     d = args.d if args.d is not None else args.n - 1
-    _check_digits(poly, args.n, d, values)
+    _check_digits(args.n, d, values, {v: poly.degree(v) for v in values})
     var = _DECOMP_VAR[args.family]
     a, b = sym_decompose(poly.subs(values), var, d)
     return a, b, var, d
@@ -168,8 +162,9 @@ def scan(args) -> tuple[int, str]:
 
     check_n(args.max_n, 1)  # before any build
     _check_zone(args.p, args.q, args.force)
-    _check_digits(build_distribution("trivariate", args.max_n), args.max_n,
-                  args.max_n - 1, {"p": args.p, "q": args.q})
+    top_des, top_gap, _ = _trivariate_table(args.max_n, False)
+    _check_digits(args.max_n, args.max_n - 1, {"p": args.p, "q": args.q},
+                  {"p": top_des, "q": top_gap})
     reports = [conjecture_scan(n, args.p, args.q, force=args.force)
                for n in range(1, args.max_n + 1)]
     rows = [{k: _cell(v) for k, v in r._asdict().items()} for r in reports]

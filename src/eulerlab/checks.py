@@ -16,14 +16,13 @@ from collections import namedtuple
 from math import comb, factorial
 
 # symmetry and gfengine are imported inside the suites that run them, so
-# a verify process loads only the modules of its suites.  detformula stays
-# here: perfbench's tracer reaches it as an attribute of the package after
-# importing only checks and series.
-from . import detformula, distributions
-from .distributions import (classic_eulerian, derangement_lhs,
+# a verify process loads only the modules of its suites.  detformula and
+# perms, which no suite runs, stay here: perfbench's tracer reaches them
+# as attributes of the package after importing only checks and series.
+from . import detformula, distributions, perms
+from .distributions import (MAX_ENUM_N, classic_eulerian, derangement_lhs,
                             derangement_poly, eulerian_st, exc_slice)
 from .mpoly import DivisibilityError, MPoly, Refused
-from .perms import MAX_ENUM_N
 from .qanalog import fubini_number, subfactorial
 
 

@@ -21,8 +21,12 @@ import argparse
 import os
 import sys
 
-from .distributions import FAMILIES, build_distribution
-from .mpoly import Refused, Scalar, _coefficient, _render_as
+from .distributions import _DECOMP_VAR, FAMILIES, build_distribution
+from .mpoly import Refused, _coefficient, _render_as
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: every command, in the order --help lists them
 _COMMANDS = ("table", "poly", "decompose", "gamma", "det", "verify", "scan",
@@ -30,17 +34,14 @@ _COMMANDS = ("table", "poly", "decompose", "gamma", "det", "verify", "scan",
 
 # Each command imports the modules it runs, and main builds the parser of
 # the one command it runs, so a poly or export process loads and compiles
-# only what that command needs.  The choices that other modules define are
-# therefore spelled out here, and a test keeps each pair equal: verify's
-# are the tokens of checks.CHECKS, and decompose's and gamma's families
-# those of _commands._DECOMP_VAR, in order.
+# only what that command needs.  verify's choices, the tokens of
+# checks.CHECKS, are therefore spelled out here, and a test keeps the two
+# equal.
 _SUITES = ("macmahon", "thm01", "thm20", "eq1", "gf", "thT1", "fubini",
            "li-binomial", "counts")
-_DECOMP_FAMILIES = ("des_exc", "trivariate", "classic_eulerian",
-                    "derangement")
 
 
-def _rational(text: str) -> Scalar:
+def _rational(text: str) -> int | Fraction:
     try:
         return _coefficient(text)
     except (ValueError, ZeroDivisionError):
@@ -159,7 +160,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if not wanted(name):
             continue
         p = sub.add_parser(name, help=help_, epilog=decomp_help)
-        p.add_argument("--family", choices=_DECOMP_FAMILIES,
+        p.add_argument("--family", choices=tuple(_DECOMP_VAR),
                        default="des_exc")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--s", type=_rational, default=None,

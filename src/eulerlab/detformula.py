@@ -38,8 +38,8 @@ from __future__ import annotations
 from collections import deque
 from math import comb
 
+from .distributions import check_n
 from .mpoly import DivisibilityError, MPoly
-from .perms import check_n
 from .qanalog import (_check_ints, _check_naturals, binom_poly, gen_binomial,
                       int_add, int_div, int_mul, int_sub, int_trim)
 
@@ -156,8 +156,8 @@ def det_Mnr(n: int) -> MPoly:
     The determinant has degree at most n in r, so it equals its Newton
     form sum_k Delta**k det(0) * C(r, k) over the values r = 0..n.
     n runs from 0 up to ``MAX_ENUM_N``, the largest n whose a_n the
-    reconstruction can be checked against; ``perms.check_n`` refuses
-    the rest.
+    reconstruction can be checked against; ``distributions.check_n``
+    refuses the rest.
     """
     check_n(n, 0)
     acc = MPoly.zero(_VARS)

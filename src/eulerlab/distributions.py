@@ -14,8 +14,8 @@ only as a count; they rank below every exact one.  The families that
 read descents also keep the rank of the last value among the remaining
 ones, and the three-variable refinements and the xi fold the descent
 count so far.  No part of a state has a size limit, so the fold is exact
-at every n and ``perms.MAX_ENUM_N`` caps n for cost alone.  Each merged
-state holds one packed int over the remaining statistics, and since a
+at every n and the cap :data:`MAX_ENUM_N` is set by cost alone.  Each
+merged state holds one packed int over the remaining statistics, and as a
 family reads the last value only through the descent test, each value is
 placed once after all the prefixes ending below it and once after those
 ending above it.  So n = 13 takes well under a second
@@ -25,10 +25,9 @@ permutations would take hours.  Each family only supplies the move that
 reads its statistics off one placed value.  :func:`eulerian_st`, whose
 polynomial several consumers read within one command, is cached.  So is
 the integer table of the three-variable fold (:func:`_trivariate_table`)
-behind :func:`trivariate`, :func:`derangement_lhs` and ``scan``; it is
-private and its cache untyped, so each public reader checks n with
-``perms.check_n`` before it reads it.  No command asks
-:func:`classic_eulerian`, :func:`derangement_poly`, the word table
+behind :func:`trivariate`, :func:`derangement_lhs` and ``scan``, whose
+readers :func:`check_n` guards.  No command asks :func:`classic_eulerian`,
+:func:`derangement_poly`, the word table
 :func:`_word_des_maj` or a slice table (:func:`_xi_slices`,
 :func:`_macmahon_slices`) for the same arguments twice: thm01 reads each
 slice table once per n, and :func:`xi` reads one per call.
@@ -36,9 +35,9 @@ slice table once per n, and :func:`xi` reads one per call.
 :func:`xi` reads its slices with no pass over S_n
 (:func:`_macmahon_slices`): MacMahon's formula for the (des, maj)
 distribution of words, with Moebius inversion over descent sets of the
-inverse.  The xi fold is left only as thm01's literal reading: thm01
-compares it whole with MacMahon's table.  Enumeration
-(:func:`perms.enumerate_perms` with :func:`perms.stats`) is the tests'
+inverse over :func:`stable_subsets`.  The xi fold is left only as
+thm01's literal reading: thm01 compares it whole with MacMahon's table.
+Enumeration (``perms.enumerate_perms`` with ``perms.stats``) is the tests'
 route: they compare every family and both slice tables against it byte
 for byte at small n.
 
@@ -62,7 +61,27 @@ from itertools import combinations
 from math import factorial
 
 from .mpoly import MPoly, Refused
-from .perms import check_n, stable_subsets
+
+#: Largest n of the S_n distribution builders, and the library's one size
+#: limit, set by cost alone.  At 13 the fold builds eulerian_st in about
+#: 0.01 s and trivariate in about 0.04 s with a 16 MB peak, and xi reads
+#: MacMahon's slices, with no fold, in about 0.04 s.  The costliest work
+#: at the cap is no build but thm01's literal reading, the xi fold: about
+#: 0.45 s with a 45 MB peak (fresh processes, 2-core x86, Python 3.11).
+MAX_ENUM_N = 13
+
+
+def check_n(n: int, lo: int) -> None:
+    """Refuse an n that is not an int in lo..MAX_ENUM_N; every S_n route
+    checks here.  The cached public builder, :func:`eulerian_st`, uses
+    ``lru_cache(typed=True)``, so a float n never hits the entry of the
+    equal int and always reaches this check.  The cached per-n table,
+    :func:`_trivariate_table`, is private and untyped, so every public
+    reader, ``conjecture_scan`` included, checks n here before reading."""
+    if type(n) is not int:
+        raise Refused(f"n must be an int, got {n!r}")
+    if not lo <= n <= MAX_ENUM_N:
+        raise Refused(f"n must be between {lo} and {MAX_ENUM_N}, got {n}")
 
 
 def _transfer(n: int, move, tagged: bool,
@@ -375,6 +394,26 @@ def _word_des_maj(content: tuple[int, ...]) -> tuple[list[int], ...]:
     return tuple(rows)
 
 
+def stable_subsets(lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Subsets of {lo, ..., hi} with no two consecutive members.
+
+    Ordered by size, then lexicographically; the empty set comes first.
+    An empty interval (``lo == hi + 1``) still has the empty subset.
+
+    >>> stable_subsets(2, 3)
+    [(), (2,), (3,)]
+    """
+    if type(lo) is not int or type(hi) is not int or lo > hi + 1:
+        raise ValueError(f"interval [{lo!r}, {hi!r}] is malformed")
+    members = range(lo, hi + 1)
+    out: list[tuple[int, ...]] = []
+    for size in range(len(members) + 1):
+        for sub in combinations(members, size):
+            if all(b - a >= 2 for a, b in zip(sub, sub[1:])):
+                out.append(sub)
+    return out
+
+
 def _macmahon_slices(n: int) -> dict[int, dict[tuple[int, int], int]]:
     """``{i: {(1 + des, maj): count}}`` for every slice i, with no S_n pass.
 
@@ -456,6 +495,11 @@ _BUILDERS = {
     "exc_slice": (exc_slice, "k"),
 }
 FAMILIES = tuple(_BUILDERS)
+
+#: the families that decompose and gamma split, each with the variable it
+#: is split in, in the order --help lists them
+_DECOMP_VAR = {"des_exc": "t", "trivariate": "t",
+               "classic_eulerian": "x", "derangement": "x"}
 
 
 def build_distribution(family: str, n: int, i: int | None = None,

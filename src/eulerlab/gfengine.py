@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .distributions import eulerian_st
+from .distributions import check_n, eulerian_st
 from .mpoly import MPoly
-from .perms import check_n
 from .qanalog import (_check_naturals, int_add, int_mul, int_sub, int_trim,
                       stirling2)
 
@@ -132,8 +131,8 @@ def verify_foata(max_n: int) -> tuple[list[str], list[str], list[str]]:
     a-part, telescope), each list empty when its statement holds.  A
     statement gives one witness per failing r, naming the lowest
     u-degree n where the two sides differ.  max_n runs from 0 up to
-    ``MAX_ENUM_N``, the builders' cap; ``perms.check_n`` refuses the rest
-    before any build.
+    ``MAX_ENUM_N``, the builders' cap; ``distributions.check_n`` refuses
+    the rest before any build.
     """
     # imported here, so the eq1 suite, which needs only f_nkr, does not
     # load symmetry

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Mapping
     from fractions import Fraction
-
-Scalar = Union[int, "Fraction"]
+    Scalar = int | Fraction
 
 #: Every variable this package uses, in display and serialization order.
 VAR_ORDER = ("s", "t", "u", "p", "q", "x", "r")
@@ -81,7 +81,7 @@ class MPoly:
         perm = None
         if order != vars:
             perm = tuple(vars.index(v) for v in order)
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if hasattr(terms, "items") else terms
         clean: dict[tuple[int, ...], Scalar] = {}
         width = len(vars)
         for exp, coeff in items:
@@ -211,8 +211,8 @@ class MPoly:
     def __pow__(self, n: int):
         if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        # every caller raises to at most perms.MAX_ENUM_N = 13, where repeated
-        # squaring measures no faster than n products in a row
+        # every caller raises to at most distributions.MAX_ENUM_N = 13, where
+        # repeated squaring measures no faster than n products in a row
         result = MPoly.const(self.vars, 1)
         for _ in range(n):
             result = result * self

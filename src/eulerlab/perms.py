@@ -1,4 +1,4 @@
-"""Permutations of {1, ..., n} in one-line notation, and their statistics.
+"""The tests' oracle: permutations of {1, ..., n} and their statistics.
 
 A permutation is a tuple of the values (pi(1), ..., pi(n)).  Positions
 and values are both 1-based throughout, which matches the usual
@@ -13,40 +13,14 @@ combinatorial conventions:
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from itertools import permutations
 
-from .mpoly import Refused
-
-#: Largest n of the S_n distribution builders, and the library's one size
-#: limit.  It is set by cost alone: the transfer kernel in
-#: ``distributions`` bounds no part of its state, so it is exact at every
-#: n.  It builds eulerian_st(13) in about 0.01 s and trivariate(13) in
-#: about 0.04 s with a 16 MB peak, and xi reads MacMahon's slices at 13,
-#: with no fold, in about 0.04 s.  The costliest work at the cap is no
-#: build but thm01's literal reading, the xi fold: about 0.45 s with a
-#: 45 MB peak (fresh processes, 2-core x86, Python 3.11).  Every public
-#: reader of a cached table checks n here before it reads the table.
-MAX_ENUM_N = 13
-
-
-def check_n(n: int, lo: int) -> None:
-    """Refuse an n that is not an int in lo..MAX_ENUM_N; every S_n route
-    checks here.  The cached public builder, ``eulerian_st``, uses
-    ``lru_cache(typed=True)``, so a float n never hits the entry of the
-    equal int and always reaches this check.  The cached per-n table of
-    ``distributions``, ``_trivariate_table``, is private and untyped, so
-    every public reader, ``symmetry.conjecture_scan`` included, calls
-    this check before it reads it."""
-    if type(n) is not int:
-        raise Refused(f"n must be an int, got {n!r}")
-    if not lo <= n <= MAX_ENUM_N:
-        raise Refused(f"n must be between {lo} and {MAX_ENUM_N}, got {n}")
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator, Sequence
 
 #: Largest n that :func:`enumerate_perms` lists.  Listing S_11 alone takes
-#: about 6.5 s and each further n multiplies the cost by about n.  No
-#: library route enumerates; the tests use it as the reference route at
-#: small n.
+#: about 6.5 s and each further n multiplies the cost by about n.
 _MAX_LIST_N = 10
 
 
@@ -101,28 +75,3 @@ def inverse(perm: Sequence[int]) -> tuple[int, ...]:
     for i, v in enumerate(perm, start=1):
         out[v - 1] = i
     return tuple(out)
-
-
-def is_derangement(perm: Sequence[int]) -> bool:
-    perm = _validate(perm)
-    return all(v != i for i, v in enumerate(perm, start=1))
-
-
-def stable_subsets(lo: int, hi: int) -> list[tuple[int, ...]]:
-    """Subsets of {lo, ..., hi} with no two consecutive members.
-
-    Ordered by size, then lexicographically; the empty set comes first.
-    An empty interval (``lo == hi + 1``) still has the empty subset.
-
-    >>> stable_subsets(2, 3)
-    [(), (2,), (3,)]
-    """
-    if type(lo) is not int or type(hi) is not int or lo > hi + 1:
-        raise ValueError(f"interval [{lo!r}, {hi!r}] is malformed")
-    members = range(lo, hi + 1)
-    out: list[tuple[int, ...]] = []
-    for size in range(len(members) + 1):
-        for sub in combinations(members, size):
-            if all(b - a >= 2 for a, b in zip(sub, sub[1:])):
-                out.append(sub)
-    return out

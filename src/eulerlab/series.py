@@ -19,12 +19,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable
 
 from .gfengine import _joint, _resummed
 from .qanalog import _check_naturals
 from .symmetry import a_part
 from .univariate import RatFunc, UPoly
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
 
 
 class USeries:

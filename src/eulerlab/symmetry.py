@@ -35,13 +35,13 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate
 from math import comb
-from typing import TYPE_CHECKING, Sequence
 
-from .distributions import _trivariate_table, eulerian_st
+from .distributions import _trivariate_table, check_n, eulerian_st
 from .mpoly import MPoly, Refused, _coefficient, _fraction
-from .perms import check_n
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from fractions import Fraction
 
 

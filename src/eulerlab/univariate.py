@@ -12,9 +12,10 @@ rational functions is therefore plain structural equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -25,7 +26,7 @@ class UPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -35,11 +36,11 @@ class UPoly:
         raise AttributeError("UPoly is immutable")
 
     @classmethod
-    def const(cls, value: Scalar) -> "UPoly":
+    def const(cls, value: int | Fraction) -> "UPoly":
         return cls((value,))
 
     @classmethod
-    def term(cls, k: int, value: Scalar = 1) -> "UPoly":
+    def term(cls, k: int, value: int | Fraction = 1) -> "UPoly":
         return cls((0,) * k + (value,))
 
     @property
@@ -136,7 +137,7 @@ class UPoly:
         lead = self.leading()
         return self if lead == 1 else self * (1 / lead)
 
-    def evaluate(self, value: Scalar) -> Fraction:
+    def evaluate(self, value: int | Fraction) -> Fraction:
         acc = _ZERO
         for c in reversed(self.coeffs):
             acc = acc * Fraction(value) + c

@@ -1,6 +1,6 @@
 import pytest
 
-from eulerlab import checks, detformula, distributions, gfengine, perms
+from eulerlab import checks, detformula, distributions, gfengine
 from eulerlab import symmetry
 from eulerlab.checks import CHECKS, run_checks
 from eulerlab.cli import main
@@ -233,14 +233,14 @@ def test_a_skewed_input_fails_its_line_with_its_witness(monkeypatch, name):
 def test_each_top_is_the_cap_of_its_route():
     for name in ("macmahon", "thm01", "thm20", "eq1", "gf", "fubini",
                  "li-binomial", "counts"):
-        assert CHECKS[name][1][2] == perms.MAX_ENUM_N, name
+        assert CHECKS[name][1][2] == distributions.MAX_ENUM_N, name
     # the top the table sets itself stays inside its route's cap
-    assert CHECKS["thT1"][1][2] <= perms.MAX_ENUM_N
+    assert CHECKS["thT1"][1][2] <= distributions.MAX_ENUM_N
     # one above a route's cap, the route refuses on its own
     with pytest.raises(ValueError):
-        eulerian_st(perms.MAX_ENUM_N + 1)
+        eulerian_st(distributions.MAX_ENUM_N + 1)
     with pytest.raises(ValueError):
-        gfengine.verify_foata(perms.MAX_ENUM_N + 1)
+        gfengine.verify_foata(distributions.MAX_ENUM_N + 1)
 
 
 def _labels(name, first, max_n):

@@ -269,11 +269,6 @@ def test_verify_choices_are_the_registered_suites(capsys, monkeypatch):
     assert "{" + ",".join([*CHECKS, "all"]) + "}" in usage
 
 
-def test_split_family_choices_are_the_split_table():
-    # cli spells the families out so the parser needs no _commands import
-    assert cli._DECOMP_FAMILIES == tuple(_commands._DECOMP_VAR)
-
-
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "thm20",
                            "--max-n", "5")
@@ -584,7 +579,7 @@ def test_a_closed_stdout_exits_2_with_one_error_line(argv):
 
 
 @pytest.mark.parametrize("refuse", [
-    lambda: eulerlab.perms.check_n(14, 1),
+    lambda: distributions.check_n(14, 1),
     lambda: eulerlab.checks.run_checks("nope"),
     lambda: eulerlab.checks.run_checks("gf", max_n=99),
     lambda: distributions.build_distribution("xi", 6),

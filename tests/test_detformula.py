@@ -7,9 +7,9 @@ import pytest
 from eulerlab import detformula
 from eulerlab.detformula import (det_at, det_Mnr, det_bareiss, f_at,
                                  reconstruct_a)
+from eulerlab.distributions import MAX_ENUM_N
 from eulerlab.gfengine import _binomial_series, _series_mul, _series_sub
 from eulerlab.mpoly import DivisibilityError, MPoly
-from eulerlab.perms import MAX_ENUM_N
 from eulerlab.qanalog import (gen_binomial, int_add, int_div, int_mul,
                               int_sub, int_trim)
 from eulerlab.series import f_series

@@ -5,12 +5,12 @@ from math import comb, factorial, prod
 import pytest
 
 from eulerlab import distributions
-from eulerlab.distributions import (build_distribution, classic_eulerian,
-                                    derangement_lhs, derangement_poly,
-                                    eulerian_st, exc_slice, trivariate, xi)
+from eulerlab.distributions import (MAX_ENUM_N, build_distribution,
+                                    classic_eulerian, derangement_lhs,
+                                    derangement_poly, eulerian_st, exc_slice,
+                                    stable_subsets, trivariate, xi)
 from eulerlab.mpoly import MPoly
-from eulerlab.perms import (MAX_ENUM_N, enumerate_perms, inverse,
-                            stable_subsets, stats)
+from eulerlab.perms import enumerate_perms, inverse, stats
 from eulerlab.qanalog import (fubini_number, int_add, int_mul, int_trim,
                               subfactorial)
 

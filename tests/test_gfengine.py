@@ -5,10 +5,10 @@ from math import comb
 import pytest
 
 from eulerlab import gfengine, symmetry
+from eulerlab.distributions import MAX_ENUM_N
 from eulerlab.gfengine import (_joint, _resummed, _statements, binom_resum,
                                f_nkr, f_nkr_closed, verify_foata)
 from eulerlab.mpoly import MPoly
-from eulerlab.perms import MAX_ENUM_N
 from eulerlab.series import (USeries, a_series_term, f_series, foata_term,
                              lhs_coeff, lhs_coeff_a)
 from eulerlab.symmetry import a_part

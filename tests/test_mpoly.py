@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
@@ -37,6 +38,15 @@ def test_constructor_reorders_exponents():
     b = MPoly(("t", "s"), {(1, 2): 5})
     assert a == b
     assert a.vars == ("s", "t")
+
+
+def test_constructor_reads_any_mapping_and_pairs():
+    # a mapping is told by its items method, with no typing or abc import
+    terms = {(2, 1): 5, (0, 0): F(1, 2)}
+    want = MPoly(("s", "t"), terms)
+    assert MPoly(("s", "t"), MappingProxyType(terms)) == want
+    assert MPoly(("s", "t"), list(terms.items())) == want
+    assert MPoly(("s", "t"), iter(terms.items())) == want
 
 
 def test_zero_terms_dropped():

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: what ``import eulerlab.cli`` and building its parser load
 STARTUP = ["eulerlab", "eulerlab.cli", "eulerlab.distributions",
-           "eulerlab.mpoly", "eulerlab.perms"]
+           "eulerlab.mpoly"]
 
 
 def test_every_export_is_its_defining_modules_object():
@@ -35,7 +35,7 @@ def test_star_import_binds_every_export():
 #: names that no command runs; the tests and perfbench's tracer import
 #: them from their modules
 UNEXPORTED = ("exact_divide", "canonical_vars", "binom_resum", "PermStats",
-              "enumerate_perms", "stats", "inverse", "is_derangement")
+              "enumerate_perms", "stats", "inverse")
 
 
 def test_test_oracles_are_not_exported():
@@ -89,9 +89,10 @@ def _env() -> dict:
                 PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
-def _probe(code: str) -> dict:
-    """Run ``code`` in a fresh interpreter; it prints one JSON line last."""
-    proc = subprocess.run([sys.executable, "-c", code], env=_env(),
+def _probe(code: str, *flags: str) -> dict:
+    """Run ``code`` in a fresh interpreter started with ``flags``; it
+    prints one JSON line last."""
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -114,12 +115,13 @@ import json
 print(json.dumps({{
     "loaded": sorted(m for m in loaded if m.split(".")[0] == "eulerlab"),
     "lazy": [m for m in {lazy!r} if m in loaded],
-    "dataclasses": "dataclasses" in loaded}}))
+    "dataclasses": "dataclasses" in loaded,
+    "typing": "typing" in sys.modules}}))
 """
 
 
-def _jobs(jobs: list) -> dict:
-    return _probe(_JOBS.format(jobs=jobs, lazy=LAZY))
+def _jobs(jobs: list, *flags: str) -> dict:
+    return _probe(_JOBS.format(jobs=jobs, lazy=LAZY), *flags)
 
 
 def test_parser_loads_only_the_startup_modules():
@@ -138,16 +140,90 @@ def test_poly_text_and_latex_load_no_rationals_or_json():
 
 
 def test_poly_and_export_load_no_other_module(tmp_path):
+    got = _jobs(_family_jobs(tmp_path / "p.json"))
+    assert got["loaded"] == STARTUP
+    assert got["lazy"] == []
+    assert not got["dataclasses"]
+
+
+def _family_jobs(out: Path) -> list:
+    """poly and export of every distribution family at n = 5."""
     extra = {"xi": ["--i", "2"], "exc_slice": ["--k", "1"]}
     jobs = []
     for family in FAMILIES:
         args = ["--family", family, "--n", "5", *extra.get(family, [])]
         jobs.append(["poly", *args, "--format", "json"])
-        jobs.append(["export", *args, "--out", str(tmp_path / "p.json")])
-    got = _jobs(jobs)
-    assert got["loaded"] == STARTUP
-    assert got["lazy"] == []
-    assert not got["dataclasses"]
+        jobs.append(["export", *args, "--out", str(out)])
+    return jobs
+
+
+def test_no_command_loads_typing(tmp_path):
+    # under python -S, so that no .pth file that site runs preloads typing
+    jobs = _family_jobs(tmp_path / "p.json") + [
+        ["verify", "--check", "all"], ["table", "--max-n", "4"],
+        ["decompose", "--n", "5", "--s", "2"],
+        ["gamma", "--family", "trivariate", "--n", "5", "--p", "3/2"],
+        ["det", "--n", "3"], ["scan", "--max-n", "5"]]
+    got = _jobs(jobs, "-S")
+    assert got["typing"] is False
+
+
+def _at_import(body):
+    """The statements of ``body`` that run when their module is imported,
+    nested ones included: none inside a function or under the guard
+    ``if TYPE_CHECKING:``, whose flag each module sets to False itself."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            yield from _at_import(node.orelse)
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _at_import(getattr(node, field, ()))
+
+
+def _modules_imported(node) -> list:
+    """The absolute module names an import statement names; [] else."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_no_module_imports_typing_at_import_time():
+    for path in sorted((ROOT / "src" / "eulerlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in _at_import(tree.body):
+            for name in _modules_imported(node):
+                assert name.split(".")[0] != "typing", (
+                    f"{path.name}:{node.lineno}")
+
+
+def test_perms_is_the_tests_oracle_alone():
+    # the builders' cap and the stable subsets live in distributions
+    import eulerlab.perms
+    for name in ("MAX_ENUM_N", "check_n", "stable_subsets"):
+        assert not hasattr(eulerlab.perms, name), name
+    got = _probe("import json, sys\n"
+                 "import eulerlab.perms\n"
+                 "print(json.dumps(sorted(m for m in sys.modules\n"
+                 "                        if m.startswith('eulerlab'))))")
+    assert got == ["eulerlab", "eulerlab.perms"]
+    # checks alone imports it, for perfbench's tracer
+    importers = set()
+    for path in sorted((ROOT / "src" / "eulerlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and (
+                    node.module == "perms" or node.module is None and any(
+                        alias.name == "perms" for alias in node.names)):
+                importers.add(path.name)
+            if "eulerlab.perms" in _modules_imported(node):
+                importers.add(path.name)
+    assert importers == {"checks.py"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -247,10 +323,11 @@ def test_rational_commands_load_fractions(argv):
 def test_checks_imports_its_suite_modules_eagerly():
     # perfbench's tracer imports eulerlab.checks and eulerlab.series, then
     # wraps functions of these modules, reached as attributes of the package;
-    # checks loads detformula itself, series loads gfengine and symmetry
+    # checks loads detformula and perms itself (perms only for the tracer's
+    # perms.stats and perms.inverse), series loads gfengine and symmetry
     got = _probe("import json, sys, eulerlab.checks, eulerlab.series\n"
                  "print(json.dumps({'loaded': sorted(sys.modules)}))")
-    for module in ("detformula", "gfengine", "symmetry", "series",
+    for module in ("detformula", "perms", "gfengine", "symmetry", "series",
                    "univariate"):
         assert f"eulerlab.{module}" in got["loaded"]
 

@@ -7,12 +7,18 @@ import pytest
 
 import eulerlab.perms
 from eulerlab import detformula, distributions, gfengine, symmetry
-from eulerlab.perms import (MAX_ENUM_N, enumerate_perms, inverse,
-                            is_derangement, stable_subsets, stats)
+from eulerlab.distributions import MAX_ENUM_N, stable_subsets
+from eulerlab.perms import enumerate_perms, inverse, stats
 
 
 def test_doctests():
     failures, _ = doctest.testmod(eulerlab.perms)
+    assert failures == 0
+    # stable_subsets' example runs from the module it moved to
+    tests = doctest.DocTestFinder().find(distributions)
+    assert [t.name for t in tests if t.examples] == [
+        "eulerlab.distributions.stable_subsets"]
+    failures, _ = doctest.testmod(distributions)
     assert failures == 0
 
 
@@ -84,7 +90,8 @@ def test_non_int_n_refused_even_when_the_int_is_cached(lo, call, cache_sizes):
     n = max(lo, 4)
     call(n)
     before = cache_sizes()
-    for bad in (float(n), Fraction(n), str(n)):
+    # True is an int to isinstance, and would be read as n = 1
+    for bad in (float(n), Fraction(n), str(n), True):
         with pytest.raises(ValueError, match="^n must be an int, got "):
             call(bad)
     assert cache_sizes() == before
@@ -127,16 +134,6 @@ def test_inverse():
     assert inverse((1,)) == (1,)
     for perm in enumerate_perms(5):
         assert inverse(inverse(perm)) == perm
-
-
-def test_is_derangement():
-    assert is_derangement((2, 1))
-    assert not is_derangement((1, 2))
-    # 321 fixes position 2, so it is not a derangement
-    assert not is_derangement((3, 2, 1))
-    assert sorted(p for p in enumerate_perms(3) if is_derangement(p)) == \
-        [(2, 3, 1), (3, 1, 2)]
-    assert sum(1 for p in enumerate_perms(4) if is_derangement(p)) == 9
 
 
 def test_stable_subsets():
