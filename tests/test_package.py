@@ -168,6 +168,12 @@ def test_no_command_loads_typing(tmp_path):
     assert got["typing"] is False
 
 
+def _module_trees():
+    """(path, syntax tree) of each module of the package."""
+    for path in sorted((ROOT / "src" / "eulerlab").glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
 def _at_import(body):
     """The statements of ``body`` that run when their module is imported,
     nested ones included: none inside a function or under the guard
@@ -194,8 +200,7 @@ def _modules_imported(node) -> list:
 
 
 def test_no_module_imports_typing_at_import_time():
-    for path in sorted((ROOT / "src" / "eulerlab").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for path, tree in _module_trees():
         for node in _at_import(tree.body):
             for name in _modules_imported(node):
                 assert name.split(".")[0] != "typing", (
@@ -214,8 +219,7 @@ def test_perms_is_the_tests_oracle_alone():
     assert got == ["eulerlab", "eulerlab.perms"]
     # checks alone imports it, for perfbench's tracer
     importers = set()
-    for path in sorted((ROOT / "src" / "eulerlab").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for path, tree in _module_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and (
                     node.module == "perms" or node.module is None and any(
@@ -373,8 +377,7 @@ def test_readme_quickstart_runs():
 def test_library_is_stdlib_only_and_float_free():
     # the library imports only the standard library and has no floats
     stdlib = sys.stdlib_module_names
-    for path in sorted((ROOT / "src" / "eulerlab").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for path, tree in _module_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 tops = [alias.name.split(".")[0] for alias in node.names]
