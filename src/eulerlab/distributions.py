@@ -398,13 +398,14 @@ def stable_subsets(lo: int, hi: int) -> list[tuple[int, ...]]:
     """Subsets of {lo, ..., hi} with no two consecutive members.
 
     Ordered by size, then lexicographically; the empty set comes first.
-    An empty interval (``lo == hi + 1``) still has the empty subset.
+    An empty interval (``lo == hi + 1``) still has the empty subset; a
+    bound that is not an int, or lo > hi + 1, is :class:`Refused`.
 
     >>> stable_subsets(2, 3)
     [(), (2,), (3,)]
     """
     if type(lo) is not int or type(hi) is not int or lo > hi + 1:
-        raise ValueError(f"interval [{lo!r}, {hi!r}] is malformed")
+        raise Refused(f"interval [{lo!r}, {hi!r}] is malformed")
     members = range(lo, hi + 1)
     out: list[tuple[int, ...]] = []
     for size in range(len(members) + 1):

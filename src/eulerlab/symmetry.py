@@ -22,7 +22,11 @@ return only what it computed, the pair (a, b) and the tuple of gammas:
 the caller already holds x and d.  The kernel takes exact values as
 they come, ints or Fractions; only
 :func:`conjecture_scan` scales to ints, for the cost its docstring gives.
-Two divisions by 1 - x and top-down elimination are its test reference.
+The gamma elimination runs over the first half of the list alone,
+indices 0..d // 2: each step subtracts a palindrome at degree d, so the
+remainder stays palindromic and a zero first half means a zero
+remainder.  Two divisions by 1 - x and top-down elimination over the
+whole polynomial are its test reference.
 
 The joint descent/excedance polynomial has ambient degree n - 1 in the
 excedance variable.  Its palindromic part satisfies a two-term recursion
@@ -194,22 +198,32 @@ def _split_ints(f: list) -> tuple[list, list]:
 
 
 def _gamma_ints(cs: list) -> list:
-    """Gamma vector of a palindromic list; [] when all zero."""
+    """Gamma vector of a palindromic list; [] when all zero.
+
+    The list is checked to be palindromic first, then eliminated from
+    the bottom over its first half alone, indices 0..d // 2: every basis
+    element is a palindrome at degree d, so the remainder stays one, and
+    the assert that the half-remainder is zero covers all of it.
+    """
     if not any(cs):
         return []
     d = len(cs) - 1
     if cs != cs[::-1]:
         raise ValueError(
             f"coefficient list is not palindromic at ambient degree {d}")
-    rem = list(cs)
+    half = d // 2
+    rem = cs[:half + 1]
     gammas = []
-    for i in range(d // 2 + 1):
+    # step i subtracts g * x**i * (1 + x)**(d - 2i), a palindrome at
+    # degree d, so the remainder stays palindromic: once its first half
+    # is zero, all of it is
+    for i in range(half + 1):
         g = rem[i]
         gammas.append(g)
         if g:
             m = d - 2 * i
-            for k in range(m + 1):
-                rem[i + k] -= g * comb(m, k)
+            for k in range(i, half + 1):
+                rem[k] -= g * comb(m, k - i)
     assert not any(rem), "gamma elimination left a remainder"
     return gammas
 
@@ -291,7 +305,9 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     vectors of both parts together with shape flags of the t-vector
     itself.  The hypothesis zone is p > 1, q >= 1; points
     outside it need ``force=True``.  n takes the range of
-    :func:`trivariate`.  p and q are exact: a float or complex raises
+    :func:`trivariate`.  p and q are exact: a ``Fraction`` is used as
+    given, and any other value is read by
+    :func:`~eulerlab.mpoly._coefficient`, so a float or complex raises
     ValueError.  Reports never raise on a shape violation; they record it.
 
     The work is exact on int coefficient lists.  The scan reads the
@@ -305,13 +321,17 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     gamma-expanded by the integer kernel; M > 0, so the sign flags are
     read off the integer gammas, and only the reported gammas are
     divided by M.  Once the tables are built, a point over n = 1..9
-    takes about 0.55 ms (2-core x86, Python 3.11); the same gammas from
-    the table evaluated in Fractions took 13 ms against 0.7 ms, which is
-    why the scan alone scales to ints.
+    takes about 0.3 ms in process (the median over perfbench's 36
+    points, 2-core x86, Python 3.11.7); the same gammas from the table
+    evaluated in Fractions take about 5 ms, which is why the scan alone
+    scales to ints.
     """
     check_n(n, 1)
     Fraction = _fraction()
-    p, q = Fraction(_coefficient(p)), Fraction(_coefficient(q))
+    if type(p) is not Fraction:
+        p = Fraction(_coefficient(p))
+    if type(q) is not Fraction:
+        q = Fraction(_coefficient(q))
     in_hyp = _check_zone(p, q, force)
     a, b, c, e = p.numerator, p.denominator, q.numerator, q.denominator
     top_des, top_gap, terms = _trivariate_table(n, False)
@@ -325,14 +345,12 @@ def conjecture_scan(n: int, p, q, force: bool = False) -> ScanReport:
     ints_a, ints_b = _gamma_ints(a_cs), _gamma_ints(b_cs)
     top = max(dense)
     modes = tuple(i for i, c in enumerate(dense) if c == top)
+    # positional, with min() for the sign flags: about 1 % of an op
+    # against keywords and all() over a generator
     return ScanReport(
-        n=n, p=p, q=q,
-        gamma_a=tuple(Fraction(g, scale) for g in ints_a),
-        gamma_b=tuple(Fraction(g, scale) for g in ints_b),
-        gamma_a_nonneg=all(g >= 0 for g in ints_a),
-        gamma_b_nonneg=all(g >= 0 for g in ints_b),
-        alternatingly_increasing=_is_alternatingly_increasing(dense),
-        unimodal=_is_unimodal(dense),
-        mode_indices=modes,
-        in_hypothesis=in_hyp,
-    )
+        n, p, q,
+        tuple(Fraction(g, scale) for g in ints_a),
+        tuple(Fraction(g, scale) for g in ints_b),
+        min(ints_a, default=0) >= 0, min(ints_b, default=0) >= 0,
+        _is_alternatingly_increasing(dense), _is_unimodal(dense),
+        modes, in_hyp)

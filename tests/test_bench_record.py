@@ -4,7 +4,9 @@ Each file records benchmark runs of one change against its parent: see
 ROADMAP item 22.  A file must name the commit it measured and the Python
 version it ran on, and every metric it reports, in its summaries and in
 the raw result lines of perfbench's runs alike, must carry its unit.
-Later changes add a file; none rewrites an earlier one.
+Later changes add a file; none rewrites an earlier one.  A record that
+claims a gain names, in its ``claimed`` dict, a workload and an
+end-to-end metric that ``BENCHMARK.json`` declares.
 """
 
 import json
@@ -40,3 +42,17 @@ def test_bench_records_name_commit_python_and_units():
             for name, metric in table.items():
                 unit = metric.get("unit") if isinstance(metric, dict) else None
                 assert isinstance(unit, str) and unit, (path.name, name)
+
+
+def test_a_claim_names_a_declared_workload_and_end_to_end_metric():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    claims = 0
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        claimed = json.loads(path.read_text(encoding="utf-8"))["claimed"]
+        if isinstance(claimed, dict):
+            claims += 1
+            assert claimed["workload"] in workloads, path.name
+            assert claimed["metric"] in metrics, path.name
+    assert claims, "no BENCH_*.json claims a gain"

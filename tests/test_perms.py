@@ -8,6 +8,7 @@ import pytest
 import eulerlab.perms
 from eulerlab import detformula, distributions, gfengine, symmetry
 from eulerlab.distributions import MAX_ENUM_N, stable_subsets
+from eulerlab.mpoly import Refused
 from eulerlab.perms import enumerate_perms, inverse, stats
 
 
@@ -141,11 +142,9 @@ def test_stable_subsets():
     assert stable_subsets(2, 3) == [(), (2,), (3,)]
     assert stable_subsets(2, 5) == [
         (), (2,), (3,), (4,), (5,), (2, 4), (2, 5), (3, 5)]
-    with pytest.raises(ValueError):
-        stable_subsets(2, 0)
     # range() raised TypeError on a float bound
-    for lo, hi in ((2.0, 4), (2, 4.0), (True, 4)):
-        with pytest.raises(ValueError, match=r"^interval \[.*\] is malformed$"):
+    for lo, hi in ((2, 0), (2.0, 4), (2, 4.0), (True, 4)):
+        with pytest.raises(Refused, match=r"^interval \[.*\] is malformed$"):
             stable_subsets(lo, hi)
 
 

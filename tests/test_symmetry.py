@@ -8,7 +8,7 @@ import pytest
 
 from eulerlab import distributions, symmetry
 from eulerlab.distributions import derangement_lhs, eulerian_st, trivariate
-from eulerlab.mpoly import MPoly, exact_divide
+from eulerlab.mpoly import MPoly, Refused, exact_divide
 from eulerlab.perms import enumerate_perms, stats
 from eulerlab.symmetry import (_is_alternatingly_increasing, _is_unimodal,
                                a_part, conjecture_scan, gamma_expand,
@@ -461,6 +461,24 @@ def test_scan_accepts_fractions():
     report = conjecture_scan(4, F(3, 2), 2)
     assert report.p == F(3, 2) and report.q == F(2)
     assert report.gamma_a_nonneg and report.gamma_b_nonneg
+
+
+def test_scan_takes_a_fraction_as_given_and_reads_any_other_exact_form():
+    # a Fraction is used as it is; an int, 'a/b' or a Decimal is read by
+    # _coefficient and made one, so every form of a point gives one report
+    for forms in ((F(3, 2), "3/2", Decimal("1.5")), (F(2), 2, "2")):
+        want = _sparse_scan(5, forms[0], forms[0])
+        for p in forms:
+            for q in forms:
+                r = conjecture_scan(5, p, q)
+                assert type(r.p) is F and type(r.q) is F
+                assert (r.n, r.p, r.q, r.in_hypothesis) == (
+                    5, forms[0], forms[0], True)
+                assert tuple(r[3:10]) == want, (p, q)
+    for bad, match in ((1.5, "inexact"), ("1e0", "without an exponent")):
+        for p, q in ((bad, 2), (2, bad)):
+            with pytest.raises(Refused, match=match):
+                conjecture_scan(5, p, q)
 
 
 def test_trivariate_specialization_matches_joint_at_q1():
