@@ -15,15 +15,12 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb, factorial
 
-# symmetry and gfengine are imported inside the suites that run them, so
-# a verify process loads only the modules of its suites.  detformula and
-# perms, which no suite runs, stay here: perfbench's tracer reaches them
-# as attributes of the package after importing only checks and series.
-from . import detformula, distributions, perms
+# symmetry, gfengine, detformula and qanalog are imported inside the
+# suites that run them, so a verify process loads only its suites' modules
+from . import distributions
 from .distributions import (MAX_ENUM_N, classic_eulerian, derangement_lhs,
                             derangement_poly, eulerian_st, exc_slice)
 from .mpoly import DivisibilityError, MPoly, Refused
-from .qanalog import fubini_number, subfactorial
 
 
 #: a suite's verdict: its name, whether it passed, the tuple of detail
@@ -183,6 +180,7 @@ def check_thT1(max_n: int) -> CheckResult:
     division that the kernels find inexact means the identity is
     broken: it fails that n, with the error as the witness.
     """
+    from . import detformula
     from .symmetry import a_part
 
     def det_case(n):
@@ -219,6 +217,8 @@ _FUBINI_FIRST = (1, 3, 13, 75, 541)
 
 def check_fubini(max_n: int) -> CheckResult:
     """Joint polynomial at (2, 1) counts ordered set partitions."""
+    from .qanalog import fubini_number
+
     def case(n):
         got = eulerian_st(n).evaluate({"s": 2, "t": 1})
         want = fubini_number(n)
@@ -245,6 +245,8 @@ def check_li_binomial(max_n: int) -> CheckResult:
 
 def check_counts(max_n: int) -> CheckResult:
     """Total masses: n! for the joint polynomial, derangement counts."""
+    from .qanalog import subfactorial
+
     def case(n):
         joint, derange = (eulerian_st(n).evaluate({"s": 1, "t": 1}),
                            derangement_poly(n).evaluate({"x": 1}))

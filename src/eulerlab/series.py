@@ -11,7 +11,10 @@ it raises instead of guessing.
 :func:`lhs_coeff`/:func:`lhs_coeff_a` wrap the counting side of
 ``gfengine`` in :class:`~eulerlab.univariate.UPoly`.  They are the
 oracle the tests hold ``gfengine``'s division-free integer route
-against; ``eulerlab verify`` never loads this module.
+against; no command loads this module.  perfbench's tracer imports it
+and :mod:`eulerlab.checks`, then wraps functions that it reaches as
+attributes of the package, so this module imports
+:mod:`eulerlab.detformula` and :mod:`eulerlab.perms` for the tracer.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from . import detformula, perms  # for perfbench's tracer alone
 from .gfengine import _joint, _resummed
 from .qanalog import _check_naturals
 from .symmetry import a_part

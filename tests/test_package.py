@@ -217,7 +217,7 @@ def test_perms_is_the_tests_oracle_alone():
                  "print(json.dumps(sorted(m for m in sys.modules\n"
                  "                        if m.startswith('eulerlab'))))")
     assert got == ["eulerlab", "eulerlab.perms"]
-    # checks alone imports it, for perfbench's tracer
+    # series alone imports it, for perfbench's tracer
     importers = set()
     for path, tree in _module_trees():
         for node in ast.walk(tree):
@@ -227,7 +227,7 @@ def test_perms_is_the_tests_oracle_alone():
                 importers.add(path.name)
             if "eulerlab.perms" in _modules_imported(node):
                 importers.add(path.name)
-    assert importers == {"checks.py"}
+    assert importers == {"series.py"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -270,29 +270,29 @@ def test_integer_json_round_trip_loads_no_fractions():
     assert got == {"fractions": False}
 
 
-def test_verify_loads_checks():
-    got = _jobs([["verify", "--check", "gf", "--max-n", "2"]])
-    assert "eulerlab.checks" in got["loaded"]
+#: suite -> the eulerlab modules its verify process loads beyond STARTUP;
+#: eq1 reads only f_nkr and its closed form, so it loads no symmetry
+SUITE_MODULES = {
+    "macmahon": ["checks"],
+    "thm01": ["checks"],
+    "li-binomial": ["checks"],
+    "fubini": ["checks", "qanalog"],
+    "counts": ["checks", "qanalog"],
+    "thm20": ["checks", "symmetry"],
+    "eq1": ["checks", "gfengine", "qanalog"],
+    "gf": ["checks", "gfengine", "qanalog", "symmetry"],
+    "thT1": ["checks", "detformula", "qanalog", "symmetry"],
+}
 
 
 def test_verify_loads_only_its_suites_modules():
-    jobs = [["verify", "--check", name, "--max-n", "3"]
-            for name in ("macmahon", "thm01", "fubini", "li-binomial",
-                         "counts")]
-    got = _jobs(jobs)
-    assert "eulerlab.symmetry" not in got["loaded"]
-    assert "eulerlab.gfengine" not in got["loaded"]
-    assert "eulerlab.detformula" in got["loaded"]
-    assert got["lazy"] == []
-
-
-def test_verify_eq1_loads_no_symmetry_or_fractions():
-    # eq1 reads only f_nkr and its closed form; verify_foata imports the
-    # a-parts itself
-    got = _jobs([["verify", "--check", "eq1"]])
-    assert "eulerlab.gfengine" in got["loaded"]
-    assert "eulerlab.symmetry" not in got["loaded"]
-    assert "fractions" not in got["lazy"]
+    from eulerlab.checks import CHECKS
+    assert SUITE_MODULES.keys() == CHECKS.keys()
+    for name, modules in SUITE_MODULES.items():
+        got = _jobs([["verify", "--check", name]])
+        assert got["loaded"] == sorted(
+            STARTUP + [f"eulerlab.{m}" for m in modules]), name
+        assert got["lazy"] == [], name
 
 
 # the a-parts, gamma vectors and their checks are integer work: none of
@@ -324,11 +324,14 @@ def test_rational_commands_load_fractions(argv):
     assert "decimal" in got["lazy"]
 
 
-def test_checks_imports_its_suite_modules_eagerly():
-    # perfbench's tracer imports eulerlab.checks and eulerlab.series, then
-    # wraps functions of these modules, reached as attributes of the package;
-    # checks loads detformula and perms itself (perms only for the tracer's
-    # perms.stats and perms.inverse), series loads gfengine and symmetry
+def test_only_series_loads_what_the_tracer_wraps():
+    # checks alone loads no suite's own module; perfbench's tracer imports
+    # eulerlab.checks and eulerlab.series, then wraps functions of these
+    # modules, reached as attributes of the package, so series loads them
+    got = _probe("import json, sys, eulerlab.checks\n"
+                 "print(json.dumps({'loaded': sorted(sys.modules)}))")
+    for module in ("detformula", "perms", "qanalog"):
+        assert f"eulerlab.{module}" not in got["loaded"]
     got = _probe("import json, sys, eulerlab.checks, eulerlab.series\n"
                  "print(json.dumps({'loaded': sorted(sys.modules)}))")
     for module in ("detformula", "perms", "gfengine", "symmetry", "series",
@@ -350,10 +353,13 @@ def test_verify_loads_no_dataclasses_or_series_oracle():
 @pytest.mark.parametrize("argv", [
     ["verify", "--check", "all"],
     ["poly", "--family", "xi", "--n", "6", "--i", "2"],
+    ["verify", "--check", "macmahon"],
+    ["verify", "--check", "li-binomial", "--max-n", "3"],
 ])
 def test_perfbench_traced_cli_runs_unchanged(argv, tmp_path):
     # the benchmark's traced jobs wrap the package from outside; an import
-    # change that breaks them fails here
+    # change that breaks them fails here, also for a suite that loads
+    # neither detformula nor perms
     env = _env()
     spans = tmp_path / "spans.json"
     traced = subprocess.run(
@@ -366,6 +372,19 @@ def test_perfbench_traced_cli_runs_unchanged(argv, tmp_path):
     assert traced.returncode == plain.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     assert json.loads(spans.read_text(encoding="utf-8"))["restored"] is True
+
+
+def test_perfbench_traced_scan_set_up_runs_unchanged(tmp_path):
+    # the scan workload installs the tracer after importing only
+    # distributions and symmetry
+    result = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "scan_worker.py"),
+         str(result), "--trace", "--setup-only"],
+        env=_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(result.read_text(encoding="utf-8"))["trace"]
+    assert trace["restored"] is True
 
 
 def test_readme_quickstart_runs():
