@@ -26,11 +26,12 @@ r values before it.  Both sides have degree at most n in r, so their
 values at r = 0..n determine them: :func:`det_Mnr` is the Newton form
 sum_k Delta**k det(0) * C(r, k) of those values.
 
-:func:`reconstruct_a` resums the determinant against (1 - s)**(n+1),
-subtracts the boundary term and divides by t, recovering the palindromic
-part a_n(s, t) of the joint polynomial without touching the symmetric
-group.  The division by t must be exact; if it is not, the identity
-chain upstream is broken and a DivisibilityError says so.
+:func:`reconstruct_a` subtracts the boundary term 1 + t**(n+1) from
+det(r), regroups the values against (1 - s)**(n+1) in closed form
+(:func:`eulerlab.qanalog.regroup`) and divides by t, recovering the
+palindromic part a_n(s, t) of the joint polynomial without touching the
+symmetric group.  The division by t must be exact; if it is not, the
+identity chain upstream is broken and a DivisibilityError says so.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from math import comb
 from .distributions import check_n
 from .mpoly import DivisibilityError, MPoly
 from .qanalog import (_check_ints, _check_naturals, binom_poly, gen_binomial,
-                      int_add, int_div, int_mul, int_sub, int_trim)
+                      int_add, int_div, int_mul, int_sub, int_trim, regroup)
 
 _VARS = ("t", "r")
 
@@ -140,16 +141,6 @@ def det_at(n: int, r: int) -> tuple[int, ...]:
     return tuple(det_bareiss(rows))
 
 
-def _differences(n: int) -> list[list[int]]:
-    """Delta**k det_at(n, .)(0) for k = 0..n, as t-coefficient lists."""
-    values = [list(det_at(n, r)) for r in range(n + 1)]
-    out = []
-    for _ in range(n + 1):
-        out.append(values[0])
-        values = [int_sub(b, a) for a, b in zip(values, values[1:])]
-    return out
-
-
 def det_Mnr(n: int) -> MPoly:
     """Determinant of the Cramer matrix, as a polynomial in t and r.
 
@@ -160,34 +151,28 @@ def det_Mnr(n: int) -> MPoly:
     refuses the rest.
     """
     check_n(n, 0)
+    values = [list(det_at(n, r)) for r in range(n + 1)]
     acc = MPoly.zero(_VARS)
-    for k, diff in enumerate(_differences(n)):
-        if diff:
-            coeff = MPoly(_VARS, {(e, 0): c for e, c in enumerate(diff)})
+    for k in range(n + 1):
+        if values[0]:
+            coeff = MPoly(_VARS, {(e, 0): c for e, c in enumerate(values[0])})
             acc = acc + coeff * binom_poly(k).with_vars(_VARS)
+        values = [int_sub(b, a) for a, b in zip(values, values[1:])]
     return acc
 
 
 def reconstruct_a(n: int) -> MPoly:
     """Rebuild the palindromic part a_n(s, t) from the determinant alone.
 
-    With c_k = Delta**k det(0), the resummation of det over r against
-    (1 - s)**(n+1) is sum_k c_k s**k (1 - s)**(n-k).  Strip the boundary
-    term (1 + t**(n+1)) * (1 - s)**n from it and divide by t.
+    The boundary term (1 + t**(n+1)) * (1 - s)**n is the regrouping of
+    the constant 1 + t**(n+1), so subtract that from det(r) at every r,
+    regroup against (1 - s)**(n+1) and divide by t.
     """
     check_n(n, 1)
-    terms = list(enumerate(_differences(n)))
-    terms.append((0, [-1] + [0] * n + [-1]))   # minus the boundary term
-    total: dict[tuple[int, int], int] = {}
-    for k, cs in terms:
-        for m in range(n - k + 1):
-            w = (-1) ** m * comb(n - k, m)
-            for e, c in enumerate(cs):
-                key = (k + m, e)
-                total[key] = total.get(key, 0) + w * c
-    if any(c for (_, e), c in total.items() if e == 0):
+    boundary = [1] + [0] * n + [1]
+    total = regroup([int_sub(det_at(n, r), boundary) for r in range(n + 1)])
+    if any(e == 0 for _, e in total):
         raise DivisibilityError(
             f"reconstruction at n={n} is not divisible by t; "
             f"the determinant identity is broken")
-    return MPoly(("s", "t"), {(j, e - 1): c for (j, e), c in total.items()
-                              if c})
+    return MPoly(("s", "t"), {(j, e - 1): c for (j, e), c in total.items()})

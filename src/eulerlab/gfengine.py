@@ -20,19 +20,21 @@ are the oracle the tests hold the integer route against, and nothing
 here imports them.
 
 Integer coefficient extraction (:func:`f_nkr` and its lattice closed
-form :func:`f_nkr_closed`) serves the eq1 suite.  :func:`binom_resum`,
-the binomial resummation of a polynomial in r over ``MPoly``, is run by
-no command: it is a test reference, and the package does not export it.
+form :func:`f_nkr_closed`) serves the eq1 suite.  :func:`binom_resum`
+regroups the values of a polynomial in r by
+:func:`eulerlab.qanalog.regroup`, the inverse of :func:`_resummed`.  No
+command runs it and the package does not export it; it stays only
+because perfbench's tracer wraps it.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 
 from .distributions import check_n, eulerian_st
 from .mpoly import MPoly
 from .qanalog import (_check_naturals, int_add, int_mul, int_sub, int_trim,
-                      stirling2)
+                      regroup)
 
 
 def _joint(n: int) -> MPoly:
@@ -205,31 +207,18 @@ def f_nkr_closed(n: int, k: int, r: int) -> int:
 # binomial resummation
 
 def binom_resum(poly: MPoly, n: int) -> MPoly:
-    """Resum sum_r poly(r) s**r against the weight (1 - s)**(n + 1).
+    """Regroup sum_r poly(r) s**r against the weight (1 - s)**(n + 1).
 
     ``poly`` is a polynomial in r, possibly with coefficients in t, of
-    degree at most n.  Writing poly(r) = sum_m q_m r**m and converting
-    powers to falling factorials with Stirling numbers gives
-
-        (1 - s)**(n+1) * sum_r poly(r) s**r
-            = sum_k c_k s**k (1 - s)**(n - k),
-        c_k = sum_m q_m S(m, k) k!
-
-    which is what this returns, as a polynomial in s and t.
+    degree at most n.  Its values at r = 0..n fix it, and
+    :func:`eulerlab.qanalog.regroup` turns them into the product, a
+    polynomial in s and t, which this returns.  It stays only because
+    perfbench's tracer wraps it; no test holds another route against it.
     """
     _check_naturals(n)
     poly = poly.with_vars(("t", "r"))
     if poly.degree("r") > n:
         raise ValueError(
             f"degree {poly.degree('r')} in r exceeds n = {n}")
-    s = MPoly.variable("s", ("s", "t"))
-    acc = MPoly.zero(("s", "t"))
-    for k in range(n + 1):
-        c_k = MPoly.zero(("t",))
-        for m in range(k, n + 1):
-            q_m = poly.coeff_of("r", m)
-            if q_m:
-                c_k = c_k + q_m * (stirling2(m, k) * factorial(k))
-        if c_k:
-            acc = acc + c_k.with_vars(("s", "t")) * s ** k * (1 - s) ** (n - k)
-    return acc
+    values = [poly.subs({"r": r}).to_dense("t") for r in range(n + 1)]
+    return MPoly(("s", "t"), regroup(values))

@@ -211,7 +211,7 @@ class MPoly:
     def __pow__(self, n: int):
         if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        # every caller raises to at most distributions.MAX_ENUM_N = 13, where
+        # only tests raise an MPoly to a power, to small exponents, where
         # repeated squaring measures no faster than n products in a row
         result = MPoly.const(self.vars, 1)
         for _ in range(n):

@@ -1,7 +1,9 @@
 """Binomial polynomials, Stirling numbers, counting sequences and
-arithmetic on integer coefficient lists in t.
+arithmetic on integer coefficient lists in t, with :func:`regroup`, the
+one closed-form regrouping against (1 - s)**(n+1) that ``detformula``
+and ``gfengine`` share.
 
-Everything here returns exact integers, integer lists or
+Everything here returns exact integers, lists, coefficient dicts or
 :class:`~eulerlab.mpoly.MPoly` values, and the integer functions refuse
 an argument that is not an ``int`` with ValueError rather than carry a
 float through.  One guard, :func:`_check_naturals`, states the rule "a
@@ -147,3 +149,21 @@ def int_div(a, b) -> list[int]:
         raise DivisibilityError(f"{b} does not divide {a} in Z[t]")
     return int_trim(quot)
 
+
+def regroup(values) -> dict[tuple[int, int], int]:
+    """The s**j t**e coefficients of (1 - s)**(n+1) * sum_r P(r) s**r.
+
+    ``values`` lists P(0), ..., P(n) as coefficient lists in t, of ints
+    or other exact numbers, for a polynomial P of degree at most n in r.
+    The product then has degree at most n in s, and its s**j coefficient
+    is sum_{r<=j} (-1)**(j-r) C(n+1, j-r) P(r), the inverse of resumming
+    s**j against C(n + r - j, n).  Returns {(j, e): c} for each nonzero c.
+    """
+    n = len(values) - 1
+    out: dict[tuple[int, int], int] = {}
+    for j in range(n + 1):
+        for r in range(j + 1):
+            w = (-1) ** (j - r) * comb(n + 1, j - r)
+            for e, c in enumerate(values[r]):
+                out[j, e] = out.get((j, e), 0) + w * c
+    return {key: c for key, c in out.items() if c}

@@ -5,10 +5,13 @@ from math import comb
 import pytest
 
 from eulerlab import gfengine, symmetry
+from eulerlab.checks import run_checks
+from eulerlab.detformula import det_Mnr, reconstruct_a
 from eulerlab.distributions import MAX_ENUM_N
 from eulerlab.gfengine import (_joint, _resummed, _statements, binom_resum,
                                f_nkr, f_nkr_closed, verify_foata)
 from eulerlab.mpoly import MPoly
+from eulerlab.qanalog import regroup
 from eulerlab.series import (USeries, a_series_term, f_series, foata_term,
                              lhs_coeff, lhs_coeff_a)
 from eulerlab.symmetry import a_part
@@ -186,19 +189,57 @@ def test_f_series_r0_gives_t_analogs():
         assert fs.coeff(n).as_upoly() == want
 
 
-def test_binom_resum_fixtures():
+def _binom_resum_fixtures():
+    """(poly, n, want) triples, with want None where binom_resum refuses."""
     t, r = (MPoly.variable(v, ("t", "r")) for v in ("t", "r"))
     one = MPoly.const(("t", "r"), 1)
-    s_poly = binom_resum(one, 0)
-    assert s_poly == MPoly.const(("s", "t"), 1)
-    assert binom_resum(r, 1) == MPoly(("s", "t"), {(1, 0): 1})
-    assert binom_resum(r ** 2, 2) == MPoly(("s", "t"), {(1, 0): 1, (2, 0): 1})
-    mixed = binom_resum(t * r, 1)
-    assert mixed == MPoly(("s", "t"), {(1, 1): 1})
-    with pytest.raises(ValueError):
-        binom_resum(r ** 2, 1)
-    with pytest.raises(ValueError):
-        binom_resum(one, -1)
+    return [
+        (one, 0, MPoly.const(("s", "t"), 1)),
+        (r, 1, MPoly(("s", "t"), {(1, 0): 1})),
+        (r ** 2, 2, MPoly(("s", "t"), {(1, 0): 1, (2, 0): 1})),
+        (t * r, 1, MPoly(("s", "t"), {(1, 1): 1})),
+        (r ** 2, 1, None),
+        (one, -1, None),
+    ]
+
+
+def _check_binom_resum(fixtures):
+    for poly, n, want in fixtures:
+        if want is None:
+            with pytest.raises(ValueError):
+                binom_resum(poly, n)
+        else:
+            assert binom_resum(poly, n) == want, (poly, n)
+
+
+def test_binom_resum_fixtures():
+    _check_binom_resum(_binom_resum_fixtures())
+
+
+def test_regroup_inverts_resummed():
+    # regrouping the resummed values of A against (1 - s)^(n+1) gives A's
+    # terms back, for the joint polynomial and its palindromic part
+    for n in range(MAX_ENUM_N + 1):
+        for poly in (_joint(n), a_part(n)):
+            values = [_resummed(poly, n, r) for r in range(n + 1)]
+            assert regroup(values) == poly.terms, n
+
+
+def test_the_routes_run_without_pow_rsub_or_bool(monkeypatch):
+    # MPoly.__pow__, __rsub__ and __bool__ have no library caller: with
+    # them raising, the regrouping routes and every suite still run
+    fixtures = _binom_resum_fixtures()
+    for name in ("__pow__", "__rsub__", "__bool__"):
+        def refuse(*args, name=name):
+            raise AssertionError(f"MPoly.{name} was called")
+        monkeypatch.setattr(MPoly, name, refuse)
+    _check_binom_resum(fixtures)
+    for n in range(1, 8):
+        assert reconstruct_a(n) == a_part(n), n
+    for n in range(8):
+        det_Mnr(n)
+    for res in run_checks("all"):
+        assert res.passed, f"{res.name}: {res.witness}"
 
 
 def test_binom_resum_geometric_consistency():
